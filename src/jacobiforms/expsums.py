@@ -8,10 +8,18 @@ d ascending, lambda lexicographic).  The series route rewrites H through
 Kloosterman sums and computes the whole Kloosterman vector (K(n', t; c))_t
 with a single length-c FFT, which is what makes c_max in the thousands
 affordable; the two routes are asserted against each other in the tests.
+
+Representation numbers R_b count the zeros mod b of the integral polynomial
+Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
+and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
+nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
+too), and a singular zero recurses on the form reduced by p, so each node walks
+(Z/p)^rank rather than (Z/p^e)^rank.  Nodes larger than NODE_POINT_LIMIT raise
+ResourceLimitError before allocating.  The brute-force count over (Z/b)^rank
+stays in the tests as the oracle.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,13 +36,7 @@ from .lattice import DiscElement, EvenLattice
 from .numbertheory import factorize, kronecker
 from .rationals import frac1, is_integral, unit_phase
 
-DEFAULT_ENUM_BUDGET = 10**8
-_ENUM_BUDGET_ENV = "JLF_ENUM_BUDGET"
 _STABILIZATION_CAP = 4
-
-
-def enumeration_budget():
-    return int(float(os.environ.get(_ENUM_BUDGET_ENV, DEFAULT_ENUM_BUDGET)))
 
 
 # -- shared precomputation -------------------------------------------------------
@@ -279,63 +281,92 @@ class RepCountKey:
 
 _REP_MEMO = {}
 
+# Every Hensel node walks (Z/p)^rank in chunks of _NODE_CHUNK points.  A node
+# over NODE_POINT_LIMIT points is refused before anything is allocated, so a
+# request that cannot finish fails at once with its cost named; it is a
+# constant, not a setting.
+NODE_POINT_LIMIT = 10**7
+_NODE_CHUNK = 1 << 16
 
-def _rep_count_enumerate(lattice, x, D, b):
-    rank = lattice.rank
-    if b**rank > enumeration_budget():
+
+@lru_cache(maxsize=4096)
+def _zeros_mod_p(gram, p, g, n):
+    """Zeros of Q(lambda) = beta(lambda) + g.lambda + n on (Z/p)^rank.
+
+    g and n are reduced mod p.  Returns (number of nonsingular zeros, tuple of
+    the singular ones), a zero being singular when grad Q = G lambda + g = 0
+    mod p.
+    """
+    rank = len(gram)
+    size = p**rank
+    if size > NODE_POINT_LIMIT:
         raise ResourceLimitError(
-            f"{b}^{rank} points exceed the enumeration budget "
-            f"({enumeration_budget()}; override with {_ENUM_BUDGET_ENV})"
+            f"a Hensel node at p={p} walks p^rank = {p}^{rank} = {size} points, "
+            f"over the limit of {NODE_POINT_LIMIT}"
         )
-    if b == 1:
+    # G lambda mod 2p gives beta(lambda) = lambda.G lambda / 2 mod p, even at p = 2
+    gram2 = np.array(gram, dtype=np.int64) % (2 * p)
+    gvec = np.array(g, dtype=np.int64)
+    nonsingular = 0
+    singular = []
+    for start in range(0, size, _NODE_CHUNK):
+        idx = np.arange(start, min(start + _NODE_CHUNK, size), dtype=np.int64)
+        lam = np.array(np.unravel_index(idx, (p,) * rank), dtype=np.int64)
+        glam = gram2 @ lam % (2 * p)
+        beta = (lam * glam).sum(axis=0) % (2 * p) // 2
+        zero = (beta + gvec @ lam + n) % p == 0
+        sing = zero & ~((glam + gvec[:, None]) % p).any(axis=0)
+        nonsingular += int(np.count_nonzero(zero)) - int(np.count_nonzero(sing))
+        singular.extend(tuple(v) for v in lam[:, sing].T.tolist())
+    return nonsingular, tuple(singular)
+
+
+@lru_cache(maxsize=1 << 16)
+def _hensel_count(gram, p, g, n, e):
+    """#{lambda mod p^e : beta(lambda) + g.lambda + n = 0 mod p^e}, g and n reduced mod p^e.
+
+    With Q(lambda0 + p mu) = Q(lambda0) + p grad Q(lambda0).mu + p^2 beta(mu)
+    (exact, beta integral on L), a zero lambda0 mod p is counted as:
+    nonsingular -> p^((e-1)(rank-1)) lifts; singular at e = 1 -> 1; singular
+    with p^2 | Q(lambda0) -> p^rank times the count of the reduced form
+    (grad/p, Q/p^2) mod p^(e-2); any other singular zero -> none.
+    """
+    if e == 0:
         return 1
-    gram = lattice.gram
-    xhat = x.rep
-    q0 = lattice.beta(xhat) - Fraction(D)
-    assert is_integral(q0)
-    q0 = int(q0)
-    gx = [int(v) for v in lattice.gram_times(xhat)]
-    last = rank - 1
-    chunk = 1 << 22
-
-    def count_last(lin, const):
-        total = 0
-        for start in range(0, b, chunk):
-            lam = np.arange(start, min(start + chunk, b), dtype=np.int64)
-            vals = ((gram[last][last] // 2) * lam * lam + (gx[last] + lin) * lam + const) % b
-            total += int(np.count_nonzero(vals == 0))
-        return total
-
-    if rank == 1:
-        return count_last(0, q0)
-    if rank == 2:
-        lam = np.arange(b, dtype=np.int64)
-        q_head = (gram[0][0] // 2) * lam * lam + gx[0] * lam + q0
-        q_last = (gram[1][1] // 2) * lam * lam + gx[1] * lam
-        count = 0
-        rows = max(1, chunk // b)
-        for start in range(0, b, rows):
-            head = lam[start:start + rows]
-            vals = (
-                q_head[start:start + rows, None]
-                + (gram[0][1] * head)[:, None] * lam[None, :]
-                + q_last[None, :]
-            ) % b
-            count += int(np.count_nonzero(vals == 0))
-        return count
-    count = 0
-    for head in product(range(b), repeat=rank - 1):
-        const = _int_beta(gram, head + (0,)) + sum(g * v for g, v in zip(gx, head)) + q0
-        lin = sum(gram[i][last] * head[i] for i in range(rank - 1))
-        count += count_last(lin, const)
-    return count
+    rank = len(gram)
+    nonsingular, singular = _zeros_mod_p(gram, p, tuple(v % p for v in g), n % p)
+    total = nonsingular * p ** ((e - 1) * (rank - 1))
+    if e == 1:
+        return total + len(singular)
+    sub = p ** (e - 2)
+    for lam in singular:
+        value = _int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n
+        if value % (p * p):
+            continue
+        grad = (sum(gij * v for gij, v in zip(row, lam)) + gi for row, gi in zip(gram, g))
+        total += p**rank * _hensel_count(
+            gram, p, tuple(v // p % sub for v in grad), value // (p * p) % sub, e - 2
+        )
+    return total
 
 
 def rep_count(key):
-    """R_b by exhaustive enumeration (memoized)."""
+    """R_b: prime powers by Hensel recursion, composite b by CRT (memoized)."""
     memo_key = (key.lattice.gram, key.x.coords, key.D, key.b)
     if memo_key not in _REP_MEMO:
-        _REP_MEMO[memo_key] = _rep_count_enumerate(key.lattice, key.x, key.D, key.b)
+        factors = factorize(key.b)
+        if len(factors) == 1:
+            # Q(lambda) = beta(lambda + x) - D = beta(lambda) + (G x).lambda + beta(x) - D
+            (p, e), = factors
+            lat, xhat = key.lattice, key.x.rep
+            g = tuple(int(v) % key.b for v in lat.gram_times(xhat))
+            n = int(lat.beta(xhat) - key.D) % key.b
+            count = _hensel_count(lat.gram, p, g, n, e)
+        else:
+            count = math.prod(
+                _rep_count_cached(key.lattice, key.x, key.D, p**e) for p, e in factors
+            )
+        _REP_MEMO[memo_key] = count
     return _REP_MEMO[memo_key]
 
 
@@ -437,7 +468,7 @@ def _good_prime_count(lattice, x, D, p):
 
 
 def rep_count_prime_power(lattice, x, D, p, e):
-    """R_{p^e}, via closed forms at good primes and enumeration at bad ones.
+    """R_{p^e}, via closed forms at good primes and Hensel recursion at bad ones.
 
     Beyond the stable exponent, counts grow geometrically:
     R_{p^{l+1}} = p^{rank-1} R_{p^l}.

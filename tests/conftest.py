@@ -1,12 +1,6 @@
-import os
-
 import pytest
 
 from jacobiforms import make_lattice
-
-# a handful of rank-2 bad-prime profiles need ~2e8-point counts (see the
-# representation-number tests); the library exposes this knob for exactly that
-os.environ.setdefault("JLF_ENUM_BUDGET", "600000000")
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +26,27 @@ def square2():
 @pytest.fixture(scope="session")
 def test_lattices(a1, a1_scaled4, a2, square2):
     return [a1, a1_scaled4, a2, square2]
+
+
+@pytest.fixture(scope="session")
+def a3():
+    return make_lattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+
+
+@pytest.fixture(scope="session")
+def d4():
+    return make_lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+
+
+@pytest.fixture(scope="session")
+def e8():
+    return make_lattice([
+        [2, -1, 0, 0, 0, 0, 0, 0],
+        [-1, 2, -1, 0, 0, 0, 0, 0],
+        [0, -1, 2, -1, 0, 0, 0, -1],
+        [0, 0, -1, 2, -1, 0, 0, 0],
+        [0, 0, 0, -1, 2, -1, 0, 0],
+        [0, 0, 0, 0, -1, 2, -1, 0],
+        [0, 0, 0, 0, 0, -1, 2, 0],
+        [0, 0, -1, 0, 0, 0, 0, 2],
+    ])

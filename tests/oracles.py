@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
 Nothing here reuses the coefficient pipelines it checks: the Cohen-style class
-number oracle goes through L-values and divisor sums only, the brute-force
-coset count walks a plain integer box, and the Poincare oracle sums the
-defining series on a (tau, z) grid and Fourier-inverts it.
+number oracle goes through L-values and divisor sums only, the E8 oracle uses
+J_{k,E8} = M_{k-4}, the brute-force coset count walks a plain integer box, the
+representation-number oracle evaluates the quadratic polynomial at every point
+of (Z/b)^rank, and the Poincare oracle sums the defining series on a (tau, z)
+grid and Fourier-inverts it.
 """
 
 import math
@@ -13,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from jacobiforms import QuadChar, dirichlet_L_nonpositive, moebius
-from jacobiforms.numbertheory import factorize
+from jacobiforms.numbertheory import bernoulli, factorize
 
 
 def cohen_h(r, n):
@@ -64,6 +66,16 @@ def eichler_zagier_coefficient(k, n, r):
     c(n, r) = H(k-1, 4n - r^2) / zeta(3 - 2k).
     """
     return cohen_h(k - 1, 4 * n - r * r) / dirichlet_L_nonpositive(2 * k - 3, QuadChar(1))
+
+
+def e8_trivial_coefficient(k, D):
+    """G_0(D, 0) of the trivial Eisenstein series of index E8, for integral D < 0.
+
+    E8 is unimodular, so J_{k,E8} = M_{k-4} through the theta decomposition and
+    the coefficient is that of the normalized Eisenstein series E_{k-4}:
+    -2(k-4)/B_{k-4} * sigma_{k-5}(-D).
+    """
+    return -2 * (k - 4) / bernoulli(k - 4) * _sigma(k - 5, -int(D))
 
 
 def brute_coset_counts(gram, shift, bound):
@@ -163,3 +175,23 @@ def _egcd(a, b):
         return (a, 1, 0)
     g, s, t = _egcd(b, a % b)
     return (g, t, s - (a // b) * t)
+
+
+def rep_count_enumerate(lattice, x, D, b):
+    """R_b = #{lambda in (Z/b)^rank : beta(lambda + x) - D = 0 mod b} by brute force.
+
+    Evaluates the quadratic polynomial at every point of (Z/b)^rank at once.
+    """
+    gram = lattice.gram
+    rank = lattice.rank
+    xhat = x.rep
+    n0 = int(lattice.beta(xhat) - Fraction(D)) % b
+    g = [int(v) % b for v in lattice.gram_times(xhat)]
+    # axis i of the broadcast grid carries coordinate lambda_i
+    axes = [np.arange(b, dtype=np.int64).reshape((b,) + (1,) * (rank - 1 - i)) for i in range(rank)]
+    q = np.full((1,) * rank, n0, dtype=np.int64)
+    for i in range(rank):
+        q = q + ((gram[i][i] // 2) * axes[i] * axes[i] + g[i] * axes[i]) % b
+        for j in range(i + 1, rank):
+            q = q + (gram[i][j] % b) * axes[i] * axes[j] % b
+    return int(np.count_nonzero(q % b == 0))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import jacobiforms
 from jacobiforms.cli import main
 from jacobiforms.rationals import parse_rational
 
@@ -96,6 +99,22 @@ class TestEisensteinCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "126/1" in out and "56/1" in out
+
+    def test_default_exact_runs_on_shipped_lattices(self):
+        # a user's environment: the package location and PATH, no tuning variables
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+        }
+        paths = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
+        assert paths
+        for path in paths:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jacobiforms", "eisenstein", "--lattice", str(path),
+                 "-k", "6", "--mode", "exact"],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == 0, (path.name, proc.stderr)
 
 
 class TestPoincareCommand:

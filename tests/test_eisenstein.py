@@ -21,7 +21,7 @@ from jacobiforms.errors import (
 from jacobiforms.lattice import FourierIndex
 from jacobiforms.rationals import parse_rational
 
-from oracles import brute_coset_counts, eichler_zagier_coefficient
+from oracles import brute_coset_counts, e8_trivial_coefficient, eichler_zagier_coefficient
 
 
 class TestThetaCoefficients:
@@ -96,6 +96,14 @@ class TestTrivialExact:
                 assert trivial_coefficient_exact(
                     a1, k, Fraction(1, 4) - n, group.element((1,))
                 ) == eichler_zagier_coefficient(k, n, 1)
+
+    def test_matches_e8_oracle(self, e8):
+        # J_{k,E8} = M_{k-4}: the theta series of E8 at k = 8
+        assert [e8_trivial_coefficient(8, -n) for n in (1, 2, 3, 4)] == [240, 2160, 6720, 17520]
+        x0 = e8.disc_group.zero
+        for k in (8, 10, 12):
+            for D in (-1, -2, -3, -4):
+                assert trivial_coefficient_exact(e8, k, Fraction(D), x0) == e8_trivial_coefficient(k, D)
 
     def test_odd_weight_zero(self, a1, square2):
         assert trivial_coefficient_exact(a1, 5, Fraction(-1), a1.disc_group.zero) == 0

@@ -27,7 +27,9 @@ from jacobiforms.expsums import (
     rep_count_prime_power,
 )
 from jacobiforms.lattice import enumerate_supp
-from jacobiforms.numbertheory import zeta_float
+from jacobiforms.numbertheory import factorize, zeta_float
+
+from oracles import rep_count_enumerate
 
 
 def _negative_supp(lattice, n_max=2):
@@ -165,10 +167,43 @@ class TestRepCount:
                     if b * c <= 900 and __import__("math").gcd(b, c) == 1:
                         assert r(b * c) == r(b) * r(c), (b, c)
 
-    def test_resource_limit(self, square2):
-        key = RepCountKey(lattice=square2, x=square2.disc_group.zero, D=Fraction(-1), b=10**6)
-        with pytest.raises(ResourceLimitError):
-            rep_count(key)
+    def test_prime_powers_match_enumeration_oracle(self, test_lattices, a3, d4):
+        checked = 0
+        for lat in test_lattices + [a3, d4]:
+            for idx in _negative_supp(lat):
+                for p in (2, 3, 5, 7):
+                    e = 1
+                    while p ** (e * lat.rank) <= 10**6:
+                        key = RepCountKey(lattice=lat, x=idx.x, D=idx.D, b=p**e)
+                        expected = rep_count_enumerate(lat, idx.x, idx.D, p**e)
+                        assert rep_count(key) == expected, (lat.gram, idx, p, e)
+                        checked += 1
+                        e += 1
+        assert checked > 1000
+
+    def test_composite_moduli_match_enumeration_oracle(self, a1, square2):
+        # rep_count is multiplicative by construction (CRT over prime powers);
+        # the oracle keeps an independent check of that
+        for lat in (a1, square2):
+            x0 = lat.disc_group.zero
+            for b in range(6, 901):
+                if len(factorize(b)) < 2:
+                    continue
+                key = RepCountKey(lattice=lat, x=x0, D=Fraction(-1), b=b)
+                assert rep_count(key) == rep_count_enumerate(lat, x0, Fraction(-1), b), (lat.gram, b)
+
+    def test_large_composite_modulus(self, square2):
+        # 5 is a good prime: R_{5^6} = 5^5 R_5 with R_5 = 5 - chi_{-4}(5) = 4
+        x0 = square2.disc_group.zero
+        key = RepCountKey(lattice=square2, x=x0, D=Fraction(-1), b=10**6)
+        assert rep_count(key) == rep_count_enumerate(square2, x0, Fraction(-1), 2**6) * 5**5 * 4
+
+    def test_resource_limit(self, square2, e8):
+        # each Hensel node walks (Z/p)^rank; the guard names p^rank
+        for lat, p in ((e8, 1009), (square2, 3163)):
+            key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-p), b=p)
+            with pytest.raises(ResourceLimitError, match=rf"p\^rank = {p}\^{lat.rank}"):
+                rep_count(key)
 
     def test_prime_power_closed_forms_match_enumeration(self, a1, square2, a2):
         # ledger-required validation of the good-prime shortcut
@@ -180,9 +215,7 @@ class TestRepCount:
                         if p ** (e * lat.rank) > 10**7:
                             continue
                         via_form = rep_count_prime_power(lat, x0, D, p, e)
-                        via_enum = rep_count(
-                            RepCountKey(lattice=lat, x=x0, D=D, b=p**e)
-                        )
+                        via_enum = rep_count_enumerate(lat, x0, D, p**e)
                         assert via_form == via_enum, (lat.gram, D, p, e)
 
 
