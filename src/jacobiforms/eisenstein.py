@@ -23,6 +23,7 @@ from .numbertheory import (
     QuadChar,
     bernoulli,
     dirichlet_L_nonpositive,
+    factorize,
     fundamental_decomposition,
     gamma_half,
     kronecker,
@@ -114,20 +115,7 @@ def singular_term(spec, n_max):
 def _coprime_square_split(D, det):
     """D = D0 * f^2 with gcd(f, 2 det) = 1 and ord_p(D0) in {0, 1} off 2 det."""
     D = Fraction(D)
-    f = 1
-    num = abs(D.numerator)
-    p = 3
-    while p * p <= num:
-        if num % p == 0:
-            e = 0
-            while num % p == 0:
-                num //= p
-                e += 1
-            if (2 * det) % p != 0:
-                f *= p ** (e // 2)
-        p += 2
-    if num > 1 and (2 * det) % num != 0:
-        pass  # ord is 1, contributes nothing to f
+    f = math.prod(p ** (e // 2) for p, e in factorize(abs(D.numerator)) if (2 * det) % p)
     return D / (f * f), f
 
 

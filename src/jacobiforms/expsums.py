@@ -531,14 +531,6 @@ def dirichlet_series_partial(lattice, x, D, s, B):
     return total
 
 
-def unscaled_dirichlet_factorization(lattice, x, D, s_int, primes):
-    """prod over the given primes of L~_p(s) as an exact rational (test helper)."""
-    total = Fraction(1)
-    for p in primes:
-        total *= local_factor(lattice, x, D, p, s_int)
-    return total
-
-
 def bad_primes(lattice, x, D):
     """Primes dividing 2 * Dtilde * det, ascending."""
     dt = _d_tilde(x, D)

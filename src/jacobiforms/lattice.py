@@ -2,13 +2,16 @@
 bookkeeping.
 
 An `EvenLattice` is a validated integer Gram matrix together with its cached
-invariants (rank, determinant, level, discriminant Delta).  The discriminant
-group L#/L is put into canonical cyclic coordinates once, via the Smith normal
-form of the Gram matrix, so that `DiscElement` equality is coordinate equality
-and every representation matrix built later indexes the same ordering.
+invariants (rank, determinant, level, discriminant Delta).  One Bareiss pass
+gives the determinant and the leading principal minors; the level is read off
+G^{-1}.  The discriminant group L#/L is built on first use and put into
+canonical cyclic coordinates once, via the Smith normal form of the Gram
+matrix, so that `DiscElement` equality is coordinate equality and every
+representation matrix built later indexes the same ordering.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -32,18 +35,32 @@ _MAX_FLOAT_DIGITS = ".17g"
 
 # -- integer linear algebra ----------------------------------------------------
 
-def _int_det(mat):
-    """Determinant of a square integer matrix by fraction-free expansion."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j] == 0:
-            continue
-        minor = [[row[col] for col in range(n) if col != j] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _int_det(minor)
-    return total
+def _bareiss(mat):
+    """Leading principal minors and determinant of an integer matrix, in one pass.
+
+    Bareiss's fraction-free elimination: without row swaps its k-th pivot is
+    the k-th leading principal minor.  A zero pivot is recorded as a minor and
+    then swapped away, so the pass still ends with the determinant; the minors
+    after it are unknown and are not returned.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    minors, swapped = [], False
+    sign, prev = 1, 1
+    for k in range(n):
+        if not swapped:
+            minors.append(a[k][k])
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return minors, 0
+            a[k], a[swap] = a[swap], a[k]
+            sign, swapped = -sign, True
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return minors, sign * prev
 
 
 def smith_normal_form(mat):
@@ -110,10 +127,10 @@ def smith_normal_form(mat):
     return [a[i][i] for i in range(n)], u, v
 
 
-def _invert_unimodular(u):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+def _inverse(mat):
+    """Exact inverse of an invertible integer matrix, as Fractions (Gauss-Jordan)."""
+    n = len(mat)
+    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
@@ -124,9 +141,7 @@ def _invert_unimodular(u):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return [[int(x) for x in row] for row in inv]
+    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
 
 
 # -- domain types ---------------------------------------------------------------
@@ -141,17 +156,9 @@ class EvenLattice:
     level: int
     delta: int
 
-    def gram_matrix(self):
-        return np.array(self.gram, dtype=np.int64)
-
     def beta(self, r):
         """Quadratic form beta(r) = r^t G r / 2 as an exact rational."""
-        r = [Fraction(x) for x in r]
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += r[i] * self.gram[i][j] * r[j]
-        return total / 2
+        return self.pairing(r, r) / 2
 
     def pairing(self, r, s):
         """Bilinear form beta(r, s) = r^t G s as an exact rational."""
@@ -226,15 +233,16 @@ class DiscriminantGroup:
         ugv = [[sum(u[i][a] * g[a][b] * v[b][j] for a in range(n) for b in range(n))
                 for j in range(n)] for i in range(n)]
         assert all(ugv[i][j] == (diag[i] if i == j else 0) for i in range(n) for j in range(n))
-        uinv = _invert_unimodular(u)
+        uinv = _inverse(u)
+        assert all(x.denominator == 1 for row in uinv for x in row)
         self.orders = tuple(d for d in diag if d > 1)
         positions = [i for i, d in enumerate(diag) if d > 1]
         self._positions = positions
         # generator i of the group corresponds to the dual vector G^{-1} Uinv e_i
-        ginv = self._gram_inverse()
+        ginv = _inverse(g)
         self._generators = []
         for pos in positions:
-            col = [Fraction(uinv[r][pos]) for r in range(n)]
+            col = [uinv[r][pos] for r in range(n)]
             gen = tuple(sum(ginv[i][j] * col[j] for j in range(n)) for i in range(n))
             self._generators.append(tuple(frac1(x) for x in gen))
         self._u = u
@@ -244,22 +252,6 @@ class DiscriminantGroup:
         )
         self._index = {e.coords: i for i, e in enumerate(self.elements)}
 
-    def _gram_inverse(self):
-        n = self.lattice.rank
-        g = self.lattice.gram
-        aug = [[Fraction(g[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = aug[col][col]
-            aug[col] = [x / scale for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
     def _build_element(self, coords):
         n = self.lattice.rank
         rep = tuple(
@@ -268,7 +260,7 @@ class DiscriminantGroup:
         )
         order = 1
         for c, d in zip(coords, self.orders):
-            order = _lcm(order, d // _gcd(d, c))
+            order = math.lcm(order, d // math.gcd(d, c))
         beta = frac1(self.lattice.beta(rep))
         return DiscElement(coords=tuple(coords), order=order, beta_mod1=beta, rep=rep)
 
@@ -319,16 +311,6 @@ class DiscriminantGroup:
         return frac1(self.lattice.pairing(x.rep, y.rep))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b) if a and b else 0
-
-
 # -- constructors / operations --------------------------------------------------
 
 def make_lattice(gram):
@@ -359,14 +341,12 @@ def make_lattice(gram):
     for i in range(n):
         if mat[i][i] % 2:
             raise OddDiagonalError(f"diagonal entry {i} is odd")
-    det = _int_det(mat)
+    minors, det = _bareiss(mat)
     if det == 0:
         raise DegenerateError("Gram matrix is singular")
-    for k in range(1, n + 1):
-        minor = _int_det([row[:k] for row in mat[:k]])
+    for k, minor in enumerate(minors, start=1):
         if minor <= 0:
             raise NotPositiveDefiniteError(k, minor)
-    det = abs(det)
     if n % 2 == 0:
         delta = (-1) ** (n // 2) * det
     else:
@@ -374,18 +354,19 @@ def make_lattice(gram):
     assert delta % 4 in (0, 1)
     if n % 2 == 1:
         assert delta % 4 == 0
-    lattice = EvenLattice(
+    # level: the least N with N G^{-1} integral and of even diagonal
+    ginv = _inverse(mat)
+    level = math.lcm(*(
+        (ginv[i][j] / 2 if i == j else ginv[i][j]).denominator
+        for i in range(n) for j in range(n)
+    ))
+    return EvenLattice(
         gram=tuple(tuple(row) for row in mat),
         rank=n,
         det=det,
-        level=1,  # placeholder, fixed below
+        level=level,
         delta=delta,
     )
-    level = 1
-    for x in lattice.disc_group:
-        level = _lcm(level, x.beta_mod1.denominator)
-    object.__setattr__(lattice, "level", level)
-    return lattice
 
 
 def discriminant_group(lattice):

@@ -3,7 +3,9 @@ L-values at non-positive integers, discriminant decompositions, divisor sums,
 Gamma at half-integers and J-Bessel evaluation.
 
 All arithmetic that feeds exact coefficient formulas returns
-`fractions.Fraction`; only the Bessel/zeta helpers are floating point.
+`fractions.Fraction`; only the Bessel/zeta helpers are floating point.  Those
+take small-argument Bessel values from the float power series and everything
+else from mpmath; Bessel arguments stay capped at BESSEL_X_MAX.
 """
 
 import math
@@ -85,10 +87,6 @@ def factorize(n):
     return tuple(out)
 
 
-def prime_divisors(n):
-    return [p for p, _ in factorize(abs(n))] if n not in (0,) else []
-
-
 def divisors(n):
     """All positive divisors of n >= 1, ascending."""
     divs = [1]
@@ -145,10 +143,6 @@ class QuadChar:
     @property
     def modulus(self):
         return abs(self.f)
-
-    def is_odd(self):
-        """True when chi(-1) = -1, i.e. f < 0."""
-        return self.f < 0
 
 
 def sigma_twisted(chi, t, n):
@@ -247,20 +241,10 @@ def gamma_half(two_s):
 
 
 def zeta_float(s):
-    """Riemann zeta for real s >= 2 by direct series + Euler-Maclaurin tail.
-
-    Accurate to ~1e-14 relative in the working range (float-mode paths only).
-    """
+    """Riemann zeta for real s >= 2 as a float (mpmath)."""
     if s < 2:
         raise ValueError("zeta_float expects s >= 2")
-    n_cut = 60
-    total = sum(n ** (-s) for n in range(1, n_cut))
-    n = float(n_cut)
-    # Euler-Maclaurin: integral + half-term + B_2, B_4 corrections.
-    total += n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
-    total += s * n ** (-s - 1) / 12.0
-    total -= s * (s + 1) * (s + 2) * n ** (-s - 3) / 720.0
-    return total
+    return float(mpmath.zeta(s))
 
 
 def _bessel_series_float(alpha, x):
@@ -277,32 +261,13 @@ def _bessel_series_float(alpha, x):
             return total
 
 
-def _bessel_series_mp(alpha, x):
-    dps = 30 + int(0.5 * x) + int(alpha)
-    with mpmath.workdps(dps):
-        half = mpmath.mpf(x) / 2
-        term = half**alpha / mpmath.gamma(alpha + 1)
-        total = term
-        ratio = -(half * half)
-        eps = mpmath.mpf(10) ** (-(dps - 2))
-        peak = abs(term)
-        n = 0
-        while True:
-            n += 1
-            term *= ratio / (n * (n + alpha))
-            total += term
-            peak = max(peak, abs(term))
-            if abs(term) < eps * peak and n > float(half):
-                return float(total)
-
-
 def bessel_j(alpha, x):
     """J-Bessel function of integer or half-integer index alpha >= 0.
 
-    Evaluated by the defining power series with term-ratio stopping; for
-    arguments past the cancellation-safe float range the series runs in
-    scaled-precision mpmath, keeping the relative error below 1e-12 on
-    x in (0, 60]. Raises OutOfRange beyond 60 where the guarantee is void.
+    Up to x = 1.5 the defining power series is summed in floats with
+    term-ratio stopping; past that, where the series cancels, the value is
+    mpmath.besselj.  The relative error stays below 1e-12 on x in (0, 60];
+    OutOfRange is raised beyond 60, where the contract ends.
     """
     alpha = Fraction(alpha)
     if alpha < 0 or (2 * alpha).denominator != 1:
@@ -315,4 +280,4 @@ def bessel_j(alpha, x):
     a = float(alpha)
     if x <= _BESSEL_FLOAT_CUTOFF:
         return _bessel_series_float(a, x)
-    return _bessel_series_mp(a, x)
+    return float(mpmath.besselj(a, x))

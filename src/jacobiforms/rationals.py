@@ -52,18 +52,6 @@ def unit_phase(q):
     return cmath.exp(1j * TWO_PI * (r.numerator / r.denominator))
 
 
-def sqrt_exact(q):
-    """Exact square root of a non-negative rational, or None if irrational."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    n = math.isqrt(q.numerator)
-    d = math.isqrt(q.denominator)
-    if n * n == q.numerator and d * d == q.denominator:
-        return Fraction(n, d)
-    return None
-
-
 def floor_plus_sqrt(a, t):
     """floor(a + sqrt(t)) for rationals a and t >= 0, computed exactly.
 

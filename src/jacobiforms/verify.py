@@ -60,15 +60,17 @@ def _check_kloosterman_decomposition():
 
 
 def _check_multiplicativity():
+    # rep_count builds composite b from prime powers by CRT, so compare it with
+    # a direct count of lambda mod b with beta(lambda + x) - D = 0 mod b
     lat = _lattices()[0]
-    x0 = lat.disc_group.zero
-    D = Fraction(-1)
-
-    def r(b):
-        return rep_count(RepCountKey(lattice=lat, x=x0, D=D, b=b))
-
-    for b, c in ((2, 3), (3, 4), (4, 9), (5, 6), (7, 8)):
-        assert r(b * c) == r(b) * r(c), (b, c)
+    group = lat.disc_group
+    # moduli with non-zero counts: lambda^2 + 1 and lambda^2 + lambda + 1 have roots
+    cases = ((group.zero, Fraction(-1), (10, 26, 50, 65, 130)),
+             (group.element((1,)), Fraction(-3, 4), (21, 39, 91, 147, 273)))
+    for x, D, moduli in cases:
+        for b in moduli:
+            direct = sum(1 for lam in range(b) if (lat.beta((lam + x.rep[0],)) - D) % b == 0)
+            assert rep_count(RepCountKey(lattice=lat, x=x, D=D, b=b)) == direct, (x, b)
 
 
 def _check_good_primes():

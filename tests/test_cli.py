@@ -165,3 +165,20 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "passed, 0 failed" in proc.stdout
+
+
+_DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+class TestDemos:
+    @pytest.mark.parametrize("demo", _DEMOS, ids=[p.name for p in _DEMOS])
+    def test_demo_runs(self, demo, tmp_path):
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+        }
+        proc = subprocess.run(
+            [sys.executable, str(demo)],
+            capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,38 @@ class TestMakeLattice:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             make_lattice([[2, 0]])
+
+    def test_zero_first_minor_with_nonzero_det(self):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            make_lattice([[0, 1], [1, 0]])
+        assert (err.value.minor_index, err.value.minor_value) == (1, 0)
+
+    def test_degenerate_wins_over_zero_minor(self):
+        with pytest.raises(DegenerateError):
+            make_lattice([[0, 0], [0, 2]])
+        # the third leading minor is 0 before the last row, and det = 0
+        with pytest.raises(DegenerateError):
+            make_lattice([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 2]])
+
+    @pytest.mark.parametrize("gram, minor", [
+        ([[2, 1, 0, 0], [1, 2, 2, 0], [0, 2, 2, 0], [0, 0, 0, 2]], -2),
+        ([[2, -1, -1, 1], [-1, 2, -1, 0], [-1, -1, 2, 0], [1, 0, 0, 2]], 0),
+    ])
+    def test_third_minor_first_non_positive(self, gram, minor):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            make_lattice(gram)
+        assert (err.value.minor_index, err.value.minor_value) == (3, minor)
+
+    def test_dense_rank_ten(self):
+        # I + J: every leading minor k + 1 is positive, det = 11
+        lat = make_lattice([[1 + (i == j) for j in range(10)] for i in range(10)])
+        assert (lat.rank, lat.det) == (10, 11)
+
+    def test_level_is_lcm_of_beta_denominators(self, test_lattices, a3, d4, e8):
+        extra = [make_lattice([[200]]), make_lattice([[20, 0], [0, 20]])]
+        for lat in [*test_lattices, a3, d4, e8, *extra]:
+            want = math.lcm(*(x.beta_mod1.denominator for x in discriminant_group(lat)))
+            assert lat.level == want, lat
 
     def test_delta_is_discriminant(self, test_lattices):
         for lat in test_lattices:

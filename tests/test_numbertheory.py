@@ -180,6 +180,15 @@ class TestBesselJ:
                 ref = float(mpmath.besselj(float(alpha), x))
                 assert bessel_j(alpha, x) == pytest.approx(ref, rel=1e-12, abs=1e-290)
 
+    def test_half_integer_closed_forms_past_float_cutoff(self):
+        # J_{1/2}(x) = sqrt(2/(pi x)) sin x, J_{3/2}(x) = sqrt(2/(pi x)) (sin x / x - cos x)
+        for x in (2.0, 9.5, 30.0, 59.0):
+            scale = math.sqrt(2 / (math.pi * x))
+            half = scale * math.sin(x)
+            three_half = scale * (math.sin(x) / x - math.cos(x))
+            assert bessel_j(Fraction(1, 2), x) == pytest.approx(half, rel=1e-12)
+            assert bessel_j(Fraction(3, 2), x) == pytest.approx(three_half, rel=1e-12)
+
     def test_recurrence(self):
         # J_{a-1}(x) + J_{a+1}(x) = (2a/x) J_a(x)
         for alpha in (1, Fraction(3, 2), 4):
