@@ -5,9 +5,10 @@ truncated Dirichlet series.
 Two evaluation routes coexist on purpose.  The definitional route sums the
 lattice sums term by term with exact rational phases (deterministic order:
 d ascending, lambda lexicographic).  The series route rewrites H through
-Kloosterman sums and computes the whole Kloosterman vector (K(n', t; c))_t
-with a single length-c FFT, which is what makes c_max in the thousands
-affordable; the two routes are asserted against each other in the tests.
+Kloosterman sums: for each c it walks (Z/c)^rank in bounded blocks to form
+acc[t] = sum of e(pint(lambda)/c) over n1(lambda) = t mod c, and since
+K(m, t; c) = sum_u e((m u^-1 + t u)/c), H needs one length-c FFT of acc, read
+at the units.  The two routes are asserted against each other in the tests.
 
 Representation numbers R_b count the zeros mod b of the integral polynomial
 Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
@@ -33,10 +34,11 @@ from .errors import (
     StabilizationFailureError,
 )
 from .lattice import DiscElement, EvenLattice
-from .numbertheory import factorize, kronecker
-from .rationals import frac1, is_integral, unit_phase
+from .numbertheory import bernoulli, bernoulli_poly, factorize, kronecker
+from .rationals import is_integral, unit_phase
 
 _STABILIZATION_CAP = 4
+_CHUNK = 1 << 16  # points per block when a walk over (Z/n)^rank is chunked
 
 
 # -- shared precomputation -------------------------------------------------------
@@ -182,83 +184,82 @@ def kloosterman_decomposition(lattice, D, r, Dp, rp, c):
 
 # -- lattice sums (FFT series route) ----------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _unit_inverse_table(c):
-    inv = np.zeros(c, dtype=np.int64)
-    for u in range(1, c):
-        if math.gcd(u, c) == 1:
-            inv[u] = pow(u, -1, c)
-    return inv
+# A c-sum over more than H_POINT_LIMIT points in all is refused before its first
+# term, naming its cost; 5e8 admits rank 2 at the default c_max = 1000 (3.3e8).
+H_POINT_LIMIT = 5 * 10**8
 
 
-@lru_cache(maxsize=4096)
-def _kloosterman_vector_cached(m, c):
-    """(K(m, t; c))_t for all residues t, via one FFT."""
-    inv = _unit_inverse_table(c)
-    units = np.nonzero(inv)[0]
-    g = np.zeros(c, dtype=np.complex128)
-    g[units] = np.exp(2j * np.pi * ((m * inv[units]) % c) / c)
-    return c * np.fft.ifft(g)
+def _check_points(rank, c_max):
+    # Faulhaber: sum_{c <= c_max} c^rank = (B_{rank+1}(c_max + 1) - B_{rank+1}) / (rank + 1)
+    points = int((bernoulli_poly(rank + 1, c_max + 1) - bernoulli(rank + 1)) / (rank + 1))
+    if points > H_POINT_LIMIT:
+        raise ResourceLimitError(f"H_c for c <= {c_max} at rank {rank} walks sum_c c^rank = "
+                                 f"{points} points, over the limit of {H_POINT_LIMIT}")
 
 
 def _lambda_profile(data, c):
-    """Arrays (n1 mod c, pint mod c) over lambda in (Z_c)^rank."""
-    rank = data.rank
-    gram = data.gram
-    lam = np.arange(c, dtype=np.int64)
-    if rank == 1:
-        n1 = (gram[0][0] // 2) * lam * lam + data.gx[0] * lam + data.n0
-        pint = data.gp[0] * lam
-    elif rank == 2:
-        a = (gram[0][0] // 2) * lam * lam + data.gx[0] * lam
-        b = (gram[1][1] // 2) * lam * lam + data.gx[1] * lam + data.n0
-        n1 = (a[:, None] + b[None, :] + gram[0][1] * lam[:, None] * lam[None, :]).ravel()
-        pint = (data.gp[0] * lam[:, None] + data.gp[1] * lam[None, :]).ravel()
-    else:
-        grids = np.indices((c,) * rank).reshape(rank, -1)
-        n1 = np.full(grids.shape[1], data.n0, dtype=np.int64)
-        pint = np.zeros(grids.shape[1], dtype=np.int64)
-        for i in range(rank):
-            n1 += (gram[i][i] // 2) * grids[i] * grids[i] + data.gx[i] * grids[i]
-            pint += data.gp[i] * grids[i]
-            for j in range(i + 1, rank):
-                n1 += gram[i][j] * grids[i] * grids[j]
-    return n1 % c, pint % c
+    """(n1 mod c, pint mod c) over (Z/c)^rank, in blocks of about _CHUNK points."""
+    # each axis after the first is broadcast against the points built so far
+    rank, gram, lam = data.rank, data.gram, np.arange(c, dtype=np.int64)
+    quad = [lam * (gram[i][i] // 2 % c * lam + data.gx[i] % c) % c for i in range(rank)]
+    lin = [data.gp[i] % c * lam % c for i in range(rank)]
+    cross = [[gram[i][j] % c * lam % c for j in range(i + 1, rank)] for i in range(rank)]
+
+    def walk(n1, pint, slopes, i):  # slopes[j - i]: coefficient of lambda_j at each point
+        if i == rank:
+            yield n1, pint
+            return
+        rows = max(1, _CHUNK // c ** (rank - i))
+        for b in (slice(s, s + rows) for s in range(0, len(n1), rows)):
+            yield from walk(((n1[b, None] + quad[i] + slopes[0][b, None] * lam) % c).ravel(),
+                            ((pint[b, None] + lin[i]) % c).ravel(),
+                            [((v[b, None] + w) % c).ravel() for v, w in zip(slopes[1:], cross[i])],
+                            i + 1)
+
+    yield from walk((quad[0] + data.n0 % c) % c, lin[0], cross[0], 1)
+
+
+def _h_c(data, c):
+    """H_{L,c} = e(p0/c) sum over units u of e(m u^-1/c) A(u), A(u) = sum_t acc[t] e(t u/c)."""
+    roots = np.exp((2j * np.pi / c) * np.arange(c))
+    re = im = 0.0
+    for n1, pint in _lambda_profile(data, c):
+        re = re + np.bincount(n1, roots.real[pint], c)
+        im = im + np.bincount(n1, roots.imag[pint], c)
+    a_hat = np.fft.ifft(re + 1j * im, norm="forward")
+    units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    inv, base, e = np.ones_like(units), units, len(units) - 1
+    while e:  # u^-1 = u^(phi(c) - 1) mod c, by square-and-multiply over all units at once
+        inv = inv * base % c if e & 1 else inv
+        base, e = base * base % c, e >> 1
+    total = np.dot(roots[data.np0 % c * inv % c], a_hat[units])
+    return unit_phase(data.p0 / c) * complex(total)
 
 
 def lattice_sum_fft(lattice, D, r, Dp, rp, c):
-    """H_{L,c}(D, r, D', r') via the Kloosterman decomposition with FFT vectors.
+    """H_{L,c}(D, r, D', r') by the series route (within ~1e-10 of the definitional one).
 
-    Bit-for-bit it differs from the definitional route only by float
-    summation order; agreement to ~1e-10 is asserted in the test suite.
+    Refused when the c-sum ending at c would be, which also bounds every per-c table.
     """
     c = int(c)
     if c < 1:
         raise ValueError("c must be a positive integer")
     data = _sum_data(lattice, D, r, Dp, rp)
-    if c == 1:
-        return complex(unit_phase(data.p0))
-    n1, pint = _lambda_profile(data, c)
-    weights = np.exp(2j * np.pi * pint / c)
-    acc = (
-        np.bincount(n1, weights=weights.real, minlength=c)
-        + 1j * np.bincount(n1, weights=weights.imag, minlength=c)
-    )
-    kvec = _kloosterman_vector_cached(data.np0 % c, c)
-    const = complex(unit_phase(frac1(data.p0 / c)))
-    return const * complex(np.dot(acc, kvec))
+    _check_points(data.rank, c)
+    return _h_c(data, c)
 
 
 def h_series_terms(lattice, D, r, Dp, rp, k, c_max):
     """Yield (c, H_c + (-1)^k H_c(-r)) for c = 1..c_max, fast route.
 
-    Uses conj(H(r)) = H(-r), which follows from substituting (d, lambda) ->
-    (-d, -lambda) in the defining sum.
+    Uses conj(H(r)) = H(-r) (substitute (d, lambda) -> (-d, -lambda) in the
+    defining sum).  Sum data and cost check run once, before the first term.
     """
-    sign = (-1) ** k
+    data = _sum_data(lattice, D, r, Dp, rp)
+    _check_points(data.rank, c_max)
     for c in range(1, c_max + 1):
-        h = lattice_sum_fft(lattice, D, r, Dp, rp, c)
-        yield c, h + sign * h.conjugate()
+        h = _h_c(data, c)
+        yield c, h + (-1) ** k * h.conjugate()
 
 
 # -- representation numbers -------------------------------------------------------
@@ -281,12 +282,11 @@ class RepCountKey:
 
 _REP_MEMO = {}
 
-# Every Hensel node walks (Z/p)^rank in chunks of _NODE_CHUNK points.  A node
+# Every Hensel node walks (Z/p)^rank in chunks of _CHUNK points.  A node
 # over NODE_POINT_LIMIT points is refused before anything is allocated, so a
 # request that cannot finish fails at once with its cost named; it is a
 # constant, not a setting.
 NODE_POINT_LIMIT = 10**7
-_NODE_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=4096)
@@ -309,8 +309,8 @@ def _zeros_mod_p(gram, p, g, n):
     gvec = np.array(g, dtype=np.int64)
     nonsingular = 0
     singular = []
-    for start in range(0, size, _NODE_CHUNK):
-        idx = np.arange(start, min(start + _NODE_CHUNK, size), dtype=np.int64)
+    for start in range(0, size, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
         lam = np.array(np.unravel_index(idx, (p,) * rank), dtype=np.int64)
         glam = gram2 @ lam % (2 * p)
         beta = (lam * glam).sum(axis=0) % (2 * p) // 2

@@ -5,15 +5,13 @@ Gamma at half-integers and J-Bessel evaluation.
 All arithmetic that feeds exact coefficient formulas returns
 `fractions.Fraction`; only the Bessel/zeta helpers are floating point.  Those
 take small-argument Bessel values from the float power series and everything
-else from mpmath; Bessel arguments stay capped at BESSEL_X_MAX.
+else from mpmath, imported on first use; arguments stay below BESSEL_X_MAX.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from .errors import NotADiscriminantError, NotFundamentalError, OutOfRangeError
 
@@ -244,6 +242,7 @@ def zeta_float(s):
     """Riemann zeta for real s >= 2 as a float (mpmath)."""
     if s < 2:
         raise ValueError("zeta_float expects s >= 2")
+    import mpmath
     return float(mpmath.zeta(s))
 
 
@@ -280,4 +279,5 @@ def bessel_j(alpha, x):
     a = float(alpha)
     if x <= _BESSEL_FLOAT_CUTOFF:
         return _bessel_series_float(a, x)
+    import mpmath
     return float(mpmath.besselj(a, x))

@@ -130,17 +130,16 @@ def poincare_series_oracle(k, D, r_rep, coeff_D, coeff_r, c_max=40, d_factor=40,
     total = np.zeros((n_u, n_x), dtype=complex)
 
     def add_terms(c, d, a, b, lam_limit):
-        for lam in range(-lam_limit, lam_limit + 1):
-            ctd = c * tau + d
-            znum = z + (a * tau + b) * lam
-            phase = (
-                -c * znum**2 / ctd
-                + (a * a * tau) * lam * lam
-                + 2 * a * lam * z
-                + float(n) * (a * tau + b) / ctd
-                + 2 * float(r) * znum / ctd
-            )
-            total[:] += ctd ** (-k) * np.exp(two_pi_i * phase)
+        # The phase is quadratic in lam: with w = a tau + b and znum = z + w lam,
+        # phase = p0 + p1 lam + p2 lam^2.  All lam go at once along a leading axis.
+        ctd = c * tau + d
+        w = a * tau + b
+        p2 = -c * w * w / ctd + a * a * tau
+        p1 = -2 * c * z * w / ctd + 2 * a * z + 2 * float(r) * w / ctd
+        p0 = -c * z * z / ctd + float(n) * w / ctd + 2 * float(r) * z / ctd
+        lam = np.arange(-lam_limit, lam_limit + 1, dtype=float)[:, None, None]
+        terms = np.exp(two_pi_i * (p0 + lam * (p1 + lam * p2)))
+        total[:] += ctd ** (-k) * terms.sum(axis=0)
 
     for d in (1, -1):  # c = 0 cosets; a = d, b = 0
         add_terms(0, d, d, 0, 8)

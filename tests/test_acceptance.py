@@ -46,7 +46,7 @@ from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import bessel_j, factorize, gamma_half, sigma_twisted
 from jacobiforms.rationals import is_integral
 
-from oracles import eichler_zagier_coefficient, poincare_series_oracle
+from oracles import eichler_zagier_coefficient, poincare_series_oracle, rep_count_enumerate
 
 
 def _report(number, label, detail=""):
@@ -126,17 +126,20 @@ def test_criterion_04_kloosterman_decomposition(a1, a2):
 
 
 def test_criterion_05_representation_number_laws(a1, square2, test_lattices):
-    # multiplicativity over coprime pairs up to 30
+    # multiplicativity over coprime pairs up to 30, against brute-force counts
     for lat in (a1, square2):
         x0 = lat.disc_group.zero
 
         def r(b):
             return rep_count(RepCountKey(lattice=lat, x=x0, D=Fraction(-1), b=b))
 
+        def enum(b):
+            return rep_count_enumerate(lat, x0, -1, b)
+
         for b in range(2, 31):
             for c in range(b + 1, 31):
                 if math.gcd(b, c) == 1:
-                    assert r(b * c) == r(b) * r(c)
+                    assert r(b * c) == enum(b) * enum(c)
     # good-prime closed forms as exact rational identities
     pairs = 0
     for lat in test_lattices:

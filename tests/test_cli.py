@@ -116,6 +116,16 @@ class TestEisensteinCommand:
             )
             assert proc.returncode == 0, (path.name, proc.stderr)
 
+    def test_over_limit_c_sum_exits_3(self, square2_path, capsys):
+        code = main([
+            "eisenstein", "--lattice", square2_path, "-k", "8", "-r", "0,0",
+            "--mode", "numeric", "--n-max", "1", "--c-max", "2000",
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ResourceLimitError"
+        assert str(sum(c**2 for c in range(1, 2001))) in err["message"]
+
 
 class TestPoincareCommand:
     def test_convergence_domain_exit(self, square2_path, capsys):

@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from jacobiforms import (
+    EisensteinSpec,
     RepCountKey,
     dirichlet_series_partial,
+    eisenstein_expansion,
     eisenstein_lattice_sum,
     kloosterman,
     kloosterman_decomposition,
@@ -18,11 +21,14 @@ from jacobiforms.errors import (
     ResourceLimitError,
     StabilizationFailureError,
 )
+from jacobiforms import expsums
 from jacobiforms.expsums import (
     _REP_MEMO,
     _STABLE_MEMO,
+    H_POINT_LIMIT,
     bad_primes,
     good_prime_factor,
+    h_series_terms,
     lattice_sum_fft,
     rep_count_prime_power,
 )
@@ -141,6 +147,50 @@ class TestKloostermanDecomposition:
                     fast = lattice_sum_fft(lat, i1.D, i1.x, i2.D, i2.x, c)
                     assert naive == pytest.approx(fast, abs=1e-10)
 
+    def test_fft_route_matches_naive_beyond_rank_two(self, a1_scaled4, square2, a3, d4):
+        # Poincare pairs with D != 0 and r != 0 where the lattice has such classes,
+        # one Eisenstein pair (D = 0, r = 0), and both parities of k
+        rng = random.Random(29)
+        for lat, cmax in ((a1_scaled4, 12), (square2, 12), (a3, 12), (d4, 6)):
+            group = lat.disc_group
+            sup = _negative_supp(lat, 1)
+            left = [i for i in sup if i.x != group.zero] or sup
+            pairs = [(rng.choice(left), rng.choice(sup)) for _ in range(2)]
+            pairs = [(i.D, i.x, j.D, j.x) for i, j in pairs]
+            pairs.append((Fraction(0), group.zero, sup[-1].D, sup[-1].x))
+            for (D, r, Dp, rp), k in zip(pairs, (9, 10, 10)):
+                terms = dict(h_series_terms(lat, D, r, Dp, rp, k, cmax))
+                for c in range(1, cmax + 1):
+                    naive = poincare_lattice_sum(lat, D, r, Dp, rp, c)
+                    naive_neg = poincare_lattice_sum(lat, D, group.neg(r), Dp, rp, c)
+                    assert lattice_sum_fft(lat, D, r, Dp, rp, c) == pytest.approx(naive, abs=1e-10)
+                    assert terms[c] == pytest.approx(naive + (-1) ** k * naive_neg, abs=1e-10)
+
+
+class TestSeriesGuard:
+    def test_rank_four_h64_memory_is_bounded(self, d4):
+        idx = _negative_supp(d4, 1)[0]
+        tracemalloc.start()
+        try:
+            lattice_sum_fft(d4, idx.D, idx.x, idx.D, idx.x, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, peak
+
+    def test_over_limit_expansion_fails_before_the_first_term(self, a3, monkeypatch):
+        def no_terms(data, c):
+            raise AssertionError("an H_c term was computed")
+
+        monkeypatch.setattr(expsums, "_h_c", no_terms)
+        points = sum(c**3 for c in range(1, 1001))
+        assert points > H_POINT_LIMIT
+        spec = EisensteinSpec(lattice=a3, k=10, r=a3.disc_group.zero)
+        with pytest.raises(ResourceLimitError, match=str(points)):
+            eisenstein_expansion(spec, 1, "numeric", c_max=1000)
+        with pytest.raises(ResourceLimitError, match=str(sum(c**3 for c in range(1, 2001)))):
+            lattice_sum_fft(a3, -1, a3.disc_group.zero, -1, a3.disc_group.zero, 2000)
+
 
 class TestRepCount:
     def test_unit_modulus(self, a1):
@@ -162,10 +212,13 @@ class TestRepCount:
             def r(b):
                 return rep_count(RepCountKey(lattice=lat, x=x0, D=Fraction(-1), b=b))
 
+            def enum(b):
+                return rep_count_enumerate(lat, x0, -1, b)
+
             for b in range(2, 31):
                 for c in range(2, 31):
                     if b * c <= 900 and __import__("math").gcd(b, c) == 1:
-                        assert r(b * c) == r(b) * r(c), (b, c)
+                        assert r(b * c) == enum(b) * enum(c), (b, c)
 
     def test_prime_powers_match_enumeration_oracle(self, test_lattices, a3, d4):
         checked = 0

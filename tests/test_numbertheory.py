@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jacobiforms
 from jacobiforms import (
     QuadChar,
     bernoulli,
@@ -157,6 +162,19 @@ class TestZetaFloat:
         assert zeta_float(2) == pytest.approx(math.pi**2 / 6, rel=1e-13)
         assert zeta_float(4) == pytest.approx(math.pi**4 / 90, rel=1e-13)
         assert zeta_float(9) == pytest.approx(float(mpmath.zeta(9)), rel=1e-13)
+
+    def test_mpmath_is_imported_on_first_use(self):
+        # loading a lattice, as every command does, must not pay for importing mpmath
+        root = Path(__file__).resolve().parent.parent
+        code = ("import sys, jacobiforms; jacobiforms.load_lattice_json(sys.argv[1]); "
+                "print('mpmath' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(root / "lattices" / "a1.json")],
+            capture_output=True, text=True, timeout=60,
+            env={"PATH": os.environ.get("PATH", ""),
+                 "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent)},
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
 
 
 class TestBesselJ:
