@@ -94,9 +94,7 @@ def _cmd_eisenstein(args):
     name, lattice = load_lattice_json(args.lattice)
     group = lattice.disc_group
     spec = EisensteinSpec(lattice=lattice, k=args.k, r=_element(group, args.r))
-    expansion = eisenstein_expansion(
-        spec, parse_rational(args.n_max), args.mode, c_max=args.c_max, B=args.B
-    )
+    expansion = eisenstein_expansion(spec, parse_rational(args.n_max), args.mode, c_max=args.c_max)
     expansion.lattice_name = name
     _write_output(expansion.to_json_dict(), args.output, args.format)
     return EXIT_OK
@@ -178,7 +176,6 @@ def _build_parser():
     p_eis.add_argument("-r", default="0", help="isotropic class coordinates 'a,b,...'")
     p_eis.add_argument("--n-max", default="3", help="q-exponent truncation (rational)")
     p_eis.add_argument("--c-max", type=int, default=1000)
-    p_eis.add_argument("-B", type=int, default=5000)
     p_eis.add_argument("--mode", choices=("exact", "numeric"), default="exact")
     p_eis.set_defaults(func=_cmd_eisenstein)
 

@@ -235,14 +235,21 @@ def eisenstein_coefficient_numeric(spec, Dp, xp, c_max, enforce_tail=True):
         tail = math.inf
     else:
         tail = abs(pref) * 2 * det * float(c_max) ** (rank + 1 - k) / (k - rank - 1)
-    if enforce_tail and tail > 1e-3 * abs(value):
-        raise TailTooLargeError(
-            f"tail estimate {tail} exceeds 1e-3 * |value| = {1e-3 * abs(value)}"
-        )
+    if enforce_tail:
+        _check_tail(tail, value)
     return CoefficientValue(value=value, tail_estimate=tail)
 
 
-def eisenstein_expansion(spec, n_max, mode, c_max=1000, B=5000):
+def _check_tail(tail, value):
+    """TailTooLargeError unless tail <= 1e-3 (1 + |value|); the singular term
+    sets the scale 1, so a coefficient that is exactly 0 can pass."""
+    if tail > 1e-3 * (1.0 + abs(value)):
+        raise TailTooLargeError(
+            f"tail estimate {tail} exceeds 1e-3 * (1 + |value|) = {1e-3 * (1 + abs(value))}"
+        )
+
+
+def eisenstein_expansion(spec, n_max, mode, c_max=1000):
     """Full truncated expansion of E_r: singular term plus D' < 0 coefficients.
 
     mode 'exact' (trivial series only: r = 0; odd weights give the all-zero

@@ -6,8 +6,9 @@ invariants (rank, determinant, level, discriminant Delta).  One Bareiss pass
 gives the determinant and the leading principal minors; the level is read off
 G^{-1}.  The discriminant group L#/L is built on first use and put into
 canonical cyclic coordinates once, via the Smith normal form of the Gram
-matrix, so that `DiscElement` equality is coordinate equality and every
-representation matrix built later indexes the same ordering.
+matrix, as integer arrays (see `DiscriminantGroup`) from which pairings, the
+isotropy set and the Weil matrices are read off.  A `DiscElement` (equality
+is coordinate equality) is built only when asked for.
 """
 
 import json
@@ -162,13 +163,7 @@ class EvenLattice:
 
     def pairing(self, r, s):
         """Bilinear form beta(r, s) = r^t G s as an exact rational."""
-        r = [Fraction(x) for x in r]
-        s = [Fraction(x) for x in s]
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += r[i] * self.gram[i][j] * s[j]
-        return total
+        return sum((Fraction(a) * b for a, b in zip(r, self.gram_times(s))), Fraction(0))
 
     def gram_times(self, r):
         """G r as a vector of rationals."""
@@ -201,9 +196,6 @@ class DiscElement:
     beta_mod1: Fraction
     rep: tuple = field(compare=False, repr=False)
 
-    def is_isotropic(self):
-        return self.beta_mod1 == 0
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
@@ -222,56 +214,56 @@ class FourierIndex:
 
 
 class DiscriminantGroup:
-    """L#/L with a fixed coordinate system and deterministic element order."""
+    """L#/L as integer arrays fixed once from the Smith form of the Gram matrix.
+
+    With N the level and g_1..g_s the cyclic generators of orders `orders`:
+    `gram_mod` is A = N beta(g_i, g_j) mod N, `q` is q_i = N beta(g_i) mod N,
+    `coords` is the |G| x s array C of all coordinate vectors in lexicographic
+    order, and `beta_num` is N beta(x) = sum q_i c_i^2 + sum_{i<j} A_ij c_i c_j
+    mod N for each row.  So beta(x, y) = x A y^t / N mod 1.  A `DiscElement` is
+    built only when asked for, and then kept.
+    """
 
     def __init__(self, lattice):
         self.lattice = lattice
         diag, u, v = smith_normal_form(lattice.gram)
         # internal consistency: U G V = diag(d)
-        n = lattice.rank
-        g = lattice.gram
-        ugv = [[sum(u[i][a] * g[a][b] * v[b][j] for a in range(n) for b in range(n))
-                for j in range(n)] for i in range(n)]
-        assert all(ugv[i][j] == (diag[i] if i == j else 0) for i in range(n) for j in range(n))
-        uinv = _inverse(u)
-        assert all(x.denominator == 1 for row in uinv for x in row)
+        ugv = np.array(u, dtype=object) @ np.array(lattice.gram, dtype=object) @ np.array(v)
+        assert (ugv == np.diag(diag)).all()
         self.orders = tuple(d for d in diag if d > 1)
-        positions = [i for i, d in enumerate(diag) if d > 1]
-        self._positions = positions
-        # generator i of the group corresponds to the dual vector G^{-1} Uinv e_i
-        ginv = _inverse(g)
-        self._generators = []
-        for pos in positions:
-            col = [uinv[r][pos] for r in range(n)]
-            gen = tuple(sum(ginv[i][j] * col[j] for j in range(n)) for i in range(n))
-            self._generators.append(tuple(frac1(x) for x in gen))
+        self._positions = [i for i, d in enumerate(diag) if d > 1]
+        # G^{-1} U^{-1} = V diag(d)^{-1}, so generator i is column i of V over d_i
+        self._generators = [tuple(frac1(Fraction(row[pos], diag[pos])) for row in v)
+                            for pos in self._positions]
         self._u = u
-        self.elements = tuple(
-            self._build_element(coords)
-            for coords in product(*(range(d) for d in self.orders))
-        )
-        self._index = {e.coords: i for i, e in enumerate(self.elements)}
+        level, s, gens = lattice.level, len(self.orders), self._generators
+        self.gram_mod = np.array(
+            [[int(level * lattice.pairing(a, b)) % level for b in gens] for a in gens],
+            dtype=np.int64).reshape(s, s)
+        self.q = np.array([int(level * lattice.beta(a)) % level for a in gens], dtype=np.int64)
+        c = self.coords = np.indices(self.orders, dtype=np.int64).reshape(s, len(self)).T
+        upper = np.triu(self.gram_mod, 1) + np.diag(self.q)
+        self.beta_num = ((c @ upper % level) * c % level).sum(axis=1) % level
+        self._elements = {}
 
     def _build_element(self, coords):
-        n = self.lattice.rank
         rep = tuple(
             frac1(sum((c * self._generators[i][j] for i, c in enumerate(coords)), Fraction(0)))
-            for j in range(n)
+            for j in range(self.lattice.rank)
         )
-        order = 1
-        for c, d in zip(coords, self.orders):
-            order = math.lcm(order, d // math.gcd(d, c))
-        beta = frac1(self.lattice.beta(rep))
-        return DiscElement(coords=tuple(coords), order=order, beta_mod1=beta, rep=rep)
+        order = math.lcm(*(d // math.gcd(d, c) for c, d in zip(coords, self.orders)))
+        beta = Fraction(int(self.beta_num[self.positions(coords)]), self.lattice.level)
+        return DiscElement(coords=coords, order=order, beta_mod1=beta, rep=rep)
+
+    def positions(self, coords):
+        """Row of C holding the class of each integer coordinate vector (one, or an array)."""
+        return np.ravel_multi_index(np.asarray(coords, dtype=np.int64).T, self.orders, mode="wrap")
 
     def __len__(self):
-        return len(self.elements)
+        return math.prod(self.orders)
 
     def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
+        return map(self.element, product(*(range(d) for d in self.orders)))
 
     @property
     def zero(self):
@@ -281,10 +273,12 @@ class DiscriminantGroup:
         if len(coords) != len(self.orders):
             raise ValueError(f"expected {len(self.orders)} coordinates, got {len(coords)}")
         coords = tuple(int(c) % d for c, d in zip(coords, self.orders))
-        return self.elements[self._index[coords]]
+        if coords not in self._elements:
+            self._elements[coords] = self._build_element(coords)
+        return self._elements[coords]
 
     def index(self, x):
-        return self._index[x.coords]
+        return int(self.positions(x.coords))
 
     def neg(self, x):
         return self.element(tuple(-c for c in x.coords))
@@ -306,9 +300,15 @@ class DiscriminantGroup:
         coords = tuple(a[pos] % d for pos, d in zip(self._positions, self.orders))
         return self.element(coords)
 
+    def pairings(self, x):
+        """N beta(y, x) mod N for every row y of C."""
+        level = self.lattice.level
+        return self.coords @ (self.gram_mod @ np.array(x.coords, dtype=np.int64) % level) % level
+
     def pairing_mod1(self, x, y):
         """beta(x, y) mod Z, independent of representatives."""
-        return frac1(self.lattice.pairing(x.rep, y.rep))
+        level = self.lattice.level
+        return Fraction(int(np.dot(x.coords, self.gram_mod @ y.coords % level)) % level, level)
 
 
 # -- constructors / operations --------------------------------------------------
@@ -384,7 +384,8 @@ def beta_values(lattice, r):
 
 def isotropy_set(lattice):
     """All classes x with beta(x) integral, in the canonical order."""
-    return [x for x in lattice.disc_group if x.is_isotropic()]
+    group = lattice.disc_group
+    return [group.element(c) for c in group.coords[group.beta_num == 0].tolist()]
 
 
 def lattice_character(lattice, D, a):

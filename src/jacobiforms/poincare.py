@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConvergenceDomainError, OutOfRangeError, TailTooLargeError
-from .eisenstein import CoefficientValue, _check_supp
+from .errors import ConvergenceDomainError, OutOfRangeError
+from .eisenstein import CoefficientValue, _check_supp, _check_tail
 from .expsums import h_series_terms
 from .lattice import DiscElement, FourierExpansion, FourierIndex, enumerate_supp
 from .numbertheory import BESSEL_X_MAX, bessel_j, gamma_half
@@ -114,10 +114,7 @@ def poincare_coefficient(spec, Dp, xp, c_max):
             tail = 0.0  # series vanishes term by term
         else:
             tail = _tail_estimate(lattice, k, D, Dp, c_max)
-        if tail > 1e-3 * (1.0 + abs(value)):
-            raise TailTooLargeError(
-                f"tail estimate {tail} exceeds 1e-3 * (1 + |value|) = {1e-3 * (1 + abs(value))}"
-            )
+        _check_tail(tail, value)
     else:
         tail = math.inf  # delta terms only: no series bound to report
     return CoefficientValue(value=value, tail_estimate=tail)

@@ -158,18 +158,23 @@ def _check_conjugation():
 
 def _check_averaging():
     lat = make_lattice([[8]])
-    group = lat.disc_group
-    x4 = group.element((4,))
+    x4 = lat.disc_group.element((4,))
     av = averaging_matrix(lat, x4).matrix
     proj = av / x4.order**2
     assert np.max(np.abs(proj @ proj - proj)) <= 1e-10
     assert np.max(np.abs(av - av.conj().T)) <= 1e-10
-    spec = EisensteinSpec(lattice=lat, k=4, r=x4)
-    y = group.element((2,))
-    D = y.beta_mod1 - 1
-    exact = float(nontrivial_from_trivial(lat, 4, x4, D, y))
-    num = eisenstein_coefficient_numeric(spec, D, y, 800)
-    assert abs(exact - num.value) <= max(1e-3, 1e-3 * abs(exact))
+    # the relation against the numeric route at orders 2 and 6; at order 6,
+    # y = (1,) pairs non-integrally with every multiple of x, y = (2,) with 3x only
+    for gram, k, x_coord, y_coords in (([[8]], 4, 4, (2,)), ([[72]], 6, 12, (1, 2))):
+        lat = make_lattice(gram)
+        group = lat.disc_group
+        x = group.element((x_coord,))
+        spec = EisensteinSpec(lattice=lat, k=k, r=x)
+        for y in (group.element((c,)) for c in y_coords):
+            D = y.beta_mod1 - 1
+            exact = float(nontrivial_from_trivial(lat, k, x, D, y))
+            num = eisenstein_coefficient_numeric(spec, D, y, 800)
+            assert abs(exact - num.value) <= max(1e-3, 1e-3 * abs(exact)), (gram, y)
 
 
 SUITES = {

@@ -1,12 +1,22 @@
 """Weil and Schroedinger representation matrices on C[L#/L], the averaging
-operator, and the relations expressing non-trivial Eisenstein coefficients
+operator, and the relation expressing non-trivial Eisenstein coefficients
 through trivial ones.
 
-Matrices are built from exact rational phases (reduced mod 1 before the single
-complex rendering), so unitarity and the conjugation identity hold to ~1e-15
-even though the entries are ordinary complex128.
+Every matrix is read off the integer model of the discriminant form (see
+`DiscriminantGroup`): each phase e(q/N), N the level, is gathered from one
+table of `unit_phase(q/N)`, at N beta(x) for rho(T), at -C A C^t mod N for
+rho(S) and along the permutation y -> y - lam x for sigma_x.  Entries are
+complex128; unitarity and the conjugation identity hold to ~1e-15.
+
+The relation.  For isotropic x of order N, even weight and each class y, the
+averaging identity reads S(x) := sum_{lam mod N} G_{lam x}(D, y)
+= [beta(x, y) in Z] sum_{lam mod N} G_0(D, y + lam x).  Moebius inversion over
+the divisors of N gives the unit-orbit sum sum_{u in (Z/N)^*} G_{ux}(D, y)
+= sum_{d | N} mu(d) S(dx).  For even weight G_{-x} = G_x, so when phi(N) <= 2
+(N in {1, 2, 3, 4, 6}) that sum is phi(N) G_x(D, y).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +24,8 @@ import numpy as np
 
 from .eisenstein import trivial_coefficient_exact
 from .errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
-from .rationals import frac1, is_integral, unit_phase
+from .numbertheory import divisors, moebius
+from .rationals import is_integral, unit_phase
 
 _GENERATOR_MATRICES = {
     "T": (1, 1, 0, 1),
@@ -37,8 +48,10 @@ class RepMatrix:
         n = self.matrix.shape[0]
         return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(n))))
 
-    def __matmul__(self, other):
-        return RepMatrix(label=self.label + other.label, matrix=self.matrix @ other.matrix)
+
+def _phase_table(level):
+    """e(q/N) for q = 0..N-1, with the exact values of `unit_phase`."""
+    return [unit_phase(Fraction(q, level)) for q in range(level)]
 
 
 def rho_generator(lattice, g):
@@ -46,22 +59,18 @@ def rho_generator(lattice, g):
 
     rho(T) e_x = e(beta(x)) e_x;
     rho(S) e_x = i^(-rank/2) det^(-1/2) sum_y e(-beta(x, y)) e_y,
-    with the principal branch i^(-rank/2) = e(-rank/8).
+    with the principal branch i^(-rank/2) = e(-rank/8).  Both are gathers from
+    a table of e(q/N) at N beta(x) and at -N beta(x, y) mod N.
     """
     group = lattice.disc_group
-    n = len(group)
+    level = lattice.level
     if g == "T":
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for i, x in enumerate(group):
-            mat[i, i] = unit_phase(x.beta_mod1)
-        return RepMatrix(label="T", matrix=mat)
+        return RepMatrix(label="T", matrix=np.diag(np.array(_phase_table(level))[group.beta_num]))
     if g == "S":
         scalar = unit_phase(Fraction(-lattice.rank, 8)) / np.sqrt(lattice.det)
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for j, x in enumerate(group):
-            for i, y in enumerate(group):
-                mat[i, j] = scalar * unit_phase(-group.pairing_mod1(x, y))
-        return RepMatrix(label="S", matrix=mat)
+        table = np.array([scalar * z for z in _phase_table(level)])
+        c = group.coords
+        return RepMatrix(label="S", matrix=table[-(c @ group.gram_mod % level @ c.T) % level])
     raise ValueError(f"unknown generator {g!r}")
 
 
@@ -85,13 +94,15 @@ def rho_word(lattice, word):
 def schrodinger_matrix(lattice, x, lam, mu, t):
     """sigma_x(lam, mu, t) e_y = e(mu beta(x,y) + (t - lam mu) beta(x)) e_{y - lam x}."""
     group = lattice.disc_group
+    level = lattice.level
     n = len(group)
+    q_x = int(group.beta_num[group.index(x)])
+    phases = np.array(_phase_table(level))[
+        (mu % level * group.pairings(x) + (t - lam * mu) % level * q_x) % level
+    ]
+    targets = group.positions(group.coords - lam % level * np.array(x.coords, dtype=np.int64))
     mat = np.zeros((n, n), dtype=np.complex128)
-    shift = group.scale(lam, x)
-    for j, y in enumerate(group):
-        phase = frac1(mu * group.pairing_mod1(x, y) + (t - lam * mu) * x.beta_mod1)
-        target = group.add(y, group.neg(shift))
-        mat[group.index(target), j] = unit_phase(phase)
+    mat[targets, np.arange(n)] = phases
     return RepMatrix(label=f"sigma_{x}({lam},{mu},{t})", matrix=mat)
 
 
@@ -142,11 +153,15 @@ class OrbitRelation:
     components: dict
 
 
-def orbit_relation(lattice, k, x):
+def _check_relation(k, x):
     if k % 2 == 1:
         raise OddWeightError("the averaging relation needs even weight")
     if x.beta_mod1 != 0:
         raise NotIsotropicError(f"beta({x}) is not integral")
+
+
+def orbit_relation(lattice, k, x):
+    _check_relation(k, x)
     group = lattice.disc_group
     n = x.order
     orbit = tuple(group.scale(lam, x) for lam in range(n))
@@ -160,44 +175,22 @@ def orbit_relation(lattice, k, x):
 def nontrivial_from_trivial(lattice, k, x, D, y):
     """Exact coefficient G_x(D, y) of a non-trivial Eisenstein series.
 
-    Assembled from trivial coefficients by the order-2/3/4/6 averaging case
-    analyses; orders outside {2, 3, 4, 6} are not determined by the relation.
+    For x of order N with phi(N) <= 2,
+    phi(N) G_x(D, y) = sum_{d | N} mu(d) [beta(dx, y) in Z] sum_{lam mod N/d} G_0(D, y + lam dx)
+    (see the module docstring); other orders raise UnsupportedOrderError.
     """
-    if k % 2 == 1:
-        raise OddWeightError("the averaging relations need even weight")
-    if x.beta_mod1 != 0:
-        raise NotIsotropicError(f"beta({x}) is not integral")
+    _check_relation(k, x)
     order = x.order
-    if order not in (2, 3, 4, 6):
-        raise UnsupportedOrderError(f"order {order} is not covered by the case formulas")
+    units = sum(1 for u in range(order) if math.gcd(u, order) == 1)
+    if units > 2:
+        raise UnsupportedOrderError(f"order {order}: the relation fixes only the orbit sum")
     group = lattice.disc_group
-    D = Fraction(D)
-
-    def g0(shift):
-        return trivial_coefficient_exact(lattice, k, D, group.add(y, group.scale(shift, x)))
-
-    def pair_integral(mult):
-        return is_integral(group.pairing_mod1(group.scale(mult, x), y))
-
-    if order == 2:
-        return g0(1) if pair_integral(1) else -g0(0)
-    if order == 3:
-        if pair_integral(1):
-            return Fraction(1, 2) * (g0(1) + g0(2))
-        return -Fraction(1, 2) * g0(0)
-    if order == 4:
-        if pair_integral(1):
-            return Fraction(1, 2) * (g0(1) + g0(3))
-        if pair_integral(2):
-            return -Fraction(1, 2) * (g0(0) + g0(2))
-        return Fraction(0)
-    # order 6; the final branch comes out of the averaging identity as
-    # +G0/2: with all pairings non-integral the component equation reads
-    # G0(y) + 2 G_x(y) + 2(-G0(y)/2) + (-G0(y)) = 0
-    if pair_integral(1):
-        return Fraction(1, 2) * (g0(1) + g0(5))
-    if pair_integral(2):
-        return -Fraction(1, 2) * (g0(2) + g0(4))
-    if pair_integral(3):
-        return -Fraction(1, 2) * g0(3)
-    return Fraction(1, 2) * g0(0)
+    total = Fraction(0)
+    for d in divisors(order):
+        dx = group.scale(d, x)
+        if moebius(d) and is_integral(group.pairing_mod1(dx, y)):
+            total += moebius(d) * sum(
+                trivial_coefficient_exact(lattice, k, D, group.add(y, group.scale(lam, dx)))
+                for lam in range(order // d)
+            )
+    return total / units

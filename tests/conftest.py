@@ -39,6 +39,16 @@ def d4():
 
 
 @pytest.fixture(scope="session")
+def model_lattices(test_lattices, a3, d4):
+    """Discriminant forms for the integer-model checks: ranks 1-4, |G| up to 400.
+
+    [[6]] is the one whose rho(T) has the entry e(3/4) = -i (a signed zero).
+    """
+    extra = ([[6]], [[64]], [[12, 6], [6, 12]], [[20, 0], [0, 20]])
+    return test_lattices + [a3, d4] + [make_lattice(g) for g in extra]
+
+
+@pytest.fixture(scope="session")
 def e8():
     return make_lattice([
         [2, -1, 0, 0, 0, 0, 0, 0],

@@ -5,7 +5,11 @@ number oracle goes through L-values and divisor sums only, the E8 oracle uses
 J_{k,E8} = M_{k-4}, the brute-force coset count walks a plain integer box, the
 representation-number oracle evaluates the quadratic polynomial at every point
 of (Z/b)^rank, and the Poincare oracle sums the defining series on a (tau, z)
-grid and Fourier-inverts it.
+grid and Fourier-inverts it.  The Weil-representation oracles build rho(T),
+rho(S) and sigma_x entry by entry from Fraction pairings of the coset
+representatives, and the case-formula oracle is the order-2/3/4/6 case
+analysis of the averaging identity, each in place of the integer discriminant
+form and the Moebius relation.
 """
 
 import math
@@ -14,8 +18,9 @@ from itertools import product
 
 import numpy as np
 
-from jacobiforms import QuadChar, dirichlet_L_nonpositive, moebius
+from jacobiforms import QuadChar, dirichlet_L_nonpositive, moebius, trivial_coefficient_exact
 from jacobiforms.numbertheory import bernoulli, factorize
+from jacobiforms.rationals import frac1, is_integral, unit_phase
 
 
 def cohen_h(r, n):
@@ -194,3 +199,78 @@ def rep_count_enumerate(lattice, x, D, b):
         for j in range(i + 1, rank):
             q = q + (gram[i][j] % b) * axes[i] * axes[j] % b
     return int(np.count_nonzero(q % b == 0))
+
+
+def _beta_mod1(lattice, x):
+    return frac1(lattice.beta(x.rep))
+
+
+def _pairing_mod1(lattice, x, y):
+    return frac1(lattice.pairing(x.rep, y.rep))
+
+
+def rho_generator_loop(lattice, g):
+    """rho(T) or rho(S) as a complex128 matrix, one entry at a time."""
+    group = lattice.disc_group
+    n = len(group)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    if g == "T":
+        for i, x in enumerate(group):
+            mat[i, i] = unit_phase(_beta_mod1(lattice, x))
+        return mat
+    scalar = unit_phase(Fraction(-lattice.rank, 8)) / np.sqrt(lattice.det)
+    for j, x in enumerate(group):
+        for i, y in enumerate(group):
+            mat[i, j] = scalar * unit_phase(-_pairing_mod1(lattice, x, y))
+    return mat
+
+
+def schrodinger_loop(lattice, x, lam, mu, t):
+    """sigma_x(lam, mu, t) as a complex128 matrix, one column at a time."""
+    group = lattice.disc_group
+    position = {y.coords: i for i, y in enumerate(group)}
+    n = len(group)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    shift = group.scale(lam, x)
+    for j, y in enumerate(group):
+        phase = frac1(mu * _pairing_mod1(lattice, x, y) + (t - lam * mu) * _beta_mod1(lattice, x))
+        target = group.add(y, group.neg(shift))
+        mat[position[target.coords], j] = unit_phase(phase)
+    return mat
+
+
+def nontrivial_case_formulas(lattice, k, x, D, y):
+    """G_x(D, y) for isotropic x of order 2, 3, 4 or 6, by per-order case analysis."""
+    group = lattice.disc_group
+    D = Fraction(D)
+
+    def g0(shift):
+        return trivial_coefficient_exact(lattice, k, D, group.add(y, group.scale(shift, x)))
+
+    def pair_integral(mult):
+        return is_integral(_pairing_mod1(lattice, group.scale(mult, x), y))
+
+    order = x.order
+    if order == 2:
+        return g0(1) if pair_integral(1) else -g0(0)
+    if order == 3:
+        if pair_integral(1):
+            return Fraction(1, 2) * (g0(1) + g0(2))
+        return -Fraction(1, 2) * g0(0)
+    if order == 4:
+        if pair_integral(1):
+            return Fraction(1, 2) * (g0(1) + g0(3))
+        if pair_integral(2):
+            return -Fraction(1, 2) * (g0(0) + g0(2))
+        return Fraction(0)
+    assert order == 6, order
+    # the final branch comes out of the averaging identity as +G0/2: with all
+    # pairings non-integral the component equation reads
+    # G0(y) + 2 G_x(y) + 2(-G0(y)/2) + (-G0(y)) = 0
+    if pair_integral(1):
+        return Fraction(1, 2) * (g0(1) + g0(5))
+    if pair_integral(2):
+        return -Fraction(1, 2) * (g0(2) + g0(4))
+    if pair_integral(3):
+        return -Fraction(1, 2) * g0(3)
+    return Fraction(1, 2) * g0(0)

@@ -126,6 +126,31 @@ class TestEisensteinCommand:
         assert err["error"] == "ResourceLimitError"
         assert str(sum(c**2 for c in range(1, 2001))) in err["message"]
 
+    def test_zero_coefficients_pass_the_tail_guard(self, tmp_path, capsys):
+        # the order-4 relation makes every odd-y coefficient exactly 0, which a
+        # guard relative to |value| alone could never pass
+        path = tmp_path / "a1s16.json"
+        path.write_text(json.dumps({"name": "a1s16", "gram": [[32]]}))
+        code = main([
+            "eisenstein", "--lattice", str(path), "-k", "6", "-r", "8",
+            "--mode", "numeric", "--n-max", "1", "--c-max", "400",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        lattice = jacobiforms.make_lattice([[32]])
+        group = lattice.disc_group
+        x8 = group.element((8,))
+        checked = 0
+        for entry in doc["entries"]:
+            D = parse_rational(entry["D"])
+            if D == 0:
+                continue
+            y = group.element(entry["x"])
+            exact = jacobiforms.nontrivial_from_trivial(lattice, 6, x8, D, y)
+            assert abs(entry["value"]["re"] - float(exact)) <= doc["tail_estimate"] + 1e-9
+            checked += 1
+        assert checked == 32
+
 
 class TestPoincareCommand:
     def test_convergence_domain_exit(self, square2_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from jacobiforms.errors import (
     NotSymmetricError,
     OddDiagonalError,
 )
+from jacobiforms.rationals import frac1
 
 from oracles import brute_coset_counts
 
@@ -145,6 +147,17 @@ class TestDiscriminantGroup:
         lat = make_lattice(gram)
         assert len(discriminant_group(lat)) == lat.det == 4 * det_a * det_a
 
+    def test_integer_model_matches_fraction_forms(self, model_lattices):
+        for lat in model_lattices:
+            group = discriminant_group(lat)
+            elements = list(group)
+            assert [x.coords for x in elements] == [tuple(c) for c in group.coords.tolist()]
+            for x in elements:
+                assert x.beta_mod1 == frac1(lat.beta(x.rep)), (lat, x)
+            for x in elements[:: max(1, len(group) // 12)]:
+                for y in elements:
+                    assert group.pairing_mod1(x, y) == frac1(lat.pairing(x.rep, y.rep)), (lat, x, y)
+
 
 class TestBetaValues:
     def test_a1_half(self, a1):
@@ -174,6 +187,17 @@ class TestIsotropy:
     def test_contains_zero(self, test_lattices):
         for lat in test_lattices:
             assert discriminant_group(lat).zero in isotropy_set(lat)
+
+    def test_large_cyclic_group_stays_small(self):
+        # |G| = 200000, of which 100 classes are isotropic: c = 0 mod 2000
+        tracemalloc.start()
+        try:
+            iso = isotropy_set(make_lattice([[200000]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [x.coords for x in iso] == [(c,) for c in range(0, 200000, 2000)]
+        assert peak < 20 * 2**20, peak
 
 
 class TestLatticeCharacter:

@@ -18,10 +18,17 @@ from jacobiforms import (
     trivial_coefficient_exact,
 )
 from jacobiforms.errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
-from jacobiforms.lattice import enumerate_supp
+from jacobiforms.lattice import enumerate_supp, isotropy_set
 from jacobiforms.rationals import unit_phase
 
+from oracles import nontrivial_case_formulas, rho_generator_loop, schrodinger_loop
+
 BASIS_TRIPLES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _bits(mat):
+    """The float64 bit patterns of a complex matrix, so that signed zeros count."""
+    return np.ascontiguousarray(mat).view(np.int64)
 
 
 class TestRhoGenerators:
@@ -49,6 +56,24 @@ class TestRhoGenerators:
             for j, x in enumerate(group):
                 expected[group.index(group.neg(x)), j] = kappa
             assert np.max(np.abs(s2 - expected)) <= 1e-12
+
+
+class TestMatchesLoopOracles:
+    def test_generators_bit_equal(self, model_lattices):
+        for lat in model_lattices:
+            for g in ("T", "S"):
+                got = rho_generator(lat, g).matrix
+                assert np.array_equal(_bits(got), _bits(rho_generator_loop(lat, g))), (lat, g)
+
+    def test_schrodinger_bit_equal(self, model_lattices):
+        triples = BASIS_TRIPLES + ((2, 3, 5), (-1, 4, -3), (7, -2, 1))
+        for lat in model_lattices:
+            group = lat.disc_group
+            for x in list(group)[:: max(1, len(group) // 8)]:
+                for triple in triples:
+                    got = schrodinger_matrix(lat, x, *triple).matrix
+                    want = schrodinger_loop(lat, x, *triple)
+                    assert np.array_equal(_bits(got), _bits(want)), (lat, x, triple)
 
 
 class TestRhoWord:
@@ -264,6 +289,21 @@ class TestNontrivialFromTrivial:
             exact = float(nontrivial_from_trivial(lat, 6, x12, D, y))
             num = eisenstein_coefficient_numeric(spec, D, y, 800, enforce_tail=False)
             assert num.value == pytest.approx(exact, rel=1e-5, abs=1e-6)
+
+    def test_moebius_relation_equals_case_formulas(self, model_lattices):
+        lattices = model_lattices + [make_lattice([[32]]), make_lattice([[72]])]
+        orders = set()
+        for lat in lattices:
+            group = lat.disc_group
+            for x in isotropy_set(lat):
+                if x.order not in (2, 3, 4, 6):
+                    continue
+                orders.add(x.order)
+                for y in group:
+                    D = y.beta_mod1 - 1
+                    got = nontrivial_from_trivial(lat, 6, x, D, y)
+                    assert got == nontrivial_case_formulas(lat, 6, x, D, y), (lat, x, y)
+        assert orders == {2, 3, 4, 6}
 
     def test_unsupported_order(self):
         lat = make_lattice([[50]])
