@@ -115,7 +115,7 @@ def _cmd_poincare(args):
 def _matrix_doc(label, matrix, group):
     return {
         "label": label,
-        "index": [list(x.coords) for x in group],
+        "index": group.coords.tolist(),
         "matrix": [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(matrix)],
     }
 
@@ -142,7 +142,6 @@ def _cmd_rep(args):
         for g in ("T", "S"):
             rep = rho_word(lattice, [g])
             docs.append(_matrix_doc(rep.label, rep.matrix, group))
-    # matrices are always JSON; --format table has no meaning here
     _write_output({"lattice": name, "matrices": docs}, args.output, "json")
     return EXIT_OK
 
@@ -160,11 +159,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, needs_lattice=True):
-        if needs_lattice:
-            p.add_argument("--lattice", required=True, help="path to a lattice JSON file")
+    def add_common(p):
+        p.add_argument("--lattice", required=True, help="path to a lattice JSON file")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "table"), default="json")
 
     p_info = sub.add_parser("info", help="print lattice invariants")
     p_info.add_argument("--lattice", required=True)
@@ -172,6 +169,7 @@ def _build_parser():
 
     p_eis = sub.add_parser("eisenstein", help="Eisenstein series expansion")
     add_common(p_eis)
+    p_eis.add_argument("--format", choices=("json", "table"), default="json")
     p_eis.add_argument("-k", type=int, required=True, help="weight")
     p_eis.add_argument("-r", default="0", help="isotropic class coordinates 'a,b,...'")
     p_eis.add_argument("--n-max", default="3", help="q-exponent truncation (rational)")
@@ -181,6 +179,7 @@ def _build_parser():
 
     p_poi = sub.add_parser("poincare", help="Poincare series expansion")
     add_common(p_poi)
+    p_poi.add_argument("--format", choices=("json", "table"), default="json")
     p_poi.add_argument("-k", type=int, required=True, help="weight")
     p_poi.add_argument("-D", required=True, help="negative rational index 'p/q'")
     p_poi.add_argument("-r", required=True, help="class coordinates 'a,b,...'")

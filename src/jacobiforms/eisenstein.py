@@ -5,6 +5,11 @@ The exact route evaluates the closed formula for the trivial series with the
 primitive quadratic character throughout the bad-prime product (see the test
 suite for the dual-route pins: the truncated Dirichlet series of the same
 coefficient, the index-one reduction, and the numeric c-sum all agree).
+
+The numeric route is the guarded c-sum `_series_coefficient`, shared with the
+Poincare series: prefactor * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r)).
+Eisenstein weighs by c^(-k), the D -> 0 limit of the Poincare Bessel weight.
+Every expansion, exact or numeric, is assembled by `_series_expansion`.
 """
 
 import math
@@ -14,6 +19,7 @@ from fractions import Fraction
 
 from .errors import (
     ConvergenceDomainError,
+    NotIsotropicError,
     OddWeightError,
     TailTooLargeError,
 )
@@ -26,7 +32,6 @@ from .numbertheory import (
     factorize,
     fundamental_decomposition,
     gamma_half,
-    kronecker,
     zeta_float,
 )
 from .rationals import is_integral
@@ -46,14 +51,12 @@ class EisensteinSpec:
         if self.k < 1:
             raise ValueError("weight must be a positive integer")
         if self.r.beta_mod1 != 0:
-            from .errors import NotIsotropicError
-
             raise NotIsotropicError(f"beta({self.r}) = {self.r.beta_mod1} is not integral")
 
 
 @dataclass(frozen=True)
 class CoefficientValue:
-    """A numeric coefficient together with its reported series tail estimate."""
+    """A coefficient together with its series tail estimate (None: no series was summed)."""
 
     value: float
     tail_estimate: float
@@ -62,12 +65,10 @@ class CoefficientValue:
         return self.value
 
 
-def _check_supp(lattice, D, x, strict_negative=True):
+def _check_supp(lattice, D, x):
     D = Fraction(D)
-    if strict_negative and D >= 0:
+    if D >= 0:
         raise ValueError("D must be negative")
-    if D > 0:
-        raise ValueError("D must be non-positive")
     if not is_integral(x.beta_mod1 - D):
         raise ValueError(f"(D={D}, x={x}) is not in supp(L)")
     return D
@@ -198,14 +199,51 @@ def trivial_coefficient_series(lattice, k, D, x, B):
     return pref * 2 * partial
 
 
-def eisenstein_coefficient_numeric(spec, Dp, xp, c_max, enforce_tail=True):
+def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, value=-0.0):
+    """value + Re(pref * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r))), guarded.
+
+    The sum is real for either parity, so an imaginary residue is a bug.  The
+    a-priori bound tail() (0 when k is odd and r = -r: every term vanishes) must
+    be <= 1e-3 (1 + |value|), else TailTooLargeError; the singular term sets the
+    scale 1.  The default start -0.0 is the additive identity.
+    """
+    total = 0j
+    for c, z in h_series_terms(lattice, D, r, Dp, xp, k, c_max):
+        total += weight(c) * z
+    raw = pref * total
+    if abs(raw.imag) > _IM_TOLERANCE * max(1.0, abs(raw.real)):
+        raise AssertionError(f"imaginary residue {raw.imag} exceeds tolerance")
+    value += raw.real
+    tail = 0.0 if k % 2 == 1 and lattice.disc_group.neg(r) == r else tail()
+    if tail > 1e-3 * (1.0 + abs(value)):
+        raise TailTooLargeError(
+            f"tail estimate {tail} exceeds 1e-3 * (1 + |value|) = {1e-3 * (1 + abs(value))}"
+        )
+    return CoefficientValue(value=value, tail_estimate=tail)
+
+
+def _series_expansion(spec, n_max, coefficient, entries=(), **fields):
+    """Expansion of `spec`: `entries` plus coefficient(D', x') at every D' < 0 in
+    supp up to n_max, reporting the largest tail estimate among them (None if
+    no coefficient summed a series).  `fields` go to FourierExpansion."""
+    n_max = Fraction(n_max)
+    entries = dict(entries)
+    tail = None
+    for idx in enumerate_supp(spec.lattice, n_max):
+        if idx.D >= 0:
+            continue
+        coeff = coefficient(idx.D, idx.x)
+        entries[idx] = coeff.value
+        if coeff.tail_estimate is not None:
+            tail = coeff.tail_estimate if tail is None else max(tail, coeff.tail_estimate)
+    return FourierExpansion(weight=spec.k, lattice=spec.lattice, entries=entries, n_max=n_max,
+                            r_coords=spec.r.coords, tail_estimate=tail, **fields)
+
+
+def eisenstein_coefficient_numeric(spec, Dp, xp, c_max):
     """Numeric coefficient of E_r at (D', x') by the truncated c-sum.
 
-    Returns the real part (the combination i^k (H + (-1)^k H(-r)) is real for
-    either parity) together with the crude tail estimate
-    |prefactor| * 2 det c_max^(rank + 1 - k) / (k - rank - 1).
-    `enforce_tail=False` skips the TailTooLarge guard (diagnostic evaluations
-    at very small c_max, where the crude bound always dominates the value).
+    Weight c^(-k); tail estimate |prefactor| * 2 det c_max^(rank + 1 - k) / (k - rank - 1).
     """
     lattice, k, r = spec.lattice, spec.k, spec.r
     Dp = _check_supp(lattice, Dp, xp)
@@ -221,32 +259,14 @@ def eisenstein_coefficient_numeric(spec, Dp, xp, c_max, enforce_tail=True):
         * float(-Dp) ** (k - rank / 2 - 1)
         / (2 * math.sqrt(det) * gamma_val)
     )
-    total = 0j
-    for c, z in h_series_terms(lattice, Fraction(0), r, Dp, xp, k, c_max):
-        total += z * float(c) ** (-k)
-    raw = pref * total
-    if abs(raw.imag) > _IM_TOLERANCE * max(1.0, abs(raw.real)):
-        raise AssertionError(f"imaginary residue {raw.imag} exceeds tolerance")
-    value = raw.real
-    group = lattice.disc_group
-    if k % 2 == 1 and group.neg(r) == r:
-        tail = 0.0  # every term H + (-1)^k H(-r) vanishes identically
-    elif k - rank - 1 <= 0:
-        tail = math.inf
-    else:
-        tail = abs(pref) * 2 * det * float(c_max) ** (rank + 1 - k) / (k - rank - 1)
-    if enforce_tail:
-        _check_tail(tail, value)
-    return CoefficientValue(value=value, tail_estimate=tail)
 
+    def tail():
+        if k - rank - 1 <= 0:
+            return math.inf
+        return abs(pref) * 2 * det * float(c_max) ** (rank + 1 - k) / (k - rank - 1)
 
-def _check_tail(tail, value):
-    """TailTooLargeError unless tail <= 1e-3 (1 + |value|); the singular term
-    sets the scale 1, so a coefficient that is exactly 0 can pass."""
-    if tail > 1e-3 * (1.0 + abs(value)):
-        raise TailTooLargeError(
-            f"tail estimate {tail} exceeds 1e-3 * (1 + |value|) = {1e-3 * (1 + abs(value))}"
-        )
+    return _series_coefficient(lattice, k, Fraction(0), r, Dp, xp, c_max, pref,
+                               lambda c: float(c) ** (-k), tail)
 
 
 def eisenstein_expansion(spec, n_max, mode, c_max=1000):
@@ -257,31 +277,15 @@ def eisenstein_expansion(spec, n_max, mode, c_max=1000):
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
-    n_max = Fraction(n_max)
     lattice, k, r = spec.lattice, spec.k, spec.r
-    group = lattice.disc_group
-    if mode == "exact" and r != group.zero:
+    if mode == "exact" and r != lattice.disc_group.zero:
         raise ValueError("exact mode covers only the trivial series (r = 0); "
                          "use the averaging relations for other classes")
-    expansion = singular_term(spec, n_max)
-    entries = dict(expansion.entries)
-    tail = None
-    for idx in enumerate_supp(lattice, n_max):
-        if idx.D >= 0:
-            continue
+
+    def coefficient(D, x):
         if mode == "exact":
-            entries[idx] = trivial_coefficient_exact(lattice, k, idx.D, idx.x)
-        else:
-            coeff = eisenstein_coefficient_numeric(spec, idx.D, idx.x, c_max)
-            entries[idx] = coeff.value
-            tail = coeff.tail_estimate if tail is None else max(tail, coeff.tail_estimate)
-    return FourierExpansion(
-        weight=k,
-        lattice=lattice,
-        entries=entries,
-        n_max=n_max,
-        mode=mode,
-        series="eisenstein",
-        r_coords=r.coords,
-        tail_estimate=tail,
-    )
+            return CoefficientValue(trivial_coefficient_exact(lattice, k, D, x), None)
+        return eisenstein_coefficient_numeric(spec, D, x, c_max)
+
+    return _series_expansion(spec, n_max, coefficient, singular_term(spec, n_max).entries,
+                             mode=mode, series="eisenstein")

@@ -15,9 +15,11 @@ Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
 and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
 nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p, so each node walks
-(Z/p)^rank rather than (Z/p^e)^rank.  Nodes larger than NODE_POINT_LIMIT raise
-ResourceLimitError before allocating.  The brute-force count over (Z/b)^rank
-stays in the tests as the oracle.
+(Z/p)^rank rather than (Z/p^e)^rank.  The LRU cache on that recursion is the
+one memo of R_b: `rep_count`, the stable profiles behind the local factors and
+the bad-prime counts of the Dirichlet series all read through it.  Nodes larger
+than NODE_POINT_LIMIT raise ResourceLimitError before allocating.  The
+brute-force count over (Z/b)^rank stays in the tests as the oracle.
 """
 
 import math
@@ -280,8 +282,6 @@ class RepCountKey:
             raise ValueError("(D, x) must lie in supp(L)")
 
 
-_REP_MEMO = {}
-
 # Every Hensel node walks (Z/p)^rank in chunks of _CHUNK points.  A node
 # over NODE_POINT_LIMIT points is refused before anything is allocated, so a
 # request that cannot finish fails at once with its cost named; it is a
@@ -351,27 +351,15 @@ def _hensel_count(gram, p, g, n, e):
 
 
 def rep_count(key):
-    """R_b: prime powers by Hensel recursion, composite b by CRT (memoized)."""
-    memo_key = (key.lattice.gram, key.x.coords, key.D, key.b)
-    if memo_key not in _REP_MEMO:
-        factors = factorize(key.b)
-        if len(factors) == 1:
-            # Q(lambda) = beta(lambda + x) - D = beta(lambda) + (G x).lambda + beta(x) - D
-            (p, e), = factors
-            lat, xhat = key.lattice, key.x.rep
-            g = tuple(int(v) % key.b for v in lat.gram_times(xhat))
-            n = int(lat.beta(xhat) - key.D) % key.b
-            count = _hensel_count(lat.gram, p, g, n, e)
-        else:
-            count = math.prod(
-                _rep_count_cached(key.lattice, key.x, key.D, p**e) for p, e in factors
-            )
-        _REP_MEMO[memo_key] = count
-    return _REP_MEMO[memo_key]
-
-
-def _rep_count_cached(lattice, x, D, b):
-    return rep_count(RepCountKey(lattice=lattice, x=x, D=Fraction(D), b=int(b)))
+    """R_b: the CRT product over p^e || b of Hensel counts, memoized per prime power."""
+    # Q(lambda) = beta(lambda + x) - D = beta(lambda) + (G x).lambda + beta(x) - D
+    lat, xhat = key.lattice, key.x.rep
+    gx = lat.gram_times(xhat)
+    n = lat.beta(xhat) - key.D
+    return math.prod(
+        _hensel_count(lat.gram, p, tuple(int(v) % p**e for v in gx), int(n) % p**e, e)
+        for p, e in factorize(key.b)
+    )
 
 
 def _d_tilde(x, D):
@@ -389,32 +377,25 @@ def _ord_p(n, p):
     return e
 
 
-_STABLE_MEMO = {}
-
-
+@lru_cache(maxsize=4096)
 def _stable_profile(lattice, x, D, p):
     """(w_p, [R_{p^0}, ..., R_{p^{w_p}}]) with the stabilization check enforced.
 
     w_p starts at max(1, 1 + 2 ord_p(2 * Dtilde)) and is raised until
     R_{p^{w+1}} = p^{rank-1} R_{p^w}, by at most 4 steps.
     """
-    memo_key = (lattice.gram, x.coords, Fraction(D), p)
-    if memo_key in _STABLE_MEMO:
-        return _STABLE_MEMO[memo_key]
     dt = _d_tilde(x, D)
     w = max(1, 1 + 2 * _ord_p(2 * dt, p))
     cap = w + _STABILIZATION_CAP
-    counts = [_rep_count_cached(lattice, x, D, p**l) for l in range(w + 2)]
+    counts = [rep_count(RepCountKey(lattice, x, Fraction(D), p**l)) for l in range(w + 2)]
     while counts[w + 1] != p ** (lattice.rank - 1) * counts[w]:
         w += 1
         if w > cap:
             raise StabilizationFailureError(
                 f"representation numbers at p={p} fail to stabilize by w={cap}"
             )
-        counts.append(_rep_count_cached(lattice, x, D, p ** (w + 1)))
-    result = (w, counts[: w + 1])
-    _STABLE_MEMO[memo_key] = result
-    return result
+        counts.append(rep_count(RepCountKey(lattice, x, Fraction(D), p ** (w + 1))))
+    return w, tuple(counts[: w + 1])
 
 
 def local_factor(lattice, x, D, p, s):
@@ -468,21 +449,14 @@ def _good_prime_count(lattice, x, D, p):
 
 
 def rep_count_prime_power(lattice, x, D, p, e):
-    """R_{p^e}, via closed forms at good primes and Hensel recursion at bad ones.
-
-    Beyond the stable exponent, counts grow geometrically:
-    R_{p^{l+1}} = p^{rank-1} R_{p^l}.
-    """
+    """R_{p^e}, via closed forms at good primes and rep_count at bad ones."""
     if e == 0:
         return 1
     rank = lattice.rank
     dt = _d_tilde(x, D)
     if (2 * dt * lattice.det) % p != 0:
         return p ** ((e - 1) * (rank - 1)) * _good_prime_count(lattice, x, D, p)
-    w, counts = _stable_profile(lattice, x, D, p)
-    if e <= w:
-        return counts[e]
-    return p ** ((e - w) * (rank - 1)) * counts[w]
+    return rep_count(RepCountKey(lattice, x, Fraction(D), p**e))
 
 
 @lru_cache(maxsize=64)

@@ -1,6 +1,10 @@
 """Jacobi-Poincare series: Petersson normalization constant, numeric Fourier
 coefficients (delta terms plus the Bessel-weighted c-series) and truncated
 expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
+
+The c-sum, its guards and the expansion loop are Eisenstein's
+(`_series_coefficient`, `_series_expansion`); this module supplies the
+prefactor, the Bessel weight and the tail bound.
 """
 
 import math
@@ -8,12 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceDomainError, OutOfRangeError
-from .eisenstein import CoefficientValue, _check_supp, _check_tail
-from .expsums import h_series_terms
-from .lattice import DiscElement, FourierExpansion, FourierIndex, enumerate_supp
+from .eisenstein import CoefficientValue, _check_supp, _series_coefficient, _series_expansion
+from .lattice import DiscElement
 from .numbertheory import BESSEL_X_MAX, bessel_j, gamma_half
-
-_IM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ def poincare_coefficient(spec, Dp, xp, c_max):
 
     Delta terms plus the truncated sum over c of
     J_{k - rank/2 - 1}(4 pi sqrt(D D') / c) c^(-rank/2 - 1) (H_c + (-1)^k H_c(-r)),
-    times 2 pi i^k det^(-1/2) (D'/D)^(k/2 - rank/4 - 1/2).
+    times 2 pi i^k det^(-1/2) (D'/D)^(k/2 - rank/4 - 1/2).  At c_max = 0 only
+    the delta terms remain, with tail estimate None.
     """
     lattice, k, D, r = spec.lattice, spec.k, spec.D, spec.r
     Dp = _check_supp(lattice, Dp, xp)
@@ -85,47 +87,31 @@ def poincare_coefficient(spec, Dp, xp, c_max):
     if c_max < 0:
         raise ValueError("c_max must be non-negative")
     rank, det = lattice.rank, lattice.det
-    group = lattice.disc_group
-    sign = (-1) ** k
     value = 0.0
     if Dp == D and xp == r:
         value += 1.0
-    if Dp == D and xp == group.neg(r):
-        value += sign
+    if Dp == D and xp == lattice.disc_group.neg(r):
+        value += (-1) ** k
+    if c_max == 0:
+        return CoefficientValue(value=value, tail_estimate=None)
     bessel_arg = 4 * math.pi * math.sqrt(float(D * Dp))
-    if c_max >= 1:
-        if bessel_arg > BESSEL_X_MAX:
-            raise OutOfRangeError(
-                f"4 pi sqrt(D D') = {bessel_arg} exceeds the Bessel range {BESSEL_X_MAX}"
-            )
-        alpha = Fraction(2 * k - rank - 2, 2)  # k - rank/2 - 1
-        pref = (
-            2 * math.pi * (1j) ** k / math.sqrt(det)
-            * float(Dp / D) ** (k / 2 - rank / 4 - 1 / 2)
+    if bessel_arg > BESSEL_X_MAX:
+        raise OutOfRangeError(
+            f"4 pi sqrt(D D') = {bessel_arg} exceeds the Bessel range {BESSEL_X_MAX}"
         )
-        total = 0j
-        for c, z in h_series_terms(lattice, D, r, Dp, xp, k, c_max):
-            total += bessel_j(alpha, bessel_arg / c) * float(c) ** (-rank / 2 - 1) * z
-        raw = pref * total
-        if abs(raw.imag) > _IM_TOLERANCE * max(1.0, abs(raw.real)):
-            raise AssertionError(f"imaginary residue {raw.imag} exceeds tolerance")
-        value += raw.real
-        if k % 2 == 1 and group.neg(r) == r:
-            tail = 0.0  # series vanishes term by term
-        else:
-            tail = _tail_estimate(lattice, k, D, Dp, c_max)
-        _check_tail(tail, value)
-    else:
-        tail = math.inf  # delta terms only: no series bound to report
-    return CoefficientValue(value=value, tail_estimate=tail)
+    alpha = Fraction(2 * k - rank - 2, 2)  # k - rank/2 - 1
+    pref = 2 * math.pi * (1j) ** k / math.sqrt(det) * float(Dp / D) ** (k / 2 - rank / 4 - 1 / 2)
+    return _series_coefficient(
+        lattice, k, D, r, Dp, xp, c_max, pref,
+        lambda c: bessel_j(alpha, bessel_arg / c) * float(c) ** (-rank / 2 - 1),
+        lambda: _tail_estimate(lattice, k, D, Dp, c_max), value,
+    )
 
 
 def _tail_estimate(lattice, k, D, Dp, c_max):
     """Bessel-bounded tail: |J_a(x)| <= (x/2)^a / Gamma(a+1), |H_c| <= c^(rank+1)."""
     rank, det = lattice.rank, lattice.det
     alpha = k - rank / 2 - 1
-    if k - rank - 2 <= 0:
-        return math.inf
     lead = (
         4 * math.pi / math.sqrt(det)
         * float(Dp / D) ** (alpha / 2)
@@ -137,23 +123,7 @@ def _tail_estimate(lattice, k, D, Dp, c_max):
 
 def poincare_expansion(spec, n_max, c_max):
     """Truncated expansion of P_{D,r}: entries at every (D' < 0, x') in supp."""
-    n_max = Fraction(n_max)
-    entries = {}
-    tail = None
-    for idx in enumerate_supp(spec.lattice, n_max):
-        if idx.D >= 0:
-            continue  # cusp form: no singular term
-        coeff = poincare_coefficient(spec, idx.D, idx.x, c_max)
-        entries[idx] = coeff.value
-        tail = coeff.tail_estimate if tail is None else max(tail, coeff.tail_estimate)
-    return FourierExpansion(
-        weight=spec.k,
-        lattice=spec.lattice,
-        entries=entries,
-        n_max=n_max,
-        mode="numeric",
-        series="poincare",
-        r_coords=spec.r.coords,
-        D=spec.D,
-        tail_estimate=tail,
+    return _series_expansion(
+        spec, n_max, lambda Dp, xp: poincare_coefficient(spec, Dp, xp, c_max),
+        mode="numeric", series="poincare", D=spec.D,
     )

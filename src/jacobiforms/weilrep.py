@@ -19,6 +19,7 @@ the divisors of N gives the unit-orbit sum sum_{u in (Z/N)^*} G_{ux}(D, y)
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,9 +50,10 @@ class RepMatrix:
         return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(n))))
 
 
+@lru_cache(maxsize=64)
 def _phase_table(level):
-    """e(q/N) for q = 0..N-1, with the exact values of `unit_phase`."""
-    return [unit_phase(Fraction(q, level)) for q in range(level)]
+    """e(q/N) for q = 0..N-1 as Python complexes, with the exact values of `unit_phase`."""
+    return tuple(unit_phase(Fraction(q, level)) for q in range(level))
 
 
 def rho_generator(lattice, g):

@@ -171,6 +171,21 @@ class TestPoincareCommand:
         assert doc["series"] == "poincare"
         assert all(parse_rational(e["D"]) < 0 for e in doc["entries"])
 
+    def test_delta_terms_only_is_strict_json(self, a1_path, capsys):
+        # at --c-max 0 no series is summed: the tail is null, never Infinity
+        code = main([
+            "poincare", "--lattice", a1_path, "-k", "10", "-D=-1",
+            "-r", "0", "--n-max", "1", "--c-max", "0",
+        ])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["tail_estimate"] is None
+        assert [e["value"]["re"] for e in doc["entries"] if parse_rational(e["D"]) == -1] == [2.0]
+
 
 class TestRepCommand:
     def test_generators_default(self, a1_path, capsys):
@@ -185,6 +200,12 @@ class TestRepCommand:
         assert main(["rep", "--lattice", a1_path, "--word", "T,T^-1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["matrices"][0]["index"] == [[0], [1]]
+
+    def test_format_option_rejected(self, a1_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rep", "--lattice", a1_path, "--format", "table"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -188,20 +188,25 @@ class TestNumericCoefficient:
         assert abs(num.value) <= 1e-9
 
     def test_single_term_prefactor(self, a1):
+        # (2 pi)^(k - 1/2) i^k / (2 sqrt(2) Gamma(k - 1/2)) times sum_c z_c c^(-k),
+        # with the c = 1 term z_1 = 1 + (-1)^k
         import math
 
+        from jacobiforms.expsums import h_series_terms
         from jacobiforms.numbertheory import gamma_half
 
-        k = 8
-        spec = EisensteinSpec(lattice=a1, k=k, r=a1.disc_group.zero)
-        num = eisenstein_coefficient_numeric(
-            spec, Fraction(-1), a1.disc_group.zero, 1, enforce_tail=False
-        )
+        k, c_max = 8, 400
+        x0 = a1.disc_group.zero
+        terms = list(h_series_terms(a1, 0, x0, -1, x0, k, c_max))
+        assert terms[0] == (1, 1 + (-1) ** k)
         g, gp = gamma_half(2 * k - 1)
-        pref = (2 * math.pi) ** (k - 0.5) / (
+        pref = (2 * math.pi) ** (k - 0.5) * (-1) ** (k // 2) / (
             2 * math.sqrt(2) * float(g) * math.pi ** float(gp)
         )
-        assert num.value == pytest.approx(pref * (1 + (-1) ** k), rel=1e-13)
+        series = sum(z.real * c ** (-k) for c, z in terms)
+        spec = EisensteinSpec(lattice=a1, k=k, r=x0)
+        num = eisenstein_coefficient_numeric(spec, Fraction(-1), x0, c_max)
+        assert num.value == pytest.approx(pref * series, rel=1e-13)
 
     def test_tail_guard_fires_at_tiny_cmax(self, a1):
         spec = EisensteinSpec(lattice=a1, k=8, r=a1.disc_group.zero)

@@ -23,8 +23,7 @@ from jacobiforms.errors import (
 )
 from jacobiforms import expsums
 from jacobiforms.expsums import (
-    _REP_MEMO,
-    _STABLE_MEMO,
+    _ord_p,
     H_POINT_LIMIT,
     bad_primes,
     good_prime_factor,
@@ -299,20 +298,18 @@ class TestLocalFactor:
                         lat, x0, D, p, s
                     )
 
-    def test_stabilization_failure_guard(self, a1):
-        # poison the memo tables with counts that never stabilize
+    def test_stabilization_failure_guard(self, a1, monkeypatch):
+        # counts that never stabilize: R_{p^l} = l + 2 is never geometric
         x0 = a1.disc_group.zero
         D = Fraction(-7)
         p = 9973
-        for l in range(0, 12):
-            _REP_MEMO[(a1.gram, x0.coords, D, p**l)] = l + 2  # never geometric
+        monkeypatch.setattr(expsums, "rep_count", lambda key: _ord_p(key.b, p) + 2)
+        expsums._stable_profile.cache_clear()
         try:
             with pytest.raises(StabilizationFailureError):
                 local_factor(a1, x0, D, p, 3)
         finally:
-            for l in range(0, 12):
-                _REP_MEMO.pop((a1.gram, x0.coords, D, p**l), None)
-            _STABLE_MEMO.pop((a1.gram, x0.coords, D, p), None)
+            expsums._stable_profile.cache_clear()
 
 
 class TestDirichletSeries:

@@ -197,6 +197,27 @@ class TestAveraging:
                 vx[i] = eisenstein_coefficient_numeric(spec4, D, y, 600).value
             assert np.max(np.abs(av @ v0 - 2 * (v0 + vx))) <= 1e-3
 
+    def test_phase_table_built_once(self, monkeypatch):
+        # the N^2 x N^2 sigma calls share one table of e(q/N)
+        from jacobiforms import weilrep
+
+        lat = make_lattice([[72]])
+        x12 = lat.disc_group.element((12,))
+        assert x12.order == 6
+        calls = []
+
+        def counting_phase(q):
+            calls.append(q)
+            return unit_phase(q)
+
+        monkeypatch.setattr(weilrep, "unit_phase", counting_phase)
+        weilrep._phase_table.cache_clear()
+        try:
+            averaging_matrix(lat, x12)
+        finally:
+            weilrep._phase_table.cache_clear()
+        assert 0 < len(calls) <= lat.level
+
 
 class TestOrbitRelation:
     def test_order_two_record(self, a1_scaled4):
@@ -253,7 +274,7 @@ class TestNontrivialFromTrivial:
             y = group.element(y_coords)
             D = y.beta_mod1 - 1
             exact = float(nontrivial_from_trivial(lat, 6, x6, D, y))
-            num = eisenstein_coefficient_numeric(spec, D, y, 800, enforce_tail=False)
+            num = eisenstein_coefficient_numeric(spec, D, y, 800)
             assert num.value == pytest.approx(exact, rel=1e-5, abs=1e-6)
 
     def test_order_four_including_zero_branch(self):
@@ -273,7 +294,7 @@ class TestNontrivialFromTrivial:
             ):
                 assert exact == 0
                 zero_seen = True
-            num = eisenstein_coefficient_numeric(spec, D, y, 800, enforce_tail=False)
+            num = eisenstein_coefficient_numeric(spec, D, y, 800)
             assert num.value == pytest.approx(float(exact), rel=1e-5, abs=1e-6)
         assert zero_seen
 
@@ -287,7 +308,7 @@ class TestNontrivialFromTrivial:
             y = group.element(y_coords)
             D = y.beta_mod1 - 1
             exact = float(nontrivial_from_trivial(lat, 6, x12, D, y))
-            num = eisenstein_coefficient_numeric(spec, D, y, 800, enforce_tail=False)
+            num = eisenstein_coefficient_numeric(spec, D, y, 800)
             assert num.value == pytest.approx(exact, rel=1e-5, abs=1e-6)
 
     def test_moebius_relation_equals_case_formulas(self, model_lattices):
