@@ -9,7 +9,12 @@ coefficient, the index-one reduction, and the numeric c-sum all agree).
 The numeric route is the guarded c-sum `_series_coefficient`, shared with the
 Poincare series: prefactor * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r)).
 Eisenstein weighs by c^(-k), the D -> 0 limit of the Poincare Bessel weight.
-Every expansion, exact or numeric, is assembled by `_series_expansion`.
+Every expansion, exact or numeric, is assembled by `_series_expansion`, which
+hands its support down to `expsums.shared_targets`: the H_c of every
+coefficient come from one walk of (Z/c)^rank per c for the whole expansion
+(one FFT per distinct r'), while each coefficient keeps its own c-sum.  A
+prefactor that leaves the float range is refused while it is built, before the
+first H_c.
 """
 
 import math
@@ -21,9 +26,16 @@ from .errors import (
     ConvergenceDomainError,
     NotIsotropicError,
     OddWeightError,
+    OutOfRangeError,
     TailTooLargeError,
 )
-from .expsums import bad_primes, dirichlet_series_partial, h_series_terms, local_factor
+from .expsums import (
+    bad_primes,
+    dirichlet_series_partial,
+    h_series_terms,
+    local_factor,
+    shared_targets,
+)
 from .lattice import DiscElement, FourierExpansion, FourierIndex, coset_points, enumerate_supp
 from .numbertheory import (
     QuadChar,
@@ -199,6 +211,17 @@ def trivial_coefficient_series(lattice, k, D, x, B):
     return pref * 2 * partial
 
 
+def _float_or_refuse(k, what, build):
+    """build(), refused with OutOfRangeError naming k and `what` when it overflows a float."""
+    try:
+        value = build()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(abs(value)):
+        raise OutOfRangeError(f"weight k={k}: {what} overflows a float")
+    return value
+
+
 def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, value=-0.0):
     """value + Re(pref * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r))), guarded.
 
@@ -229,13 +252,13 @@ def _series_expansion(spec, n_max, coefficient, entries=(), **fields):
     n_max = Fraction(n_max)
     entries = dict(entries)
     tail = None
-    for idx in enumerate_supp(spec.lattice, n_max):
-        if idx.D >= 0:
-            continue
-        coeff = coefficient(idx.D, idx.x)
-        entries[idx] = coeff.value
-        if coeff.tail_estimate is not None:
-            tail = coeff.tail_estimate if tail is None else max(tail, coeff.tail_estimate)
+    support = [idx for idx in enumerate_supp(spec.lattice, n_max) if idx.D < 0]
+    with shared_targets([(idx.D, idx.x) for idx in support]):
+        for idx in support:
+            coeff = coefficient(idx.D, idx.x)
+            entries[idx] = coeff.value
+            if coeff.tail_estimate is not None:
+                tail = coeff.tail_estimate if tail is None else max(tail, coeff.tail_estimate)
     return FourierExpansion(weight=spec.k, lattice=spec.lattice, entries=entries, n_max=n_max,
                             r_coords=spec.r.coords, tail_estimate=tail, **fields)
 
@@ -252,13 +275,12 @@ def eisenstein_coefficient_numeric(spec, Dp, xp, c_max):
         raise ValueError("c_max must be positive")
     rank, det = lattice.rank, lattice.det
     gam_rat, gam_pi = gamma_half(2 * k - rank)
-    gamma_val = float(gam_rat) * math.pi ** float(gam_pi)
-    pref = (
+    pref = _float_or_refuse(k, "the series prefactor", lambda: (
         (2 * math.pi) ** (k - rank / 2)
         * (1j) ** k
         * float(-Dp) ** (k - rank / 2 - 1)
-        / (2 * math.sqrt(det) * gamma_val)
-    )
+        / (2 * math.sqrt(det) * (float(gam_rat) * math.pi ** float(gam_pi)))
+    ))
 
     def tail():
         if k - rank - 1 <= 0:

@@ -8,7 +8,12 @@ d ascending, lambda lexicographic).  The series route rewrites H through
 Kloosterman sums: for each c it walks (Z/c)^rank in bounded blocks to form
 acc[t] = sum of e(pint(lambda)/c) over n1(lambda) = t mod c, and since
 K(m, t; c) = sum_u e((m u^-1 + t u)/c), H needs one length-c FFT of acc, read
-at the units.  The two routes are asserted against each other in the tests.
+at the units.  Within one expansion (D, r) is fixed, so n1 is shared by every
+target (D', r'): inside `shared_targets` the walk runs once per c for the whole
+expansion, with one acc and one FFT per distinct G r' and one read-out per
+target, into a table z[target, c] that each coefficient's c-sum reads.  A lone
+coefficient is the one-target case.  The two routes are asserted against each
+other in the tests.
 
 Representation numbers R_b count the zeros mod b of the integral polynomial
 Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
@@ -23,6 +28,8 @@ brute-force count over (Z/b)^rank stays in the tests as the oracle.
 """
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,44 +75,49 @@ def _int_beta(gram, vec):
 
 @dataclass(frozen=True)
 class _SumData:
-    """Integer data of the exponent of H_{L,c}(D, r, D', r')."""
+    """Integer data of the exponents of H_{L,c}(D, r, D', r') for one (D, r) and
+    a list of targets (D', r')."""
 
     gram: tuple
     rank: int
     n0: int          # beta(r) - D
-    np0: int         # beta(r') - D'
     gx: tuple        # G r  (integral)
-    gp: tuple        # G r' (integral)
-    p0: Fraction     # beta(r', r)
+    gps: tuple       # the distinct G r' (integral) among the targets
+    targets: tuple   # per target: (index of its G r' in gps, beta(r') - D', beta(r', r))
 
     def n1(self, lam):
         """beta(lambda + r) - D for an integer vector lambda."""
         return _int_beta(self.gram, lam) + sum(g * v for g, v in zip(self.gx, lam)) + self.n0
 
     def pint(self, lam):
-        """Integer part of beta(r', lambda + r): (G r') . lambda."""
-        return sum(g * v for g, v in zip(self.gp, lam))
+        """Integer part of beta(r', lambda + r): (G r') . lambda, for the first target."""
+        return sum(g * v for g, v in zip(self.gps[0], lam))
 
 
-def _sum_data(lattice, D, r, Dp, rp):
+def _sum_data(lattice, D, r, targets):
     D = Fraction(D)
-    Dp = Fraction(Dp)
     rv = _as_dual_vector(lattice, r)
-    rpv = _as_dual_vector(lattice, rp)
     beta_r = lattice.beta(rv)
-    beta_rp = lattice.beta(rpv)
-    if D > 0 or Dp > 0:
-        raise ValueError("support pairs need D <= 0")
-    if not is_integral(beta_r - D) or not is_integral(beta_rp - Dp):
-        raise ValueError("(D, r) and (D', r') must lie in supp(L): D = beta(r) mod Z")
+    gps, rows = [], []
+    for Dp, rp in targets:
+        Dp = Fraction(Dp)
+        rpv = _as_dual_vector(lattice, rp)
+        beta_rp = lattice.beta(rpv)
+        if D > 0 or Dp > 0:
+            raise ValueError("support pairs need D <= 0")
+        if not is_integral(beta_r - D) or not is_integral(beta_rp - Dp):
+            raise ValueError("(D, r) and (D', r') must lie in supp(L): D = beta(r) mod Z")
+        gp = tuple(int(v) for v in lattice.gram_times(rpv))
+        if gp not in gps:
+            gps.append(gp)
+        rows.append((gps.index(gp), int(beta_rp - Dp), lattice.pairing(rpv, rv)))
     return _SumData(
         gram=lattice.gram,
         rank=lattice.rank,
         n0=int(beta_r - D),
-        np0=int(beta_rp - Dp),
         gx=tuple(int(v) for v in lattice.gram_times(rv)),
-        gp=tuple(int(v) for v in lattice.gram_times(rpv)),
-        p0=lattice.pairing(rpv, rv),
+        gps=tuple(gps),
+        targets=tuple(rows),
     )
 
 
@@ -144,8 +156,9 @@ def poincare_lattice_sum(lattice, D, r, Dp, rp, c):
     c = int(c)
     if c < 1:
         raise ValueError("c must be a positive integer")
-    data = _sum_data(lattice, D, r, Dp, rp)
-    p0_over_c = data.p0 / c
+    data = _sum_data(lattice, D, r, [(Dp, rp)])
+    _, np0, p0 = data.targets[0]
+    p0_over_c = p0 / c
     lam_cache = [
         (data.n1(lam), data.pint(lam))
         for lam in product(range(c), repeat=data.rank)
@@ -154,7 +167,7 @@ def poincare_lattice_sum(lattice, D, r, Dp, rp, c):
     for d in _units(c):
         dinv = pow(d, -1, c) if c > 1 else 0
         for n1, pint in lam_cache:
-            total += unit_phase(Fraction(n1 * dinv + data.np0 * d + pint, c) + p0_over_c)
+            total += unit_phase(Fraction(n1 * dinv + np0 * d + pint, c) + p0_over_c)
     return total
 
 
@@ -175,12 +188,13 @@ def kloosterman_decomposition(lattice, D, r, Dp, rp, c):
     c = int(c)
     if c < 1:
         raise ValueError("c must be a positive integer")
-    data = _sum_data(lattice, D, r, Dp, rp)
-    p0_over_c = data.p0 / c
+    data = _sum_data(lattice, D, r, [(Dp, rp)])
+    _, np0, p0 = data.targets[0]
+    p0_over_c = p0 / c
     total = 0j
     for lam in product(range(c), repeat=data.rank):
         phase = unit_phase(Fraction(data.pint(lam), c) + p0_over_c)
-        total += phase * kloosterman(data.np0, data.n1(lam), c)
+        total += phase * kloosterman(np0, data.n1(lam), c)
     return total
 
 
@@ -200,42 +214,59 @@ def _check_points(rank, c_max):
 
 
 def _lambda_profile(data, c):
-    """(n1 mod c, pint mod c) over (Z/c)^rank, in blocks of about _CHUNK points."""
+    """(n1 mod c, pints) over (Z/c)^rank, in blocks of about _CHUNK points.
+
+    pints yields (G r') . lambda mod c on the block for each G r' in data.gps in
+    turn, built as it is asked for, so one block-sized pint is live at a time.
+    """
     # each axis after the first is broadcast against the points built so far
     rank, gram, lam = data.rank, data.gram, np.arange(c, dtype=np.int64)
     quad = [lam * (gram[i][i] // 2 % c * lam + data.gx[i] % c) % c for i in range(rank)]
-    lin = [data.gp[i] % c * lam % c for i in range(rank)]
+    lin = [[gp[i] % c * lam % c for i in range(rank)] for gp in data.gps]
     cross = [[gram[i][j] % c * lam % c for j in range(i + 1, rank)] for i in range(rank)]
 
-    def walk(n1, pint, slopes, i):  # slopes[j - i]: coefficient of lambda_j at each point
+    def walk(n1, pints, slopes, i):  # slopes[j - i]: coefficient of lambda_j at each point
         if i == rank:
-            yield n1, pint
+            yield n1, iter(pints)
             return
         rows = max(1, _CHUNK // c ** (rank - i))
         for b in (slice(s, s + rows) for s in range(0, len(n1), rows)):
+            block = (((p[b, None] + w[i]) % c).ravel() for p, w in zip(pints, lin))
             yield from walk(((n1[b, None] + quad[i] + slopes[0][b, None] * lam) % c).ravel(),
-                            ((pint[b, None] + lin[i]) % c).ravel(),
+                            block if i + 1 == rank else list(block),
                             [((v[b, None] + w) % c).ravel() for v, w in zip(slopes[1:], cross[i])],
                             i + 1)
 
-    yield from walk((quad[0] + data.n0 % c) % c, lin[0], cross[0], 1)
+    try:
+        yield from walk((quad[0] + data.n0 % c) % c, [w[0] for w in lin], cross[0], 1)
+    finally:
+        walk = None  # the recursive closure is a reference cycle: break it to free the tables now
 
 
 def _h_c(data, c):
-    """H_{L,c} = e(p0/c) sum over units u of e(m u^-1/c) A(u), A(u) = sum_t acc[t] e(t u/c)."""
+    """H_{L,c} at every target of data, as a list in target order.
+
+    H = e(p0/c) sum over units u of e(m u^-1/c) A(u), A(u) = sum_t acc[t] e(t u/c);
+    acc depends on the target only through G r', so one walk of (Z/c)^rank
+    feeds one acc and one FFT per distinct G r', read out at the units per target.
+    """
     roots = np.exp((2j * np.pi / c) * np.arange(c))
-    re = im = 0.0
-    for n1, pint in _lambda_profile(data, c):
-        re = re + np.bincount(n1, roots.real[pint], c)
-        im = im + np.bincount(n1, roots.imag[pint], c)
-    a_hat = np.fft.ifft(re + 1j * im, norm="forward")
+    re = [0.0] * len(data.gps)
+    im = [0.0] * len(data.gps)
+    for n1, pints in _lambda_profile(data, c):
+        for g in range(len(data.gps)):
+            pint = next(pints)
+            re[g] = re[g] + np.bincount(n1, roots.real[pint], c)
+            im[g] = im[g] + np.bincount(n1, roots.imag[pint], c)
+            del pint  # before the next G r' builds its block
     units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    a_hat = [np.fft.ifft(x + 1j * y, norm="forward")[units] for x, y in zip(re, im)]
     inv, base, e = np.ones_like(units), units, len(units) - 1
     while e:  # u^-1 = u^(phi(c) - 1) mod c, by square-and-multiply over all units at once
         inv = inv * base % c if e & 1 else inv
         base, e = base * base % c, e >> 1
-    total = np.dot(roots[data.np0 % c * inv % c], a_hat[units])
-    return unit_phase(data.p0 / c) * complex(total)
+    return [unit_phase(p0 / c) * complex(np.dot(roots[np0 % c * inv % c], a_hat[g]))
+            for g, np0, p0 in data.targets]
 
 
 def lattice_sum_fft(lattice, D, r, Dp, rp, c):
@@ -246,21 +277,63 @@ def lattice_sum_fft(lattice, D, r, Dp, rp, c):
     c = int(c)
     if c < 1:
         raise ValueError("c must be a positive integer")
-    data = _sum_data(lattice, D, r, Dp, rp)
+    data = _sum_data(lattice, D, r, [(Dp, rp)])
     _check_points(data.rank, c)
-    return _h_c(data, c)
+    return _h_c(data, c)[0]
+
+
+@dataclass
+class _Shared:
+    """The targets of one expansion and, once built, their table and its (lattice, D, r, c_max)."""
+
+    targets: tuple
+    key: tuple = None
+    table: np.ndarray = None
+
+
+_SHARED = ContextVar("expsums_shared_targets", default=None)
+
+
+@contextmanager
+def shared_targets(targets):
+    """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
+    from one table z[target, c] for all of them, built at the first term with one
+    walk of (Z/c)^rank per c and dropped on exit."""
+    token = _SHARED.set(_Shared(tuple(targets)))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _h_table(lattice, D, r, targets, c_max):
+    """z[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first walk."""
+    data = _sum_data(lattice, D, r, targets)
+    _check_points(data.rank, c_max)
+    table = np.empty((len(targets), c_max), dtype=complex)
+    for c in range(1, c_max + 1):
+        table[:, c - 1] = _h_c(data, c)
+    return table
 
 
 def h_series_terms(lattice, D, r, Dp, rp, k, c_max):
     """Yield (c, H_c + (-1)^k H_c(-r)) for c = 1..c_max, fast route.
 
     Uses conj(H(r)) = H(-r) (substitute (d, lambda) -> (-d, -lambda) in the
-    defining sum).  Sum data and cost check run once, before the first term.
+    defining sum).  H_c comes from the table of the enclosing `shared_targets`
+    when (D', r') is one of its targets, else from a one-target table; either
+    is checked against the point limit before its first walk.
     """
-    data = _sum_data(lattice, D, r, Dp, rp)
-    _check_points(data.rank, c_max)
+    shared = _SHARED.get()
+    if shared is None or (Dp, rp) not in shared.targets:
+        row, table = 0, _h_table(lattice, D, r, [(Dp, rp)], c_max)
+    else:
+        key = (lattice, D, r, c_max)
+        if shared.key != key:
+            shared.key, shared.table = key, _h_table(lattice, D, r, shared.targets, c_max)
+        row, table = shared.targets.index((Dp, rp)), shared.table
     for c in range(1, c_max + 1):
-        h = _h_c(data, c)
+        h = complex(table[row, c - 1])
         yield c, h + (-1) ** k * h.conjugate()
 
 

@@ -256,7 +256,7 @@ def _bessel_series_float(alpha, x):
         n += 1
         term *= ratio / (n * (n + alpha))
         total += term
-        if abs(term) < 1e-18 * abs(total) and n > half:
+        if abs(term) <= 1e-18 * abs(total) and n > half:  # <=: the sum may underflow to 0
             return total
 
 

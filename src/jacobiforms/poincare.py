@@ -3,8 +3,9 @@ coefficients (delta terms plus the Bessel-weighted c-series) and truncated
 expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
 
 The c-sum, its guards and the expansion loop are Eisenstein's
-(`_series_coefficient`, `_series_expansion`); this module supplies the
-prefactor, the Bessel weight and the tail bound.
+(`_series_coefficient`, `_series_expansion`, which shares one walk of
+(Z/c)^rank per c across the expansion); this module supplies the prefactor,
+the Bessel weight and the tail bound.
 """
 
 import math
@@ -12,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceDomainError, OutOfRangeError
-from .eisenstein import CoefficientValue, _check_supp, _series_coefficient, _series_expansion
+from .eisenstein import (
+    CoefficientValue,
+    _check_supp,
+    _float_or_refuse,
+    _series_coefficient,
+    _series_expansion,
+)
 from .lattice import DiscElement
 from .numbertheory import BESSEL_X_MAX, bessel_j, gamma_half
 
@@ -100,7 +107,10 @@ def poincare_coefficient(spec, Dp, xp, c_max):
             f"4 pi sqrt(D D') = {bessel_arg} exceeds the Bessel range {BESSEL_X_MAX}"
         )
     alpha = Fraction(2 * k - rank - 2, 2)  # k - rank/2 - 1
-    pref = 2 * math.pi * (1j) ** k / math.sqrt(det) * float(Dp / D) ** (k / 2 - rank / 4 - 1 / 2)
+    # the Bessel power series and the tail bound both divide by Gamma(alpha + 1)
+    _float_or_refuse(k, f"Gamma({alpha + 1})", lambda: math.gamma(alpha + 1))
+    pref = _float_or_refuse(k, "the series prefactor", lambda: (
+        2 * math.pi * (1j) ** k / math.sqrt(det) * float(Dp / D) ** (k / 2 - rank / 4 - 1 / 2)))
     return _series_coefficient(
         lattice, k, D, r, Dp, xp, c_max, pref,
         lambda c: bessel_j(alpha, bessel_arg / c) * float(c) ** (-rank / 2 - 1),

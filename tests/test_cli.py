@@ -7,8 +7,16 @@ from pathlib import Path
 import pytest
 
 import jacobiforms
+from jacobiforms import expsums
 from jacobiforms.cli import main
 from jacobiforms.rationals import parse_rational
+
+LATTICES = Path(__file__).resolve().parent.parent / "lattices"
+DATA = Path(__file__).resolve().parent / "data"  # CLI outputs of the pre-shared-walk route
+
+
+def _no_h_c(data, c):
+    raise AssertionError("an H_c term was computed")
 
 
 @pytest.fixture()
@@ -126,6 +134,26 @@ class TestEisensteinCommand:
         assert err["error"] == "ResourceLimitError"
         assert str(sum(c**2 for c in range(1, 2001))) in err["message"]
 
+    def test_numeric_output_matches_golden_bytes(self, tmp_path):
+        out_path = tmp_path / "out.json"
+        code = main([
+            "eisenstein", "--lattice", str(LATTICES / "a1_scaled4.json"), "-k", "6", "-r", "4",
+            "--mode", "numeric", "--n-max", "2", "--c-max", "60", "-o", str(out_path),
+        ])
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "eisenstein_a1_scaled4_k6_r4_numeric.json").read_bytes()
+
+    def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
+        monkeypatch.setattr(expsums, "_h_c", _no_h_c)
+        code = main([
+            "eisenstein", "--lattice", a1_path, "-k", "400", "--mode", "numeric",
+            "--n-max", "1", "--c-max", "10",
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutOfRangeError"
+        assert "k=400" in err["message"]
+
     def test_zero_coefficients_pass_the_tail_guard(self, tmp_path, capsys):
         # the order-4 relation makes every odd-y coefficient exactly 0, which a
         # guard relative to |value| alone could never pass
@@ -170,6 +198,27 @@ class TestPoincareCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["series"] == "poincare"
         assert all(parse_rational(e["D"]) < 0 for e in doc["entries"])
+
+    def test_numeric_output_matches_golden_bytes(self, tmp_path):
+        out_path = tmp_path / "out.json"
+        code = main([
+            "poincare", "--lattice", str(LATTICES / "a2.json"), "-k", "10", "-D=-2/3",
+            "-r", "1", "--n-max", "1", "--c-max", "40", "-o", str(out_path),
+        ])
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "poincare_a2_k10_D-2_3_r1.json").read_bytes()
+
+    def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
+        # Gamma(k - rank/2) overflows a float; the Bessel series and the tail divide by it
+        monkeypatch.setattr(expsums, "_h_c", _no_h_c)
+        code = main([
+            "poincare", "--lattice", a1_path, "-k", "200", "-D=-1",
+            "-r", "0", "--n-max", "1", "--c-max", "10",
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutOfRangeError"
+        assert "k=200" in err["message"]
 
     def test_delta_terms_only_is_strict_json(self, a1_path, capsys):
         # at --c-max 0 no series is summed: the tail is null, never Infinity

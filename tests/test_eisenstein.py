@@ -18,6 +18,7 @@ from jacobiforms.errors import (
     OddWeightError,
     TailTooLargeError,
 )
+from jacobiforms import expsums
 from jacobiforms.lattice import FourierIndex
 from jacobiforms.rationals import parse_rational
 
@@ -258,3 +259,40 @@ class TestExpansion:
         values = {tuple(e["x"]): parse_rational(e["value"]) for e in parsed["entries"] if e["n"] == "1/1"}
         assert values == {(0,): 126, (1,): 56}
         assert all("/" in e["value"] for e in parsed["entries"])
+
+
+# (lattice fixture, k, r, n_max, c_max): a1 and a2 at n_max 2, a1_scaled4 at
+# r = 4 (16 entries over 8 classes), A3 at n_max 1 (4 classes)
+NUMERIC_EXPANSIONS = [
+    ("a1", 12, (0,), 2, 40),
+    ("a1_scaled4", 10, (4,), 2, 40),
+    ("a2", 12, (0,), 2, 40),
+    ("a3", 14, (0,), 1, 20),
+]
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("name, k, r, n_max, c_max", NUMERIC_EXPANSIONS)
+    def test_entries_equal_lone_coefficients(self, request, name, k, r, n_max, c_max):
+        lattice = request.getfixturevalue(name)
+        spec = EisensteinSpec(lattice=lattice, k=k, r=lattice.disc_group.element(r))
+        expansion = eisenstein_expansion(spec, n_max, "numeric", c_max=c_max)
+        numeric = [idx for idx in expansion.entries if idx.D < 0]
+        assert len(numeric) >= 4
+        for idx in numeric:
+            lone = eisenstein_coefficient_numeric(spec, idx.D, idx.x, c_max).value
+            assert expansion.entries[idx] == lone, idx
+
+    def test_expansion_walks_once_per_c(self, a1_scaled4, monkeypatch):
+        walks = []
+        profile = expsums._lambda_profile
+
+        def counted(data, c):
+            walks.append(c)
+            return profile(data, c)
+
+        monkeypatch.setattr(expsums, "_lambda_profile", counted)
+        spec = EisensteinSpec(lattice=a1_scaled4, k=10, r=a1_scaled4.disc_group.element((4,)))
+        expansion = eisenstein_expansion(spec, 2, "numeric", c_max=40)
+        assert sum(idx.D < 0 for idx in expansion.entries) == 16
+        assert walks == list(range(1, 41))

@@ -8,6 +8,7 @@ from jacobiforms import (
     EisensteinSpec,
     RepCountKey,
     dirichlet_series_partial,
+    eisenstein_coefficient_numeric,
     eisenstein_expansion,
     eisenstein_lattice_sum,
     kloosterman,
@@ -176,6 +177,26 @@ class TestSeriesGuard:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20, peak
+
+    def test_shared_walk_keeps_one_chunk_live(self, square2):
+        # an expansion over 4 classes r' walks once per c but builds each r''s
+        # chunk of (G r').lambda in turn, so it peaks about where one coefficient does
+        spec = EisensteinSpec(lattice=square2, k=10, r=square2.disc_group.zero)
+        first = _negative_supp(square2, 1)[0]
+        eisenstein_expansion(spec, 1, "numeric", c_max=5)  # imports and one-off tables
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: eisenstein_coefficient_numeric(spec, first.D, first.x, 120))
+        expansion = peak(lambda: eisenstein_expansion(spec, 1, "numeric", c_max=120))
+        assert len({idx.x for idx in _negative_supp(square2, 1)}) == 4
+        assert expansion <= 1.25 * one, (expansion, one)
 
     def test_over_limit_expansion_fails_before_the_first_term(self, a3, monkeypatch):
         def no_terms(data, c):

@@ -215,6 +215,11 @@ class TestBesselJ:
                 rhs = 2 * float(alpha) / x * bessel_j(alpha, x)
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
+    def test_series_that_underflows_to_zero_returns(self):
+        # J_{337/2}(1.25) ~ 10^-338 is below the smallest float: the series is 0.0 from its
+        # first term and must stop there (Poincare at k = 170 on a1 reaches it)
+        assert bessel_j(Fraction(337, 2), 1.25) == 0.0
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             bessel_j(1, 61.0)

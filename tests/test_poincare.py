@@ -9,6 +9,7 @@ from jacobiforms import (
     poincare_coefficient,
     poincare_expansion,
 )
+from jacobiforms import expsums
 from jacobiforms.errors import ConvergenceDomainError, OutOfRangeError
 from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import bessel_j, gamma_half
@@ -150,3 +151,38 @@ class TestBridgeToEisenstein:
                     * c ** (-k)
                 )
                 assert abs(lhs - rhs) <= tol * abs(rhs)
+
+
+# (lattice fixture, k, D, r, n_max, c_max): a1 and a2 at n_max 2, a1_scaled4 at
+# r = 4 (16 entries over 8 classes), A3 at n_max 1 (4 classes)
+POINCARE_EXPANSIONS = [
+    ("a1", 10, Fraction(-1), (0,), 2, 40),
+    ("a1_scaled4", 10, Fraction(-1), (4,), 2, 40),
+    ("a2", 10, Fraction(-2, 3), (1,), 2, 40),
+    ("a3", 10, Fraction(-5, 8), (1,), 1, 20),
+]
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("name, k, D, r, n_max, c_max", POINCARE_EXPANSIONS)
+    def test_entries_equal_lone_coefficients(self, request, name, k, D, r, n_max, c_max):
+        lattice = request.getfixturevalue(name)
+        spec = PoincareSpec(lattice=lattice, k=k, D=D, r=lattice.disc_group.element(r))
+        expansion = poincare_expansion(spec, n_max, c_max)
+        assert len(expansion.entries) >= 4
+        for idx, value in expansion.entries.items():
+            assert value == poincare_coefficient(spec, idx.D, idx.x, c_max).value, idx
+
+    def test_expansion_walks_once_per_c(self, a2, monkeypatch):
+        walks = []
+        profile = expsums._lambda_profile
+
+        def counted(data, c):
+            walks.append(c)
+            return profile(data, c)
+
+        monkeypatch.setattr(expsums, "_lambda_profile", counted)
+        spec = PoincareSpec(lattice=a2, k=10, D=Fraction(-2, 3), r=a2.disc_group.element((1,)))
+        expansion = poincare_expansion(spec, 2, 30)
+        assert len(expansion.entries) == 6
+        assert walks == list(range(1, 31))
