@@ -12,8 +12,7 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
+from ._lazy import np
 from .eisenstein import EisensteinSpec, eisenstein_expansion
 from .errors import ComputationDomainError, ValidationError
 from .lattice import isotropy_set, load_lattice_json

@@ -19,12 +19,17 @@ Representation numbers R_b count the zeros mod b of the integral polynomial
 Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
 and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
 nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
-too), and a singular zero recurses on the form reduced by p, so each node walks
-(Z/p)^rank rather than (Z/p^e)^rank.  The LRU cache on that recursion is the
-one memo of R_b: `rep_count`, the stable profiles behind the local factors and
-the bad-prime counts of the Dirichlet series all read through it.  Nodes larger
-than NODE_POINT_LIMIT raise ResourceLimitError before allocating.  The
-brute-force count over (Z/b)^rank stays in the tests as the oracle.
+too), and a singular zero recurses on the form reduced by p.  Each node is
+counted in closed form at odd p, from a symmetric elimination of G mod p and
+the classical count of a nondegenerate form's values, and by a walk of
+(Z/2)^rank at p = 2; only its singular zeros are listed.  The LRU cache on
+that recursion is the one memo of R_b: `rep_count`, the stable profiles
+behind the local factors and the bad-prime counts of the Dirichlet series all
+read through it.  A node that would list more than NODE_POINT_LIMIT points
+raises ResourceLimitError before allocating.  The brute-force count over
+(Z/b)^rank and the walk of (Z/p)^rank at every node stay in the tests as
+oracles.  This part, like the Dirichlet series, runs in Python ints; numpy
+loads only for the H_c walks.
 """
 
 import math
@@ -35,8 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     NotIsotropicError,
     ResourceLimitError,
@@ -288,7 +292,7 @@ class _Shared:
 
     targets: tuple
     key: tuple = None
-    table: np.ndarray = None
+    table: "np.ndarray" = None
 
 
 _SHARED = ContextVar("expsums_shared_targets", default=None)
@@ -355,11 +359,67 @@ class RepCountKey:
             raise ValueError("(D, x) must lie in supp(L)")
 
 
-# Every Hensel node walks (Z/p)^rank in chunks of _CHUNK points.  A node
-# over NODE_POINT_LIMIT points is refused before anything is allocated, so a
-# request that cannot finish fails at once with its cost named; it is a
-# constant, not a setting.
+# A Hensel node lists its singular zeros, and at p = 2 walks (Z/2)^rank.  A
+# node that would list or walk more than NODE_POINT_LIMIT points is refused
+# before anything is allocated, so a request that cannot finish fails at once
+# with its cost named; it is a constant, not a setting.
 NODE_POINT_LIMIT = 10**7
+
+
+def _check_node(p, what, size, noun):
+    if size > NODE_POINT_LIMIT:
+        raise ResourceLimitError(
+            f"a Hensel node at p={p} {what} = {size} {noun}, over the limit of {NODE_POINT_LIMIT}"
+        )
+
+
+def _diagonalize_mod_p(gram, p):
+    """Symmetric elimination of G mod an odd prime p.
+
+    Returns (pivots, basis): with b_i the vectors of `basis`, b_i^t G b_j = 0
+    mod p for i != j, b_i^t G b_i is the i-th pivot (nonzero) for i < len(pivots),
+    and the vectors after the pivots span the radical of G mod p.
+    """
+    n = len(gram)
+    a = [[v % p for v in row] for row in gram]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def add(i, j, f):  # b_i -> b_i + f b_j, as a congruence on a
+        a[i] = [(x + f * y) % p for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = (row[i] + f * row[j]) % p
+        basis[i] = [(x + f * y) % p for x, y in zip(basis[i], basis[j])]
+
+    pivots = []
+    for t in range(n):
+        i = next((i for i in range(t, n) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                break
+            i = pair[0]
+            add(i, pair[1], 1)  # the new diagonal entry is 2 a_ij, nonzero at odd p
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[i] = row[i], row[t]
+        basis[t], basis[i] = basis[i], basis[t]
+        inv = pow(a[t][t], -1, p)
+        for r in range(t + 1, n):
+            if a[r][t]:
+                add(r, t, -a[r][t] * inv % p)
+        pivots.append(a[t][t])
+    return pivots, basis
+
+
+def _form_count(coeffs, m, p):
+    """N_s(m) = #{y in (Z/p)^s : sum c_i y_i^2 = m} for nonzero c_i mod an odd prime p."""
+    s = len(coeffs)
+    if s == 0:
+        return int(m % p == 0)
+    disc = (-1) ** (s // 2) * math.prod(coeffs)
+    if s % 2 == 0:
+        return p ** (s - 1) + (p - 1 if m % p == 0 else -1) * p ** (s // 2 - 1) * kronecker(disc, p)
+    return p ** (s - 1) + p ** ((s - 1) // 2) * kronecker(disc * m, p)
 
 
 @lru_cache(maxsize=4096)
@@ -367,31 +427,50 @@ def _zeros_mod_p(gram, p, g, n):
     """Zeros of Q(lambda) = beta(lambda) + g.lambda + n on (Z/p)^rank.
 
     g and n are reduced mod p.  Returns (number of nonsingular zeros, tuple of
-    the singular ones), a zero being singular when grad Q = G lambda + g = 0
-    mod p.
+    the singular ones in lexicographic order), a zero being singular when
+    grad Q = G lambda + g = 0 mod p.
+
+    At odd p, in closed form from a symmetric elimination of G mod p with
+    radical R of dimension k.  If g is not in im G = R^perp, Q is a nonconstant
+    linear function along some v in R, so each line in that direction holds
+    one zero and none is singular: p^(rank-1).  Otherwise G lambda0 = -g and
+    Q(lambda0 + mu) = beta(mu) - m with m = -Q(lambda0); beta is the form
+    sum (pivot_i / 2) y_i^2 of rank s = rank - k plus zero on R, so there are
+    p^k N_s(m) zeros, and the singular ones, grad Q = G mu = 0, are
+    lambda0 + R when m = 0 and none otherwise.  At p = 2, where beta does not
+    diagonalise, the node walks (Z/2)^rank.
     """
     rank = len(gram)
-    size = p**rank
-    if size > NODE_POINT_LIMIT:
-        raise ResourceLimitError(
-            f"a Hensel node at p={p} walks p^rank = {p}^{rank} = {size} points, "
-            f"over the limit of {NODE_POINT_LIMIT}"
-        )
-    # G lambda mod 2p gives beta(lambda) = lambda.G lambda / 2 mod p, even at p = 2
-    gram2 = np.array(gram, dtype=np.int64) % (2 * p)
-    gvec = np.array(g, dtype=np.int64)
-    nonsingular = 0
-    singular = []
-    for start in range(0, size, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        lam = np.array(np.unravel_index(idx, (p,) * rank), dtype=np.int64)
-        glam = gram2 @ lam % (2 * p)
-        beta = (lam * glam).sum(axis=0) % (2 * p) // 2
-        zero = (beta + gvec @ lam + n) % p == 0
-        sing = zero & ~((glam + gvec[:, None]) % p).any(axis=0)
-        nonsingular += int(np.count_nonzero(zero)) - int(np.count_nonzero(sing))
-        singular.extend(tuple(v) for v in lam[:, sing].T.tolist())
-    return nonsingular, tuple(singular)
+    if p == 2:
+        _check_node(p, f"walks 2^rank = 2^{rank}", 2**rank, "points")
+        nonsingular, singular = 0, []
+        for lam in product((0, 1), repeat=rank):
+            if (_int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n) % 2:
+                continue
+            if any((sum(gij * v for gij, v in zip(row, lam)) + gi) % 2 for row, gi in zip(gram, g)):
+                nonsingular += 1
+            else:
+                singular.append(lam)
+        return nonsingular, tuple(singular)
+    pivots, basis = _diagonalize_mod_p(gram, p)
+    s = len(pivots)
+    h = [sum(a * b for a, b in zip(vec, g)) % p for vec in basis]
+    if any(h[s:]):
+        return p ** (rank - 1), ()
+    y = [-hi * pow(piv, -1, p) % p for hi, piv in zip(h, pivots)]
+    lam0 = [sum(yi * vec[j] for yi, vec in zip(y, basis)) % p for j in range(rank)]
+    m = -(_int_beta(gram, lam0) + sum(a * b for a, b in zip(g, lam0)) + n) % p
+    half = pow(2, -1, p)
+    total = p ** (rank - s) * _form_count([piv * half % p for piv in pivots], m, p)
+    if m:
+        return total, ()
+    radical = basis[s:]
+    _check_node(p, f"lists p^k = {p}^{len(radical)}", p ** len(radical), "singular zeros")
+    singular = sorted(
+        tuple((l0 + sum(t * vec[j] for t, vec in zip(ts, radical))) % p for j, l0 in enumerate(lam0))
+        for ts in product(range(p), repeat=len(radical))
+    )
+    return total - len(singular), tuple(singular)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -534,10 +613,12 @@ def rep_count_prime_power(lattice, x, D, p, e):
 
 @lru_cache(maxsize=64)
 def _spf_sieve(limit):
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i::i][spf[i::i] == 0] = i
+    """Smallest prime factor of each 2 <= n <= limit, as a list indexed by n."""
+    spf = list(range(limit + 1))
+    root = math.isqrt(limit)
+    small = [p for p in range(2, root + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for p in reversed(small):  # a smaller prime overwrites a larger one
+        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
     return spf
 
 
@@ -565,7 +646,7 @@ def dirichlet_series_partial(lattice, x, D, s, B):
         rb = 1
         n = b
         while n > 1:
-            p = int(spf[n])
+            p = spf[n]
             e = 0
             while n % p == 0:
                 n //= p

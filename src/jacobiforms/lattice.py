@@ -6,20 +6,22 @@ invariants (rank, determinant, level, discriminant Delta).  One Bareiss pass
 gives the determinant and the leading principal minors; the level is read off
 G^{-1}.  The discriminant group L#/L is built on first use and put into
 canonical cyclic coordinates once, via the Smith normal form of the Gram
-matrix, as integer arrays (see `DiscriminantGroup`) from which pairings, the
-isotropy set and the Weil matrices are read off.  A `DiscElement` (equality
-is coordinate equality) is built only when asked for.
+matrix.  It is kept as the generators' pairing matrix and norms mod the level,
+in Python ints (see `DiscriminantGroup`), from which elements, pairings and
+indices are computed without numpy; the coordinate and beta arrays behind the
+isotropy set and the Weil matrices are built on their first use.  A
+`DiscElement` (equality is coordinate equality) is built only when asked for.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     DegenerateError,
     NonIntegralArgumentError,
@@ -62,6 +64,11 @@ def _bareiss(mat):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return minors, sign * prev
+
+
+def _matmul(a, b):
+    """Product of two integer matrices given as nested sequences, as lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def smith_normal_form(mat):
@@ -214,37 +221,58 @@ class FourierIndex:
 
 
 class DiscriminantGroup:
-    """L#/L as integer arrays fixed once from the Smith form of the Gram matrix.
+    """L#/L as integer data fixed once from the Smith form of the Gram matrix.
 
     With N the level and g_1..g_s the cyclic generators of orders `orders`:
-    `gram_mod` is A = N beta(g_i, g_j) mod N, `q` is q_i = N beta(g_i) mod N,
-    `coords` is the |G| x s array C of all coordinate vectors in lexicographic
-    order, and `beta_num` is N beta(x) = sum q_i c_i^2 + sum_{i<j} A_ij c_i c_j
-    mod N for each row.  So beta(x, y) = x A y^t / N mod 1.  A `DiscElement` is
-    built only when asked for, and then kept.
+    `gram_mod` is A = N beta(g_i, g_j) mod N and `q` is q_i = N beta(g_i) mod N,
+    both Python ints, so beta(x, y) = x A y^t / N mod 1 and N beta(x) = sum_i
+    c_i (q_i c_i + sum_{j>i} A_ij c_j) mod N.  Elements, pairings and indices
+    are computed from these in Python ints; a `DiscElement` is built only when
+    asked for, and then kept.  The array forms for bulk work are built on first
+    use: `coords`, the |G| x s array C of all coordinate vectors in
+    lexicographic order, and `beta_num`, N beta(x) mod N for each row.
     """
 
     def __init__(self, lattice):
         self.lattice = lattice
         diag, u, v = smith_normal_form(lattice.gram)
         # internal consistency: U G V = diag(d)
-        ugv = np.array(u, dtype=object) @ np.array(lattice.gram, dtype=object) @ np.array(v)
-        assert (ugv == np.diag(diag)).all()
+        n = lattice.rank
+        assert _matmul(_matmul(u, lattice.gram), v) == [
+            [diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         self.orders = tuple(d for d in diag if d > 1)
         self._positions = [i for i, d in enumerate(diag) if d > 1]
         # G^{-1} U^{-1} = V diag(d)^{-1}, so generator i is column i of V over d_i
         self._generators = [tuple(frac1(Fraction(row[pos], diag[pos])) for row in v)
                             for pos in self._positions]
         self._u = u
-        level, s, gens = lattice.level, len(self.orders), self._generators
-        self.gram_mod = np.array(
-            [[int(level * lattice.pairing(a, b)) % level for b in gens] for a in gens],
-            dtype=np.int64).reshape(s, s)
-        self.q = np.array([int(level * lattice.beta(a)) % level for a in gens], dtype=np.int64)
-        c = self.coords = np.indices(self.orders, dtype=np.int64).reshape(s, len(self)).T
-        upper = np.triu(self.gram_mod, 1) + np.diag(self.q)
-        self.beta_num = ((c @ upper % level) * c % level).sum(axis=1) % level
+        level, gens = lattice.level, self._generators
+        self.gram_mod = tuple(tuple(int(level * lattice.pairing(a, b)) % level for b in gens)
+                              for a in gens)
+        self.q = tuple(int(level * lattice.beta(a)) % level for a in gens)
         self._elements = {}
+
+    def _beta_numerator(self, c, start=0):
+        """N beta(x) mod N from the coordinates c_i of one class (ints) or of
+        every class (rows of C^t, with `start` a zero array)."""
+        level, a, q = self.lattice.level, self.gram_mod, self.q
+        s = len(q)
+        return sum((c[i] * ((q[i] * c[i] + sum(a[i][j] * c[j] for j in range(i + 1, s))) % level)
+                    for i in range(s)), start) % level
+
+    @cached_property
+    def coords(self):
+        s = len(self.orders)
+        return np.indices(self.orders, dtype=np.int64).reshape(s, len(self)).T
+
+    @cached_property
+    def beta_num(self):
+        return self._beta_numerator(self.coords.T, np.zeros(len(self), dtype=np.int64))
+
+    @cached_property
+    def _gram_array(self):
+        s = len(self.orders)
+        return np.array(self.gram_mod, dtype=np.int64).reshape(s, s)
 
     def _build_element(self, coords):
         rep = tuple(
@@ -252,11 +280,11 @@ class DiscriminantGroup:
             for j in range(self.lattice.rank)
         )
         order = math.lcm(*(d // math.gcd(d, c) for c, d in zip(coords, self.orders)))
-        beta = Fraction(int(self.beta_num[self.positions(coords)]), self.lattice.level)
+        beta = Fraction(self._beta_numerator(coords), self.lattice.level)
         return DiscElement(coords=coords, order=order, beta_mod1=beta, rep=rep)
 
     def positions(self, coords):
-        """Row of C holding the class of each integer coordinate vector (one, or an array)."""
+        """Row of C holding the class of each row of an integer coordinate array."""
         return np.ravel_multi_index(np.asarray(coords, dtype=np.int64).T, self.orders, mode="wrap")
 
     def __len__(self):
@@ -278,7 +306,11 @@ class DiscriminantGroup:
         return self._elements[coords]
 
     def index(self, x):
-        return int(self.positions(x.coords))
+        """Row of C holding x: its coordinates read in mixed radix."""
+        row = 0
+        for c, d in zip(x.coords, self.orders):
+            row = row * d + c
+        return row
 
     def neg(self, x):
         return self.element(tuple(-c for c in x.coords))
@@ -303,12 +335,18 @@ class DiscriminantGroup:
     def pairings(self, x):
         """N beta(y, x) mod N for every row y of C."""
         level = self.lattice.level
-        return self.coords @ (self.gram_mod @ np.array(x.coords, dtype=np.int64) % level) % level
+        return self.coords @ (self._gram_array @ np.array(x.coords, dtype=np.int64) % level) % level
+
+    def pairing_matrix(self):
+        """N beta(x, y) mod N for every pair of rows x, y of C."""
+        level = self.lattice.level
+        return self.coords @ self._gram_array % level @ self.coords.T % level
 
     def pairing_mod1(self, x, y):
         """beta(x, y) mod Z, independent of representatives."""
-        level = self.lattice.level
-        return Fraction(int(np.dot(x.coords, self.gram_mod @ y.coords % level)) % level, level)
+        num = sum(a * row[j] * b for a, row in zip(x.coords, self.gram_mod)
+                  for j, b in enumerate(y.coords))
+        return Fraction(num % self.lattice.level, self.lattice.level)
 
 
 # -- constructors / operations --------------------------------------------------
@@ -327,7 +365,7 @@ def make_lattice(gram):
     for row in rows:
         out = []
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
                 if isinstance(x, float) and x.is_integer():
                     x = int(x)
                 else:

@@ -10,8 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .eisenstein import (
     EisensteinSpec,
     eisenstein_coefficient_numeric,

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .eisenstein import trivial_coefficient_exact
 from .errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
 from .numbertheory import divisors, moebius
@@ -39,7 +38,7 @@ class RepMatrix:
     """Complex matrix over the canonical DiscElement ordering."""
 
     label: str
-    matrix: np.ndarray
+    matrix: "np.ndarray"
 
     def dual(self):
         """Entrywise conjugate; for a unitary representation this is rho*."""
@@ -71,8 +70,7 @@ def rho_generator(lattice, g):
     if g == "S":
         scalar = unit_phase(Fraction(-lattice.rank, 8)) / np.sqrt(lattice.det)
         table = np.array([scalar * z for z in _phase_table(level)])
-        c = group.coords
-        return RepMatrix(label="S", matrix=table[-(c @ group.gram_mod % level @ c.T) % level])
+        return RepMatrix(label="S", matrix=table[-group.pairing_matrix() % level])
     raise ValueError(f"unknown generator {g!r}")
 
 
@@ -98,7 +96,7 @@ def schrodinger_matrix(lattice, x, lam, mu, t):
     group = lattice.disc_group
     level = lattice.level
     n = len(group)
-    q_x = int(group.beta_num[group.index(x)])
+    q_x = int(level * x.beta_mod1)
     phases = np.array(_phase_table(level))[
         (mu % level * group.pairings(x) + (t - lam * mu) % level * q_x) % level
     ]

@@ -4,7 +4,8 @@ Nothing here reuses the coefficient pipelines it checks: the Cohen-style class
 number oracle goes through L-values and divisor sums only, the E8 oracle uses
 J_{k,E8} = M_{k-4}, the brute-force coset count walks a plain integer box, the
 representation-number oracle evaluates the quadratic polynomial at every point
-of (Z/b)^rank, and the Poincare oracle sums the defining series on a (tau, z)
+of (Z/b)^rank, the Hensel-node oracle does the same with the gradient on
+(Z/p)^rank in place of the closed form, and the Poincare oracle sums the defining series on a (tau, z)
 grid and Fourier-inverts it.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, and the case-formula oracle is the order-2/3/4/6 case
@@ -199,6 +200,29 @@ def rep_count_enumerate(lattice, x, D, b):
         for j in range(i + 1, rank):
             q = q + (gram[i][j] % b) * axes[i] * axes[j] % b
     return int(np.count_nonzero(q % b == 0))
+
+
+def zeros_mod_p_walk(gram, p, g, n, chunk=1 << 16):
+    """(nonsingular count, singular zeros) of Q(lambda) = beta(lambda) + g.lambda + n
+    on (Z/p)^rank, by evaluating Q and its gradient G lambda + g at every point,
+    in lexicographic order and in blocks of `chunk` points."""
+    rank = len(gram)
+    size = p**rank
+    # G lambda mod 2p gives beta(lambda) = lambda.G lambda / 2 mod p, even at p = 2
+    gram2 = np.array(gram, dtype=np.int64) % (2 * p)
+    gvec = np.array(g, dtype=np.int64)
+    nonsingular = 0
+    singular = []
+    for start in range(0, size, chunk):
+        idx = np.arange(start, min(start + chunk, size), dtype=np.int64)
+        lam = np.array(np.unravel_index(idx, (p,) * rank), dtype=np.int64)
+        glam = gram2 @ lam % (2 * p)
+        beta = (lam * glam).sum(axis=0) % (2 * p) // 2
+        zero = (beta + gvec @ lam + n) % p == 0
+        sing = zero & ~((glam + gvec[:, None]) % p).any(axis=0)
+        nonsingular += int(np.count_nonzero(zero)) - int(np.count_nonzero(sing))
+        singular.extend(tuple(v) for v in lam[:, sing].T.tolist())
+    return nonsingular, tuple(singular)
 
 
 def _beta_mod1(lattice, x):

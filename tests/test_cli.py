@@ -12,7 +12,22 @@ from jacobiforms.cli import main
 from jacobiforms.rationals import parse_rational
 
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
-DATA = Path(__file__).resolve().parent / "data"  # CLI outputs of the pre-shared-walk route
+DATA = Path(__file__).resolve().parent / "data"  # CLI outputs written before a refactor of that path
+# lattices of the golden-bytes runs that are not shipped in lattices/
+GOLDEN_GRAMS = {
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "E8": [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, -1],
+           [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+           [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]],
+    "square20": [[20, 0], [0, 20]],
+}
+
+
+def _golden_lattice(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "gram": GOLDEN_GRAMS[name]}))
+    return str(path)
 
 
 def _no_h_c(data, c):
@@ -58,6 +73,10 @@ class TestInfo:
         assert main(["info", "--lattice", str(path)]) == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "JSONDecodeError"
+
+    def test_output_matches_golden_bytes(self, tmp_path, capsys):
+        assert main(["info", "--lattice", _golden_lattice(tmp_path, "square20")]) == 0
+        assert capsys.readouterr().out == (DATA / "info_square20.txt").read_text()
 
     def test_invalid_lattice(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
@@ -124,6 +143,31 @@ class TestEisensteinCommand:
             )
             assert proc.returncode == 0, (path.name, proc.stderr)
 
+    def test_exact_path_never_loads_numpy(self, tmp_path):
+        # numpy is bound lazily: importing the package, reading lattices and exact
+        # expansions run in Python ints, and only array work executes numpy
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+        }
+        paths = [str(LATTICES / "a1.json"), str(LATTICES / "a2.json")]
+        paths += [_golden_lattice(tmp_path, name) for name in ("A3", "D4", "E8")]
+        script = (
+            "import os, sys\n"
+            "import jacobiforms\n"
+            "from jacobiforms import load_lattice_json\n"
+            "from jacobiforms.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    load_lattice_json(path)\n"
+            "    args = ['eisenstein', '--lattice', path, '-k', '8', '--mode', 'exact']\n"
+            "    assert main(args + ['-o', os.devnull]) == 0, path\n"
+            "print('numpy._core' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_over_limit_c_sum_exits_3(self, square2_path, capsys):
         code = main([
             "eisenstein", "--lattice", square2_path, "-k", "8", "-r", "0,0",
@@ -142,6 +186,16 @@ class TestEisensteinCommand:
         ])
         assert code == 0
         assert out_path.read_bytes() == (DATA / "eisenstein_a1_scaled4_k6_r4_numeric.json").read_bytes()
+
+    @pytest.mark.parametrize("name, k", [("A3", 8), ("D4", 6), ("E8", 10)])
+    def test_exact_output_matches_golden_bytes(self, name, k, tmp_path):
+        out_path = tmp_path / "out.json"
+        code = main([
+            "eisenstein", "--lattice", _golden_lattice(tmp_path, name), "-k", str(k),
+            "--mode", "exact", "--n-max", "3", "-o", str(out_path),
+        ])
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / f"eisenstein_{name}_k{k}_n3_exact.json").read_bytes()
 
     def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
         monkeypatch.setattr(expsums, "_h_c", _no_h_c)
@@ -249,6 +303,13 @@ class TestRepCommand:
         assert main(["rep", "--lattice", a1_path, "--word", "T,T^-1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["matrices"][0]["index"] == [[0], [1]]
+
+    def test_averaging_output_matches_golden_bytes(self, tmp_path):
+        out_path = tmp_path / "out.json"
+        code = main(["rep", "--lattice", str(LATTICES / "a1_scaled4.json"), "--avg", "4",
+                     "-o", str(out_path)])
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "rep_a1_scaled4_avg4.json").read_bytes()
 
     def test_format_option_rejected(self, a1_path, capsys):
         with pytest.raises(SystemExit) as exc:

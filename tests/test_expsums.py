@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from jacobiforms import (
     kloosterman,
     kloosterman_decomposition,
     local_factor,
+    make_lattice,
     poincare_lattice_sum,
     rep_count,
 )
@@ -35,7 +37,24 @@ from jacobiforms.expsums import (
 from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import factorize, zeta_float
 
-from oracles import rep_count_enumerate
+from oracles import rep_count_enumerate, zeros_mod_p_walk
+
+_A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+_D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+# Hensel nodes (G, p) of ranks 1-4: first with p prime to det, then with p | det,
+# where G mod p has a radical and g can lie outside im G.  The two with a zero
+# diagonal mod p make the elimination pivot on an off-diagonal entry.
+_NODE_FORMS = (
+    (((2,),), 3), (((8,),), 5), (((2, 1), (1, 2)), 5), (_A3, 7), (_D4, 5),
+    (((6, 1), (1, 6)), 3), (((2, 1), (1, 2)), 2), (_D4, 2),
+    (((6,),), 3), (((2, 1), (1, 2)), 3), (((20, 0), (0, 20)), 5), (((4, 1), (1, 6)), 23),
+    (((2, 0, 0), (0, 2, 0), (0, 0, 118)), 59), (((10, 1, 0), (1, 10, 5), (0, 5, 10)), 5),
+    (_A3, 2), (_D4, 3), (((6, 0, 0, 0), (0, 6, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6)), 3),
+)
+
+
+def _int_beta(gram, lam):
+    return sum(gram[i][j] * lam[i] * lam[j] for i in range(len(lam)) for j in range(len(lam))) // 2
 
 
 def _negative_supp(lattice, n_max=2):
@@ -244,7 +263,7 @@ class TestRepCount:
         checked = 0
         for lat in test_lattices + [a3, d4]:
             for idx in _negative_supp(lat):
-                for p in (2, 3, 5, 7):
+                for p in (2, 3, 5, 7, 11, 13):
                     e = 1
                     while p ** (e * lat.rank) <= 10**6:
                         key = RepCountKey(lattice=lat, x=idx.x, D=idx.D, b=p**e)
@@ -272,11 +291,18 @@ class TestRepCount:
         assert rep_count(key) == rep_count_enumerate(square2, x0, Fraction(-1), 2**6) * 5**5 * 4
 
     def test_resource_limit(self, square2, e8):
-        # each Hensel node walks (Z/p)^rank; the guard names p^rank
-        for lat, p in ((e8, 1009), (square2, 3163)):
+        # large primes cost nothing: at p = 1009 beta = 0 on E8 (unimodular, so
+        # chi = 1) has p^7 + (p - 1) p^3 zeros mod p, and at p = 3163 = 3 mod 4
+        # x^2 + y^2 = 0 has only the zero
+        for lat, p, expected in ((e8, 1009, 1009**7 + 1008 * 1009**3), (square2, 3163, 1)):
             key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-p), b=p)
-            with pytest.raises(ResourceLimitError, match=rf"p\^rank = {p}\^{lat.rank}"):
-                rep_count(key)
+            assert rep_count(key) == expected
+        # the guard counts listed singular zeros: diag(118, ..., 118) = 0 mod 59, so
+        # at x = 0, D = -59 every point of (Z/59)^4 is one
+        lat = make_lattice([[118 * (i == j) for j in range(4)] for i in range(4)])
+        key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-59), b=59)
+        with pytest.raises(ResourceLimitError, match=r"p\^k = 59\^4 = 12117361 singular zeros"):
+            rep_count(key)
 
     def test_prime_power_closed_forms_match_enumeration(self, a1, square2, a2):
         # ledger-required validation of the good-prime shortcut
@@ -290,6 +316,31 @@ class TestRepCount:
                         via_form = rep_count_prime_power(lat, x0, D, p, e)
                         via_enum = rep_count_enumerate(lat, x0, D, p**e)
                         assert via_form == via_enum, (lat.gram, D, p, e)
+
+
+class TestHenselNodes:
+    def test_closed_form_matches_walk_oracle(self):
+        rng = random.Random(20)
+        seen = {"outside im G": 0, "m = 0": 0, "m != 0": 0}
+        for gram, p in _NODE_FORMS:
+            rank = len(gram)
+            points = [tuple(v) for v in product(range(p), repeat=rank)]
+            image = {tuple(sum(a * b for a, b in zip(row, lam)) % p for row in gram)
+                     for lam in points}
+            nodes = []
+            for lam1 in rng.sample(points, min(len(points), 6)):
+                # g = G lam1: lambda0 = -lam1 solves G lambda0 = -g, and m = 0 exactly
+                # when n = beta(lam1) mod p
+                g = tuple(sum(a * b for a, b in zip(row, lam1)) % p for row in gram)
+                beta1 = _int_beta(gram, lam1)
+                nodes += [(g, beta1 % p), (g, (beta1 + rng.randrange(1, p)) % p)]
+            nodes += [(rng.choice(points), rng.randrange(p)) for _ in range(6)]
+            for g, n in nodes:
+                got = expsums._zeros_mod_p(gram, p, g, n)
+                assert got == zeros_mod_p_walk(gram, p, g, n), (gram, p, g, n)
+                if p > 2:
+                    seen["outside im G" if g not in image else "m = 0" if got[1] else "m != 0"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestLocalFactor:
@@ -353,6 +404,10 @@ class TestDirichletSeries:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
             product *= float(local_factor(a1, x0, D, p, s))
         assert partial == pytest.approx(product, rel=1e-4)
+
+    def test_sieve_gives_smallest_prime_factors(self):
+        spf = expsums._spf_sieve(5000)
+        assert all(spf[n] == factorize(n)[0][0] for n in range(2, 5001))
 
     def test_domain_guard(self, a1):
         with pytest.raises(ValueError):
