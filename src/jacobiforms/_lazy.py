@@ -1,11 +1,11 @@
 """numpy, executed on its first attribute use.
 
 Exact requests (lattice validation, the discriminant form, trivial Eisenstein
-coefficients) run in Python ints, and importing numpy would cost about as much
-as such a request.  Every module binds numpy as `from ._lazy import np`; this is
-the stdlib `importlib.util.LazyLoader` recipe, so binding it runs nothing and the
-first read such as `np.array` executes numpy.  Any plain `import numpy` loads it
-at once, so the package never writes one.
+coefficients) run in Python ints and should not pay for numpy's import.  Every
+module binds numpy as `from ._lazy import np`; this is the stdlib
+`importlib.util.LazyLoader` recipe, so binding it runs nothing and the first
+read such as `np.array` executes numpy.  Any plain `import numpy` loads it at
+once, so the package never writes one.
 """
 
 import importlib.util
