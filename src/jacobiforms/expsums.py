@@ -2,18 +2,21 @@
 lattice sums H, representation numbers R_b, local Euler factors and the
 truncated Dirichlet series.
 
-Two evaluation routes coexist on purpose.  The definitional route sums the
-lattice sums term by term with exact rational phases (deterministic order:
-d ascending, lambda lexicographic).  The series route rewrites H through
-Kloosterman sums: for each c it walks (Z/c)^rank in bounded blocks to form
-acc[t] = sum of e(pint(lambda)/c) over n1(lambda) = t mod c, and since
-K(m, t; c) = sum_u e((m u^-1 + t u)/c), H needs one length-c FFT of acc, read
-at the units.  Within one expansion (D, r) is fixed, so n1 is shared by every
-target (D', r'): inside `shared_targets` the walk runs once per c for the whole
-expansion, with one acc and one FFT per distinct G r' and one read-out per
-target, into a table z[target, c] that each coefficient's c-sum reads.  A lone
-coefficient is the one-target case.  The two routes are asserted against each
-other in the tests.
+The lattice sums have three routes.  The definitional route sums H term by
+term with exact rational phases (deterministic order: d ascending, lambda
+lexicographic).  The walk `lattice_sum_fft` rewrites H through Kloosterman
+sums: it walks (Z/c)^rank in bounded blocks to form acc[t] = sum of
+e(pint(lambda)/c) over n1(lambda) = t mod c, and since K(m, t; c) =
+sum_u e((m u^-1 + t u)/c), H needs one length-c FFT of acc, read at the
+units.  These two are the oracles.  The series route, `_h_table`, splits c =
+c_g c_b by CRT, c_b made of the primes of 2 det and c_g prime to it: H_c =
+e(beta(r', r)/c) K W, with K a Kloosterman sum (even rank) or Salie sum (odd
+rank) mod c_g in closed form from the Weil representation, and W the walk at
+modulus c_b on arguments scaled by c_g^-1 mod c_b, once per distinct key
+(c_b, c_g^-1 mod c_b).  Within one expansion (D, r) is fixed, so inside
+`shared_targets` one table z[target, c] serves every target (D', r') of the
+expansion, and each coefficient's c-sum reads its row; a lone coefficient is
+the one-target case.  The routes are asserted against each other in the tests.
 
 Representation numbers R_b count the zeros mod b of the integral polynomial
 Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
@@ -22,14 +25,15 @@ nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p.  Each node is
 counted in closed form at odd p, from a symmetric elimination of G mod p and
 the classical count of a nondegenerate form's values, and by a walk of
-(Z/2)^rank at p = 2; only its singular zeros are listed.  The LRU cache on
+(Z/2)^rank at p = 2; its singular zeros are listed only where they recurse,
+at e >= 2, and e = 1 takes the count alone.  The LRU cache on
 that recursion is the one memo of R_b: `rep_count`, the stable profiles
 behind the local factors and the bad-prime counts of the Dirichlet series all
 read through it.  A node that would list more than NODE_POINT_LIMIT points
 raises ResourceLimitError before allocating.  The brute-force count over
 (Z/b)^rank and the walk of (Z/p)^rank at every node stay in the tests as
 oracles.  This part, like the Dirichlet series, runs in Python ints; numpy
-loads only for the H_c walks.
+loads only for the H_c series.
 """
 
 import math
@@ -96,6 +100,22 @@ class _SumData:
     def pint(self, lam):
         """Integer part of beta(r', lambda + r): (G r') . lambda, for the first target."""
         return sum(g * v for g, v in zip(self.gps[0], lam))
+
+    def scaled(self, a):
+        """The data whose `_h_c` is sum_d sum_lambda e(a (d^-1 n1 + d m + pint) / c) per target.
+
+        With d -> a^-1 d the sum is H_c of n1 times a^2, every G r' times a,
+        m unchanged and no phase e(p0/c); `_h_table` walks it at c = c_b.
+        """
+        a2 = a * a
+        return _SumData(
+            gram=tuple(tuple(a2 * v for v in row) for row in self.gram),
+            rank=self.rank,
+            n0=a2 * self.n0,
+            gx=tuple(a2 * v for v in self.gx),
+            gps=tuple(tuple(a * v for v in gp) for gp in self.gps),
+            targets=tuple((g, np0, Fraction(0)) for g, np0, _ in self.targets),
+        )
 
 
 def _sum_data(lattice, D, r, targets):
@@ -202,10 +222,13 @@ def kloosterman_decomposition(lattice, D, r, Dp, rp, c):
     return total
 
 
-# -- lattice sums (FFT series route) ----------------------------------------------
+# -- lattice sums (the walk, and the series table) -------------------------------
 
-# A c-sum over more than H_POINT_LIMIT points in all is refused before its first
-# term, naming its cost; 5e8 admits rank 2 at the default c_max = 1000 (3.3e8).
+# A c-sum whose walks cover more than H_POINT_LIMIT points in all is refused
+# before its first walk, naming its cost.  The table walks only (Z/c_b)^rank per
+# distinct key, so 5e8 admits A3 at the default c_max = 1000 and refuses D4
+# there (c_b = 512 alone is 6.9e10 points); `lattice_sum_fft` counts
+# sum_{c' <= c} c'^rank, the c-sum that its walk of every c would cost.
 H_POINT_LIMIT = 5 * 10**8
 
 
@@ -247,6 +270,20 @@ def _lambda_profile(data, c):
         walk = None  # the recursive closure is a reference cycle: break it to free the tables now
 
 
+def _unit_array(c):
+    """The units u of Z/c ascending, as an array; u = 0 alone at c = 1."""
+    return np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+
+
+def _inverses(units, c):
+    """u^-1 mod c for the array of all units u of Z/c."""
+    inv, base, e = np.ones_like(units), units, len(units) - 1
+    while e:  # u^-1 = u^(phi(c) - 1) mod c, by square-and-multiply over all units at once
+        inv = inv * base % c if e & 1 else inv
+        base, e = base * base % c, e >> 1
+    return inv
+
+
 def _h_c(data, c):
     """H_{L,c} at every target of data, as a list in target order.
 
@@ -263,20 +300,18 @@ def _h_c(data, c):
             re[g] = re[g] + np.bincount(n1, roots.real[pint], c)
             im[g] = im[g] + np.bincount(n1, roots.imag[pint], c)
             del pint  # before the next G r' builds its block
-    units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    units = _unit_array(c)
+    inv = _inverses(units, c)
     a_hat = [np.fft.ifft(x + 1j * y, norm="forward")[units] for x, y in zip(re, im)]
-    inv, base, e = np.ones_like(units), units, len(units) - 1
-    while e:  # u^-1 = u^(phi(c) - 1) mod c, by square-and-multiply over all units at once
-        inv = inv * base % c if e & 1 else inv
-        base, e = base * base % c, e >> 1
     return [unit_phase(p0 / c) * complex(np.dot(roots[np0 % c * inv % c], a_hat[g]))
             for g, np0, p0 in data.targets]
 
 
 def lattice_sum_fft(lattice, D, r, Dp, rp, c):
-    """H_{L,c}(D, r, D', r') by the series route (within ~1e-10 of the definitional one).
+    """H_{L,c}(D, r, D', r') by the walk of (Z/c)^rank (within ~1e-10 of the definitional route).
 
-    Refused when the c-sum ending at c would be, which also bounds every per-c table.
+    The oracle of `_h_table` at every c.  Refused when a walk of every c' <= c
+    would be, which also bounds every per-c table.
     """
     c = int(c)
     if c < 1:
@@ -301,8 +336,8 @@ _SHARED = ContextVar("expsums_shared_targets", default=None)
 @contextmanager
 def shared_targets(targets):
     """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
-    from one table z[target, c] for all of them, built at the first term with one
-    walk of (Z/c)^rank per c and dropped on exit."""
+    from one table z[target, c] for all of them, built at the first term with
+    one walk per key (c_b, a') of `_h_table` and dropped on exit."""
     token = _SHARED.set(_Shared(tuple(targets)))
     try:
         yield
@@ -310,13 +345,114 @@ def shared_targets(targets):
         _SHARED.reset(token)
 
 
+def _split(c, bad):
+    """(c_g, c_b): c = c_g c_b with c_b made of the primes dividing `bad`, c_g prime to it."""
+    c_b, g = 1, math.gcd(c, bad)
+    while g > 1:
+        c, c_b = c // g, c_b * g
+        g = math.gcd(c, g)
+    return c, c_b
+
+
+def _check_walks(rank, c_max, keys):
+    points = sum(c_b**rank for c_b, _ in keys)
+    if points > H_POINT_LIMIT:
+        raise ResourceLimitError(
+            f"H_c for c <= {c_max} walks (Z/c_b)^{rank} once per key (c_b, c_g^-1 mod c_b) "
+            f"with c_b > 1: {len(keys)} keys, {points} points, over the limit of {H_POINT_LIMIT}")
+
+
+def _jacobi_symbols(units, m):
+    """The Jacobi symbol (u/m) at every unit u of an odd m."""
+    out = np.ones(len(units), dtype=np.int64)
+    for p, e in factorize(m):
+        if e % 2:
+            table = -np.ones(p, dtype=np.int64)
+            table[np.arange(1, p) ** 2 % p] = 1
+            out *= table[units % p]
+    return out
+
+
+def _closed_form(lattice, D, data, dps):
+    """at(m)(c_b): the factor K of H_c, c = m c_b, from the part m prime to 2 det, per target.
+
+    With a = c_b^-1 mod m and n = rank, the Weil representation gives
+      K = eps_m^n m^(n/2) (det/m) (2/m)^n
+          sum_{d in (Z/m)*} ((a d)/m)^n e(-a (D d^-1 + D' d + beta(r', r)) / m),
+    eps_m = 1 for m = 1 mod 4, else i: a Kloosterman sum at even rank and a
+    Salie sum at odd rank.  (Complete the square in lambda: L/mL = L#/mL# at
+    m prime to det, and the Gauss sum of beta mod m is the product of the
+    one-dimensional ones over a diagonalization.)  D, D' and beta(r', r) are
+    held as N times integers, N their common denominator, which is prime to
+    m.  Only D' varies the d-phase across targets, so one length-m FFT of
+    d -> ((a d)/m)^n e(-a D d^-1 / m) is read at -a D' for every target; it
+    depends on c_b only through -a D mod m, so at D = 0 one FFT serves every
+    c_b of m.
+    """
+    rank, det, n_targets = lattice.rank, lattice.det, len(dps)
+    p0s = [p0 for _, _, p0 in data.targets]
+    big_n = math.lcm(*(q.denominator for q in [Fraction(D), *dps, *p0s]))
+    nd = int(D * big_n)
+    ndp = np.array([int(q * big_n) for q in dps], dtype=np.int64)
+    np0 = np.array([int(q * big_n) for q in p0s], dtype=np.int64)
+
+    def at(m):
+        if m == 1:
+            return lambda c_b: np.ones(n_targets, dtype=complex)
+        units = _unit_array(m)
+        inv = _inverses(units, m) if nd % m else None  # D = 0 mod m needs no d^-1
+        roots = np.exp((2j * np.pi / m) * np.arange(m))
+        chi = _jacobi_symbols(units, m) if rank % 2 else 1
+        eps = (1, 1j, -1, -1j)[rank % 4] if m % 4 == 3 else 1
+        scale = eps * kronecker(det, m) * kronecker(2, m) ** rank * m ** (rank / 2)
+        ffts = {}
+
+        def k(c_b):
+            s = m - pow(c_b * big_n, -1, m)  # -a / N mod m
+            t = s * nd % m
+            if t not in ffts:
+                f = np.zeros(m, dtype=complex)
+                f[units] = roots[t * inv % m] * chi if t else chi
+                ffts[t] = np.fft.ifft(f, norm="forward")  # [x] -> sum_d f[d] e(x d / m)
+            sign = kronecker(c_b, m) if rank % 2 else 1
+            return (sign * scale) * roots[s * (np0 % m) % m] * ffts[t][s * (ndp % m) % m]
+
+        return k
+
+    return at
+
+
 def _h_table(lattice, D, r, targets, c_max):
-    """z[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first walk."""
+    """z[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first walk.
+
+    Split c = c_g c_b with c_b | (2 det)^oo and c_g prime to 2 det.  By CRT on
+    (d, lambda), H_c = e(beta(r', r)/c) K W: K is `_closed_form` at m = c_g,
+    and W is `_h_c` at modulus c_b on the data scaled by a' = c_g^-1 mod c_b,
+    walked once per key (c_b, a') in order of first c and never where c_b = 1
+    (W = 1 there).  The point limit counts the walks of the distinct keys only.
+    The closed form runs grouped by c_g, so its tables mod c_g are built once.
+    """
     data = _sum_data(lattice, D, r, targets)
-    _check_points(data.rank, c_max)
+    split = [_split(c, 2 * lattice.det) for c in range(1, c_max + 1)]
+    walks = dict.fromkeys((c_b, pow(c_g, -1, c_b)) for c_g, c_b in split if c_b > 1)
+    _check_walks(data.rank, c_max, walks)
+    for c_b, a in walks:
+        walks[c_b, a] = np.array(_h_c(data.scaled(a), c_b))
+    closed_form = _closed_form(lattice, D, data, [Fraction(Dp) for Dp, _ in targets])
+    p0s = sorted({p0 for _, _, p0 in data.targets})
+    p0_row = np.array([p0s.index(p0) for _, _, p0 in data.targets])
     table = np.empty((len(targets), c_max), dtype=complex)
-    for c in range(1, c_max + 1):
-        table[:, c - 1] = _h_c(data, c)
+    by_m = {}
+    for c_g, c_b in split:
+        by_m.setdefault(c_g, []).append(c_b)
+    for c_g, c_bs in by_m.items():
+        k = closed_form(c_g)
+        for c_b in c_bs:
+            c = c_g * c_b
+            h = np.array([unit_phase(p0 / c) for p0 in p0s])[p0_row] * k(c_b)
+            if c_b > 1:
+                h = h * walks[c_b, pow(c_g, -1, c_b)]
+            table[:, c - 1] = h
     return table
 
 
@@ -422,23 +558,42 @@ def _form_count(coeffs, m, p):
     return p ** (s - 1) + p ** ((s - 1) // 2) * kronecker(disc * m, p)
 
 
+def _odd_node(gram, p, g, n):
+    """(number of zeros of Q mod an odd prime p, singular zeros) for Q(lambda) =
+    beta(lambda) + g.lambda + n, g and n reduced mod p; the singular zeros are
+    lambda0 + R, given as (lambda0, basis of R), or None when there are none.
+
+    In closed form from a symmetric elimination of G mod p with radical R of
+    dimension k.  If g is not in im G = R^perp, Q is a nonconstant linear
+    function along some v in R, so each line in that direction holds one zero
+    and none is singular: p^(rank-1).  Otherwise G lambda0 = -g and
+    Q(lambda0 + mu) = beta(mu) - m with m = -Q(lambda0); beta is the form
+    sum (pivot_i / 2) y_i^2 of rank s = rank - k plus zero on R, so there are
+    p^k N_s(m) zeros, and the singular ones, grad Q = G mu = 0, are
+    lambda0 + R when m = 0 and none otherwise.
+    """
+    rank = len(gram)
+    pivots, basis = _diagonalize_mod_p(gram, p)
+    s = len(pivots)
+    h = [sum(a * b for a, b in zip(vec, g)) % p for vec in basis]
+    if any(h[s:]):
+        return p ** (rank - 1), None
+    y = [-hi * pow(piv, -1, p) % p for hi, piv in zip(h, pivots)]
+    lam0 = [sum(yi * vec[j] for yi, vec in zip(y, basis)) % p for j in range(rank)]
+    m = -(_int_beta(gram, lam0) + sum(a * b for a, b in zip(g, lam0)) + n) % p
+    half = pow(2, -1, p)
+    total = p ** (rank - s) * _form_count([piv * half % p for piv in pivots], m, p)
+    return total, None if m else (lam0, basis[s:])
+
+
 @lru_cache(maxsize=4096)
 def _zeros_mod_p(gram, p, g, n):
     """Zeros of Q(lambda) = beta(lambda) + g.lambda + n on (Z/p)^rank.
 
     g and n are reduced mod p.  Returns (number of nonsingular zeros, tuple of
     the singular ones in lexicographic order), a zero being singular when
-    grad Q = G lambda + g = 0 mod p.
-
-    At odd p, in closed form from a symmetric elimination of G mod p with
-    radical R of dimension k.  If g is not in im G = R^perp, Q is a nonconstant
-    linear function along some v in R, so each line in that direction holds
-    one zero and none is singular: p^(rank-1).  Otherwise G lambda0 = -g and
-    Q(lambda0 + mu) = beta(mu) - m with m = -Q(lambda0); beta is the form
-    sum (pivot_i / 2) y_i^2 of rank s = rank - k plus zero on R, so there are
-    p^k N_s(m) zeros, and the singular ones, grad Q = G mu = 0, are
-    lambda0 + R when m = 0 and none otherwise.  At p = 2, where beta does not
-    diagonalise, the node walks (Z/2)^rank.
+    grad Q = G lambda + g = 0 mod p.  At odd p from `_odd_node`; at p = 2,
+    where beta does not diagonalise, the node walks (Z/2)^rank.
     """
     rank = len(gram)
     if p == 2:
@@ -452,19 +607,10 @@ def _zeros_mod_p(gram, p, g, n):
             else:
                 singular.append(lam)
         return nonsingular, tuple(singular)
-    pivots, basis = _diagonalize_mod_p(gram, p)
-    s = len(pivots)
-    h = [sum(a * b for a, b in zip(vec, g)) % p for vec in basis]
-    if any(h[s:]):
-        return p ** (rank - 1), ()
-    y = [-hi * pow(piv, -1, p) % p for hi, piv in zip(h, pivots)]
-    lam0 = [sum(yi * vec[j] for yi, vec in zip(y, basis)) % p for j in range(rank)]
-    m = -(_int_beta(gram, lam0) + sum(a * b for a, b in zip(g, lam0)) + n) % p
-    half = pow(2, -1, p)
-    total = p ** (rank - s) * _form_count([piv * half % p for piv in pivots], m, p)
-    if m:
+    total, coset = _odd_node(gram, p, g, n)
+    if coset is None:
         return total, ()
-    radical = basis[s:]
+    lam0, radical = coset
     _check_node(p, f"lists p^k = {p}^{len(radical)}", p ** len(radical), "singular zeros")
     singular = sorted(
         tuple((l0 + sum(t * vec[j] for t, vec in zip(ts, radical))) % p for j, l0 in enumerate(lam0))
@@ -473,23 +619,32 @@ def _zeros_mod_p(gram, p, g, n):
     return total - len(singular), tuple(singular)
 
 
+def _zero_count_mod_p(gram, p, g, n):
+    """#{lambda mod p : Q(lambda) = 0}, singular zeros included but never listed at odd p."""
+    if p == 2:
+        nonsingular, singular = _zeros_mod_p(gram, p, g, n)
+        return nonsingular + len(singular)
+    return _odd_node(gram, p, g, n)[0]
+
+
 @lru_cache(maxsize=1 << 16)
 def _hensel_count(gram, p, g, n, e):
     """#{lambda mod p^e : beta(lambda) + g.lambda + n = 0 mod p^e}, g and n reduced mod p^e.
 
     With Q(lambda0 + p mu) = Q(lambda0) + p grad Q(lambda0).mu + p^2 beta(mu)
     (exact, beta integral on L), a zero lambda0 mod p is counted as:
-    nonsingular -> p^((e-1)(rank-1)) lifts; singular at e = 1 -> 1; singular
-    with p^2 | Q(lambda0) -> p^rank times the count of the reduced form
-    (grad/p, Q/p^2) mod p^(e-2); any other singular zero -> none.
+    nonsingular -> p^((e-1)(rank-1)) lifts; singular at e = 1 -> 1, so e = 1
+    is the count of zeros mod p and lists none; singular with p^2 | Q(lambda0)
+    -> p^rank times the count of the reduced form (grad/p, Q/p^2) mod p^(e-2);
+    any other singular zero -> none.
     """
     if e == 0:
         return 1
+    if e == 1:
+        return _zero_count_mod_p(gram, p, tuple(v % p for v in g), n % p)
     rank = len(gram)
     nonsingular, singular = _zeros_mod_p(gram, p, tuple(v % p for v in g), n % p)
     total = nonsingular * p ** ((e - 1) * (rank - 1))
-    if e == 1:
-        return total + len(singular)
     sub = p ** (e - 2)
     for lam in singular:
         value = _int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n

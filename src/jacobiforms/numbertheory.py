@@ -5,7 +5,8 @@ Gamma at half-integers and J-Bessel evaluation.
 All arithmetic that feeds exact coefficient formulas returns
 `fractions.Fraction`; only the Bessel/zeta helpers are floating point.  Those
 take small-argument Bessel values from the float power series and everything
-else from mpmath, imported on first use; arguments stay below BESSEL_X_MAX.
+else from mpmath, imported on first use, memoized per (alpha, x); arguments
+stay below BESSEL_X_MAX.
 """
 
 import math
@@ -260,13 +261,16 @@ def _bessel_series_float(alpha, x):
             return total
 
 
+@lru_cache(maxsize=1 << 16)
 def bessel_j(alpha, x):
     """J-Bessel function of integer or half-integer index alpha >= 0.
 
     Up to x = 1.5 the defining power series is summed in floats with
     term-ratio stopping; past that, where the series cancels, the value is
     mpmath.besselj.  The relative error stays below 1e-12 on x in (0, 60];
-    OutOfRange is raised beyond 60, where the contract ends.
+    OutOfRange is raised beyond 60, where the contract ends.  Memoized on
+    (alpha, x): a Poincare expansion meets each J_alpha(4 pi sqrt(D D') / c)
+    once per target sharing D D', and every repeat returns the same float.
     """
     alpha = Fraction(alpha)
     if alpha < 0 or (2 * alpha).denominator != 1:

@@ -3,9 +3,10 @@ coefficients (delta terms plus the Bessel-weighted c-series) and truncated
 expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
 
 The c-sum, its guards and the expansion loop are Eisenstein's
-(`_series_coefficient`, `_series_expansion`, which shares one walk of
-(Z/c)^rank per c across the expansion); this module supplies the prefactor,
-the Bessel weight and the tail bound.
+(`_series_coefficient`, `_series_expansion`, which shares one H_c table across
+the expansion: closed form on the part of c prime to 2 det, a walk per key
+(c_b, c_g^-1 mod c_b) on the rest); this module supplies the prefactor, the
+Bessel weight (memoized per argument) and the tail bound.
 """
 
 import math

@@ -19,6 +19,7 @@ from .eisenstein import (
 )
 from .expsums import (
     RepCountKey,
+    _h_table,
     good_prime_factor,
     kloosterman_decomposition,
     lattice_sum_fft,
@@ -54,8 +55,11 @@ def _check_kloosterman_decomposition():
             h = poincare_lattice_sum(lat, i1.D, i1.x, i2.D, i2.x, c)
             kd = kloosterman_decomposition(lat, i1.D, i1.x, i2.D, i2.x, c)
             ff = lattice_sum_fft(lat, i1.D, i1.x, i2.D, i2.x, c)
+            # the series table: closed form on the part of c prime to 2 det
+            tab = _h_table(lat, i1.D, i1.x, [(i2.D, i2.x)], c)[0, c - 1]
             assert abs(h - kd) < 1e-9, (i1, i2, c, h, kd)
             assert abs(h - ff) < 1e-9, (i1, i2, c, h, ff)
+            assert abs(h - tab) < 1e-9, (i1, i2, c, h, tab)
 
 
 def _check_multiplicativity():

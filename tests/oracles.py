@@ -5,8 +5,9 @@ number oracle goes through L-values and divisor sums only, the E8 oracle uses
 J_{k,E8} = M_{k-4}, the brute-force coset count walks a plain integer box, the
 representation-number oracle evaluates the quadratic polynomial at every point
 of (Z/b)^rank, the Hensel-node oracle does the same with the gradient on
-(Z/p)^rank in place of the closed form, and the Poincare oracle sums the defining series on a (tau, z)
-grid and Fourier-inverts it.  The Weil-representation oracles build rho(T),
+(Z/p)^rank in place of the closed form, the Poincare oracle sums the defining series on a (tau, z)
+grid and Fourier-inverts it, and the walk keys of the H_c table are read off
+the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, and the case-formula oracle is the order-2/3/4/6 case
 analysis of the averaging identity, each in place of the integer discriminant
@@ -223,6 +224,19 @@ def zeros_mod_p_walk(gram, p, g, n, chunk=1 << 16):
         nonsingular += int(np.count_nonzero(zero)) - int(np.count_nonzero(sing))
         singular.extend(tuple(v) for v in lam[:, sing].T.tolist())
     return nonsingular, tuple(singular)
+
+
+def walk_keys(det, c_max):
+    """The keys (c_b, (c / c_b)^-1 mod c_b) with c_b > 1 of the c <= c_max, in order of
+    first appearance; c_b is the part of c made of the primes dividing 2 det, read
+    off the factorization of c."""
+    bad = {p for p, _ in factorize(2 * det)}
+    keys = {}
+    for c in range(1, c_max + 1):
+        c_b = math.prod(p**e for p, e in factorize(c) if p in bad)
+        if c_b > 1:
+            keys.setdefault((c_b, pow(c // c_b, -1, c_b)), None)
+    return list(keys)
 
 
 def _beta_mod1(lattice, x):

@@ -11,6 +11,8 @@ from jacobiforms import expsums
 from jacobiforms.cli import main
 from jacobiforms.rationals import parse_rational
 
+from oracles import walk_keys
+
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 DATA = Path(__file__).resolve().parent / "data"  # CLI outputs written before a refactor of that path
 # lattices of the golden-bytes runs that are not shipped in lattices/
@@ -168,15 +170,17 @@ class TestEisensteinCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    def test_over_limit_c_sum_exits_3(self, square2_path, capsys):
+    def test_over_limit_c_sum_exits_3(self, tmp_path, capsys, monkeypatch):
+        # D4 at c <= 1000 still walks (Z/c_b)^4 at c_b | 8^oo: refused before the first walk
+        monkeypatch.setattr(expsums, "_h_c", _no_h_c)
         code = main([
-            "eisenstein", "--lattice", square2_path, "-k", "8", "-r", "0,0",
-            "--mode", "numeric", "--n-max", "1", "--c-max", "2000",
+            "eisenstein", "--lattice", _golden_lattice(tmp_path, "D4"), "-k", "8",
+            "--mode", "numeric", "--n-max", "1", "--c-max", "1000",
         ])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceLimitError"
-        assert str(sum(c**2 for c in range(1, 2001))) in err["message"]
+        assert str(sum(c_b**4 for c_b, _ in walk_keys(4, 1000))) in err["message"]
 
     def test_numeric_output_matches_golden_bytes(self, tmp_path):
         out_path = tmp_path / "out.json"

@@ -22,7 +22,12 @@ from jacobiforms import expsums
 from jacobiforms.lattice import FourierIndex
 from jacobiforms.rationals import parse_rational
 
-from oracles import brute_coset_counts, e8_trivial_coefficient, eichler_zagier_coefficient
+from oracles import (
+    brute_coset_counts,
+    e8_trivial_coefficient,
+    eichler_zagier_coefficient,
+    walk_keys,
+)
 
 
 class TestThetaCoefficients:
@@ -284,6 +289,8 @@ class TestSharedWalk:
             assert expansion.entries[idx] == lone, idx
 
     def test_expansion_walks_once_per_c(self, a1_scaled4, monkeypatch):
+        # one walk per key (c_b, c_g^-1 mod c_b) for all 16 coefficients, and none
+        # at a c prime to 2 det = 16: the odd c are all closed form
         walks = []
         profile = expsums._lambda_profile
 
@@ -295,4 +302,4 @@ class TestSharedWalk:
         spec = EisensteinSpec(lattice=a1_scaled4, k=10, r=a1_scaled4.disc_group.element((4,)))
         expansion = eisenstein_expansion(spec, 2, "numeric", c_max=40)
         assert sum(idx.D < 0 for idx in expansion.entries) == 16
-        assert walks == list(range(1, 41))
+        assert walks == [c_b for c_b, _ in walk_keys(8, 40)] == [2, 4, 8, 4, 16, 8, 32, 8]

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -37,7 +37,7 @@ from jacobiforms.expsums import (
 from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import factorize, zeta_float
 
-from oracles import rep_count_enumerate, zeros_mod_p_walk
+from oracles import rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
 _A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 _D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
@@ -217,18 +217,72 @@ class TestSeriesGuard:
         assert len({idx.x for idx in _negative_supp(square2, 1)}) == 4
         assert expansion <= 1.25 * one, (expansion, one)
 
-    def test_over_limit_expansion_fails_before_the_first_term(self, a3, monkeypatch):
+    def test_over_limit_expansion_fails_before_the_first_term(self, a3, d4, monkeypatch):
+        class FirstWalk(Exception):
+            pass
+
         def no_terms(data, c):
-            raise AssertionError("an H_c term was computed")
+            raise FirstWalk
 
         monkeypatch.setattr(expsums, "_h_c", no_terms)
-        points = sum(c**3 for c in range(1, 1001))
+        # the table walks (Z/c_b)^rank once per key; D4 (2 det = 8) at c <= 1000
+        # still walks c_b = 512 alone at 512^4 points, so it is refused first
+        points = sum(c_b**4 for c_b, _ in walk_keys(d4.det, 1000))
         assert points > H_POINT_LIMIT
-        spec = EisensteinSpec(lattice=a3, k=10, r=a3.disc_group.zero)
+        spec = EisensteinSpec(lattice=d4, k=10, r=d4.disc_group.zero)
         with pytest.raises(ResourceLimitError, match=str(points)):
             eisenstein_expansion(spec, 1, "numeric", c_max=1000)
+        # A3 (2 det = 8) at c <= 1000 is admitted and reaches its first walk
+        assert sum(c_b**3 for c_b, _ in walk_keys(a3.det, 1000)) <= H_POINT_LIMIT
+        with pytest.raises(FirstWalk):
+            eisenstein_expansion(EisensteinSpec(lattice=a3, k=10, r=a3.disc_group.zero), 1,
+                                 "numeric", c_max=1000)
         with pytest.raises(ResourceLimitError, match=str(sum(c**3 for c in range(1, 2001)))):
             lattice_sum_fft(a3, -1, a3.disc_group.zero, -1, a3.disc_group.zero, 2000)
+
+
+# the lattices of the closed-form checks, with the c they run to: every c <= 60
+# at ranks 1-2 and <= 30 at ranks 3-4, c = 12, 24, 36 mixed wherever they occur
+_CLOSED_FORM_LATTICES = (
+    ([[2]], 60), ([[6]], 60), ([[8]], 60), ([[2, 1], [1, 2]], 60), ([[2, 0], [0, 2]], 60),
+    ([[4, 1], [1, 6]], 60), (_A3, 30), (_D4, 30),
+)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("gram, c_max", _CLOSED_FORM_LATTICES)
+    def test_table_matches_walk_and_definition(self, gram, c_max):
+        # H_c = e(beta(r', r)/c) K W: K in closed form on the part of c prime to
+        # 2 det, W walked on the rest; against the whole walk of lattice_sum_fft
+        # at every c and the (d, lambda) double sum where it is small
+        lat = make_lattice(gram)
+        rng = random.Random(len(gram) * 100 + c_max)
+        supp = _negative_supp(lat, 2)
+        nonzero = [idx for idx in supp if idx.x != lat.disc_group.zero]
+        sources = [(Fraction(0), lat.disc_group.zero), (supp[0].D, supp[0].x),
+                   (nonzero[0].D, nonzero[0].x)]
+        targets = [(idx.D, idx.x) for idx in [nonzero[-1]] + rng.sample(supp, 2)]
+        assert any(D != 0 for D, _ in sources) and any(r != lat.disc_group.zero for _, r in sources)
+        for D, r in sources:
+            table = expsums._h_table(lat, D, r, targets, c_max)
+            for row, (Dp, rp) in enumerate(targets):
+                for c in range(1, c_max + 1):
+                    want = lattice_sum_fft(lat, D, r, Dp, rp, c)
+                    assert table[row, c - 1] == pytest.approx(want, rel=1e-10, abs=1e-10), (D, r, Dp, rp, c)
+        # the double sum costs phi(c) c^rank phases: one pair, the small c and c = 12
+        (D, r), (Dp, rp) = sources[2], targets[0]
+        table = expsums._h_table(lat, D, r, [(Dp, rp)], c_max)
+        for c in {c for c in range(1, c_max + 1) if c ** (lat.rank + 1) <= 3 * 10**4} | {12}:
+            want = poincare_lattice_sum(lat, D, r, Dp, rp, c)
+            assert table[0, c - 1] == pytest.approx(want, rel=1e-10, abs=1e-10), c
+
+    def test_mixed_c_split(self):
+        # c_b collects the primes of 2 det, c_g the rest
+        assert expsums._split(12, 6) == (1, 12)
+        assert expsums._split(24, 4) == (3, 8)
+        assert expsums._split(36, 16) == (9, 4)
+        assert expsums._split(35, 6) == (35, 1)
+        assert expsums._split(1, 6) == (1, 1)
 
 
 class TestRepCount:
@@ -298,9 +352,11 @@ class TestRepCount:
             key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-p), b=p)
             assert rep_count(key) == expected
         # the guard counts listed singular zeros: diag(118, ..., 118) = 0 mod 59, so
-        # at x = 0, D = -59 every point of (Z/59)^4 is one
+        # at x = 0, D = -59 every point of (Z/59)^4 is one; b = 59 only counts
+        # them, b = 59^2 lifts them one by one and is refused
         lat = make_lattice([[118 * (i == j) for j in range(4)] for i in range(4)])
-        key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-59), b=59)
+        assert rep_count(RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-59), b=59)) == 59**4
+        key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-59), b=59**2)
         with pytest.raises(ResourceLimitError, match=r"p\^k = 59\^4 = 12117361 singular zeros"):
             rep_count(key)
 
@@ -341,6 +397,25 @@ class TestHenselNodes:
                 if p > 2:
                     seen["outside im G" if g not in image else "m = 0" if got[1] else "m != 0"] += 1
         assert min(seen.values()) >= 10, seen
+
+    def test_count_lists_no_zero(self):
+        # e = 1 needs only the number of zeros mod p: the closed form counts the
+        # p^k singular zeros lambda0 + R without building them
+        for gram, p in _NODE_FORMS:
+            rank = len(gram)
+            for g in islice(product(range(p), repeat=rank), 8):
+                for n in range(min(p, 4)):
+                    nonsingular, singular = zeros_mod_p_walk(gram, p, g, n)
+                    assert expsums._zero_count_mod_p(gram, p, g, n) == nonsingular + len(singular)
+
+    def test_rank_four_radical_counts_match_enumeration(self):
+        # diag(6,6,6,6) at p = 3: G = 0 mod 3, so every zero mod 3 is singular
+        lat = make_lattice([[6, 0, 0, 0], [0, 6, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]])
+        for x in list(lat.disc_group)[::7]:
+            for D in (x.beta_mod1 - 1, x.beta_mod1 - 3):
+                for b in (3, 6, 9):
+                    key = RepCountKey(lattice=lat, x=x, D=D, b=b)
+                    assert rep_count(key) == rep_count_enumerate(lat, x, D, b), (x, D, b)
 
 
 class TestLocalFactor:

@@ -220,6 +220,16 @@ class TestBesselJ:
         # first term and must stop there (Poincare at k = 170 on a1 reaches it)
         assert bessel_j(Fraction(337, 2), 1.25) == 0.0
 
+    def test_memo_evaluates_each_argument_once_bit_identically(self):
+        # the Poincare weights J_a(4 pi sqrt(D D') / c): equal D D' repeat their arguments
+        args = [(Fraction(19, 2), 4 * math.pi * math.sqrt(15 / 16 * d) / c)
+                for d in (7 / 4, 7 / 4, 3 / 4) for c in (1, 2, 3, 40)]
+        bessel_j.cache_clear()
+        got = [bessel_j(*a) for a in args]
+        info = bessel_j.cache_info()
+        assert (info.misses, info.hits) == (len(set(args)), len(args) - len(set(args))) == (8, 4)
+        assert got == [bessel_j.__wrapped__(*a) for a in args]
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             bessel_j(1, 61.0)

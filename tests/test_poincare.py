@@ -14,6 +14,8 @@ from jacobiforms.errors import ConvergenceDomainError, OutOfRangeError
 from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import bessel_j, gamma_half
 
+from oracles import walk_keys
+
 
 class TestPeterssonConstant:
     def test_rank_one_example(self, a1):
@@ -174,6 +176,8 @@ class TestSharedWalk:
             assert value == poincare_coefficient(spec, idx.D, idx.x, c_max).value, idx
 
     def test_expansion_walks_once_per_c(self, a2, monkeypatch):
+        # one walk per key (c_b, c_g^-1 mod c_b) for all 6 coefficients, at the
+        # c_b > 1 made of 2 and 3 only, and none at a c prime to 2 det = 6
         walks = []
         profile = expsums._lambda_profile
 
@@ -185,4 +189,5 @@ class TestSharedWalk:
         spec = PoincareSpec(lattice=a2, k=10, D=Fraction(-2, 3), r=a2.disc_group.element((1,)))
         expansion = poincare_expansion(spec, 2, 30)
         assert len(expansion.entries) == 6
-        assert walks == list(range(1, 31))
+        assert walks == [c_b for c_b, _ in walk_keys(3, 30)]
+        assert len(walks) == 14 and all(c > 1 and 6**10 % c == 0 for c in walks)
