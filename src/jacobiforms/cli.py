@@ -43,21 +43,27 @@ def _element(group, text):
     return group.element(coords)
 
 
-def _write_output(doc, path, fmt):
-    text = _render(doc, fmt)
+def _write_output(chunks, path):
+    """Write the text chunks and a final newline to stdout, or atomically to path."""
     if path is None:
-        sys.stdout.write(text + "\n")
+        _write_chunks(sys.stdout, chunks)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jacobiforms-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
+            _write_chunks(fh, chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_chunks(fh, chunks):
+    for chunk in chunks:
+        fh.write(chunk)
+    fh.write("\n")
 
 
 def _render(doc, fmt):
@@ -95,7 +101,7 @@ def _cmd_eisenstein(args):
     spec = EisensteinSpec(lattice=lattice, k=args.k, r=_element(group, args.r))
     expansion = eisenstein_expansion(spec, parse_rational(args.n_max), args.mode, c_max=args.c_max)
     expansion.lattice_name = name
-    _write_output(expansion.to_json_dict(), args.output, args.format)
+    _write_output([_render(expansion.to_json_dict(), args.format)], args.output)
     return EXIT_OK
 
 
@@ -107,16 +113,73 @@ def _cmd_poincare(args):
     )
     expansion = poincare_expansion(spec, parse_rational(args.n_max), args.c_max)
     expansion.lattice_name = name
-    _write_output(expansion.to_json_dict(), args.output, args.format)
+    _write_output([_render(expansion.to_json_dict(), args.format)], args.output)
     return EXIT_OK
 
 
 def _matrix_doc(label, matrix, group):
-    return {
-        "label": label,
-        "index": group.coords.tolist(),
-        "matrix": [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(matrix)],
-    }
+    return {"label": label, "index": group.coords.tolist(), "matrix": np.asarray(matrix)}
+
+
+# json.dumps spells the non-finite floats as JavaScript does; repr spells them otherwise
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps_at(value, depth):
+    """json.dumps(value, indent=2) as it reads nested `depth` levels deep.
+
+    json.dumps escapes the newlines inside strings, so each newline of its
+    text starts a line of layout and takes the outer indent.
+    """
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _matrix_rows(matrix, depth):
+    """The rows of a matrix as json.dumps lays out lists of {"re", "im"} objects
+    nested `depth` levels deep, each with its leading newline and indent.
+
+    One template per matrix takes the float texts of a row: float.__repr__ of
+    the Python floats of `.tolist()`, as json's encoder writes them.
+    """
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    entry = "{" + inner + '  "re": %s,' + inner + '  "im": %s' + inner + "}"
+    template = outer + "[" + inner + ("," + inner).join([entry] * matrix.shape[1]) + outer + "]"
+    pairs = np.stack((matrix.real, matrix.imag), axis=-1).reshape(len(matrix), -1)
+    for row in pairs:
+        texts = list(map(float.__repr__, row.tolist()))
+        yield template % tuple(map(_JSON_CONSTANTS.get, texts, texts))
+
+
+def _rep_chunks(name, docs):
+    """The text of json.dumps({"lattice": name, "matrices": docs}, indent=2) as chunks,
+    with the complex "matrix" of each doc laid out as rows of {"re", "im"} objects.
+
+    The lattice name, labels and indices are laid out by json.dumps; each
+    matrix follows row by row, so no chunk holds more than one row of it.
+    """
+    yield '{\n  "lattice": ' + json.dumps(name) + ',\n  "matrices": ['
+    for i, doc in enumerate(docs):
+        yield (("," if i else "") + "\n    {"
+               + '\n      "label": ' + json.dumps(doc["label"]) + ","
+               + '\n      "index": ' + _dumps_at(doc["index"], 3) + ","
+               + '\n      "matrix": [')
+        for j, row in enumerate(_matrix_rows(doc["matrix"], 4)):
+            yield ("," if j else "") + row
+        yield "\n      ]\n    }"
+    yield "\n  ]\n}"
+
+
+def _schrodinger_args(group, text):
+    """(x, lam, mu, t) from the --schrodinger text 'x-coords;lam,mu,t'."""
+    try:
+        coord_text, triple_text = text.split(";")
+        lam, mu, t = (int(v) for v in triple_text.split(","))
+        return _element(group, coord_text), lam, mu, t
+    except ValueError as exc:
+        raise ValidationError(
+            f"--schrodinger expects 'x-coords;lam,mu,t' such as '1;2,1,3', got {text!r}"
+        ) from exc
 
 
 def _cmd_rep(args):
@@ -128,10 +191,7 @@ def _cmd_rep(args):
         rep = rho_word(lattice, tokens)
         docs.append(_matrix_doc(rep.label, rep.matrix, group))
     if args.schrodinger:
-        coord_text, triple_text = args.schrodinger.split(";")
-        x = _element(group, coord_text)
-        lam, mu, t = (int(v) for v in triple_text.split(","))
-        rep = schrodinger_matrix(lattice, x, lam, mu, t)
+        rep = schrodinger_matrix(lattice, *_schrodinger_args(group, args.schrodinger))
         docs.append(_matrix_doc(rep.label, rep.matrix, group))
     if args.avg:
         x = _element(group, args.avg)
@@ -141,7 +201,7 @@ def _cmd_rep(args):
         for g in ("T", "S"):
             rep = rho_word(lattice, [g])
             docs.append(_matrix_doc(rep.label, rep.matrix, group))
-    _write_output({"lattice": name, "matrices": docs}, args.output, "json")
+    _write_output(_rep_chunks(name, docs), args.output)
     return EXIT_OK
 
 

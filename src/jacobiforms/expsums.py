@@ -52,7 +52,7 @@ from .errors import (
 )
 from .lattice import DiscElement, EvenLattice
 from .numbertheory import bernoulli, bernoulli_poly, factorize, kronecker
-from .rationals import is_integral, unit_phase
+from .rationals import is_integral, unit_phase, unit_phase_ratio
 
 _STABILIZATION_CAP = 4
 _CHUNK = 1 << 16  # points per block when a walk over (Z/n)^rank is chunked
@@ -303,7 +303,8 @@ def _h_c(data, c):
     units = _unit_array(c)
     inv = _inverses(units, c)
     a_hat = [np.fft.ifft(x + 1j * y, norm="forward")[units] for x, y in zip(re, im)]
-    return [unit_phase(p0 / c) * complex(np.dot(roots[np0 % c * inv % c], a_hat[g]))
+    return [unit_phase_ratio(p0.numerator, p0.denominator * c)
+            * complex(np.dot(roots[np0 % c * inv % c], a_hat[g]))
             for g, np0, p0 in data.targets]
 
 
@@ -441,6 +442,7 @@ def _h_table(lattice, D, r, targets, c_max):
     closed_form = _closed_form(lattice, D, data, [Fraction(Dp) for Dp, _ in targets])
     p0s = sorted({p0 for _, _, p0 in data.targets})
     p0_row = np.array([p0s.index(p0) for _, _, p0 in data.targets])
+    p0_ratios = [(p0.numerator, p0.denominator) for p0 in p0s]
     table = np.empty((len(targets), c_max), dtype=complex)
     by_m = {}
     for c_g, c_b in split:
@@ -449,7 +451,7 @@ def _h_table(lattice, D, r, targets, c_max):
         k = closed_form(c_g)
         for c_b in c_bs:
             c = c_g * c_b
-            h = np.array([unit_phase(p0 / c) for p0 in p0s])[p0_row] * k(c_b)
+            h = np.array([unit_phase_ratio(a, n * c) for a, n in p0_ratios])[p0_row] * k(c_b)
             if c_b > 1:
                 h = h * walks[c_b, pow(c_g, -1, c_b)]
             table[:, c - 1] = h

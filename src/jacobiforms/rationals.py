@@ -42,14 +42,23 @@ def unit_phase(q):
     Denominators 1, 2 and 4 are returned exactly so that identities such as
     rho(T) = diag(1, i) hold to the last bit.
     """
-    r = frac1(q)
-    if r.denominator == 1:
+    q = Fraction(q)
+    return unit_phase_ratio(q.numerator, q.denominator)
+
+
+def unit_phase_ratio(num, den):
+    """e(num/den) for integers num and den > 0, as `unit_phase` gives it, with num/den
+    reduced mod 1 by one gcd in Python ints rather than through a Fraction."""
+    g = math.gcd(num, den)
+    den //= g
+    num = num // g % den
+    if den == 1:
         return 1 + 0j
-    if r.denominator == 2:
+    if den == 2:
         return -1 + 0j
-    if r.denominator == 4:
-        return (1j) if r.numerator == 1 else (-1j)
-    return cmath.exp(1j * TWO_PI * (r.numerator / r.denominator))
+    if den == 4:
+        return (1j) if num == 1 else (-1j)
+    return cmath.exp(1j * TWO_PI * (num / den))
 
 
 def floor_plus_sqrt(a, t):

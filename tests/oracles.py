@@ -11,9 +11,12 @@ the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, and the case-formula oracle is the order-2/3/4/6 case
 analysis of the averaging identity, each in place of the integer discriminant
-form and the Moebius relation.
+form and the Moebius relation.  The rep-document oracle lays a matrix out
+the way the CLI once built it, as {"re", "im"} dicts through json.dumps, in
+place of the streamed row renderer.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -312,3 +315,14 @@ def nontrivial_case_formulas(lattice, k, x, D, y):
     if pair_integral(3):
         return -Fraction(1, 2) * g0(3)
     return Fraction(1, 2) * g0(0)
+
+
+def rep_document_json(name, docs):
+    """json.dumps(indent=2) of a rep document whose docs hold (label, index, complex matrix),
+    each matrix turned into rows of {"re", "im"} dicts of numpy scalars first."""
+    matrices = [
+        {"label": label, "index": index,
+         "matrix": [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(matrix)]}
+        for label, index, matrix in docs
+    ]
+    return json.dumps({"lattice": name, "matrices": matrices}, indent=2)

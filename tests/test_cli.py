@@ -1,17 +1,22 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacobiforms
-from jacobiforms import expsums
-from jacobiforms.cli import main
+from jacobiforms import expsums, make_lattice
+from jacobiforms.cli import _rep_chunks, main
 from jacobiforms.rationals import parse_rational
+from jacobiforms.weilrep import averaging_matrix, rho_word, schrodinger_matrix
 
-from oracles import walk_keys
+from oracles import rep_document_json, walk_keys
 
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 DATA = Path(__file__).resolve().parent / "data"  # CLI outputs written before a refactor of that path
@@ -320,6 +325,116 @@ class TestRepCommand:
             main(["rep", "--lattice", a1_path, "--format", "table"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1", "1;a,b,c", "1;2,1", "1;2,1,3,4", "a;2,1,3", "1;2;1,3"])
+    def test_malformed_schrodinger_names_the_form(self, a1_path, capsys, text):
+        assert main(["rep", "--lattice", a1_path, "--schrodinger", text]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "'x-coords;lam,mu,t'" in err["message"]
+
+
+# floats whose text json and repr treat apart: signed zero, non-finite values,
+# subnormals, and the edges of repr's switch to exponent form (1e16, 1e-5)
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                1e16, 9999999999999998.0, -1e16, 1e-5, 0.0001, 9.999999999999999e-06, 0.5, -0.7071067811865476]
+# text that a lattice name or label may carry: JSON escapes, non-ASCII, %-format
+# directives and pieces of the document's own layout
+_EDGE_TEXT = ['"', "\\", 'a"b\\c', "\u00e9\u6f22\U0001f600", "\n", "%s", "%", '"matrix": [',
+              '\n      "matrix": [', "NaN", "Infinity", "{}", ""]
+
+
+@st.composite
+def _rep_docs(draw):
+    texts = st.one_of(st.sampled_from(_EDGE_TEXT), st.text(max_size=12))
+    index = st.lists(st.lists(st.integers(-5, 5), max_size=2), min_size=1, max_size=3)
+    docs = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        parts = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                              min_size=2 * rows * cols, max_size=2 * rows * cols))
+        matrix = np.empty((rows, cols), dtype=complex)
+        matrix.real.flat, matrix.imag.flat = parts[::2], parts[1::2]
+        docs.append((draw(texts), draw(index), matrix))
+    return draw(texts), docs
+
+
+class TestRepRendering:
+    @given(_rep_docs())
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_join_to_the_dict_route(self, doc):
+        name, docs = doc
+        chunks = _rep_chunks(name, [{"label": label, "index": index, "matrix": matrix}
+                                    for label, index, matrix in docs])
+        assert "".join(chunks) == rep_document_json(name, docs)
+
+
+# (gram, rep arguments) at the sizes of the benchmark: |G| = 400, irrational
+# entries at |G| = 108, and two matrices in one document at |G| = 64
+_REP_RUNS = {
+    "square20_schrodinger": ([[20, 0], [0, 20]], ["--schrodinger", "4,12;2,1,3"]),
+    "a2_scaled6_word": ([[12, 6], [6, 12]], ["--word", "S,T"]),
+    "a1_scaled32_avg_schrodinger": ([[64]], ["--avg", "16", "--schrodinger", "16;1,2,0"]),
+}
+
+
+def _rep_oracle_docs(gram, args):
+    """(label, index, matrix) per matrix of the rep run, in the CLI's order: word, schrodinger, avg."""
+    lattice = make_lattice(gram)
+    group = lattice.disc_group
+    opts = dict(zip(args[::2], args[1::2]))
+    reps = []
+    if "--word" in opts:
+        reps.append(rho_word(lattice, opts["--word"].split(",")))
+    if "--schrodinger" in opts:
+        coords, triple = opts["--schrodinger"].split(";")
+        x = group.element(tuple(int(v) for v in coords.split(",")))
+        reps.append(schrodinger_matrix(lattice, x, *(int(v) for v in triple.split(","))))
+    if "--avg" in opts:
+        reps.append(averaging_matrix(lattice, group.element((int(opts["--avg"]),))))
+    return [(rep.label, group.coords.tolist(), rep.matrix) for rep in reps]
+
+
+@pytest.fixture(scope="module", params=sorted(_REP_RUNS))
+def rep_run(request, tmp_path_factory):
+    gram, args = _REP_RUNS[request.param]
+    path = tmp_path_factory.mktemp("rep") / f"{request.param}.json"
+    path.write_text(json.dumps({"name": request.param, "gram": gram}))
+    docs = _rep_oracle_docs(gram, args)
+    return str(path), args, docs, rep_document_json(request.param, docs) + "\n"
+
+
+class _WriteRecorder:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+
+class TestRepAtScale:
+    def test_stdout_matches_the_dict_route(self, rep_run, monkeypatch):
+        path, args, docs, want = rep_run
+        out = _WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["rep", "--lattice", path, *args]) == 0
+        assert "".join(out.chunks) == want
+        # no write holds more than the shell and one row (the longest) of each matrix
+        def text_length(row):
+            return len(repr(row.real.tolist() + row.imag.tolist()))
+
+        longest = [(label, index, max(m, key=text_length)[None]) for label, index, m in docs]
+        name = json.loads(Path(path).read_text())["name"]
+        assert max(map(len, out.chunks)) <= len(rep_document_json(name, longest))
+        assert len(out.chunks) > sum(len(m) for _, _, m in docs)
+
+    def test_output_file_matches_the_dict_route(self, rep_run, tmp_path):
+        path, args, _, want = rep_run
+        out_path = tmp_path / "out.json"
+        assert main(["rep", "--lattice", path, *args, "-o", str(out_path)]) == 0
+        assert out_path.read_bytes() == want.encode()
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestVerifyCommand:

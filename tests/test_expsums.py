@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
@@ -34,11 +35,13 @@ from jacobiforms.expsums import (
     lattice_sum_fft,
     rep_count_prime_power,
 )
-from jacobiforms.lattice import enumerate_supp
+from jacobiforms.lattice import enumerate_supp, load_lattice_json
 from jacobiforms.numbertheory import factorize, zeta_float
+from jacobiforms.rationals import unit_phase, unit_phase_ratio
 
 from oracles import rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
+_SHIPPED = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
 _A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 _D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
 # Hensel nodes (G, p) of ranks 1-4: first with p prime to det, then with p | det,
@@ -275,6 +278,18 @@ class TestClosedForm:
         for c in {c for c in range(1, c_max + 1) if c ** (lat.rank + 1) <= 3 * 10**4} | {12}:
             want = poincare_lattice_sum(lat, D, r, Dp, rp, c)
             assert table[0, c - 1] == pytest.approx(want, rel=1e-10, abs=1e-10), c
+
+    @pytest.mark.parametrize("path", _SHIPPED, ids=[p.stem for p in _SHIPPED])
+    def test_phase_in_ints_is_unit_phase_bit_for_bit(self, path):
+        # e(p0/c) with p0 = beta(r', r) as the H_c routes take it, reduced in ints
+        _, lat = load_lattice_json(str(path))
+        group = lat.disc_group
+        p0s = {lat.pairing(x.rep, y.rep) for x in group for y in group}
+        for p0 in p0s:
+            for c in range(1, 1001):
+                got = unit_phase_ratio(p0.numerator, p0.denominator * c)
+                want = unit_phase(p0 / c)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (p0, c)
 
     def test_mixed_c_split(self):
         # c_b collects the primes of 2 det, c_g the rest
