@@ -29,7 +29,12 @@ EXIT_DOMAIN = 3
 
 def _parse_coords(text):
     text = text.strip()
-    return tuple(int(part) for part in text.split(",")) if text else ()
+    try:
+        return tuple(int(part) for part in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise ValidationError(
+            f"expected class coordinates 'a,b,...' such as '1,0', got {text!r}"
+        ) from exc
 
 
 def _element(group, text):
@@ -260,6 +265,12 @@ def _build_parser():
 
 
 def main(argv=None):
+    # No request makes a BLAS call large enough to gain from threads (the largest
+    # is one |G| x |G| complex matmul in `rep --word`), and starting OpenBLAS's
+    # pool can add half again to numpy's import.  numpy is lazy, so this default
+    # still reaches OpenBLAS when it loads; a count the caller set is kept.
+    if "OMP_NUM_THREADS" not in os.environ:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -186,21 +186,31 @@ def bernoulli_poly(n, x):
 def dirichlet_L_nonpositive(n, chi):
     """L(-n, chi_f) as an exact rational, for n >= 0.
 
-    Uses the Bernoulli-polynomial expression
-    L(-n, chi_f) = -(|f|^n / (n+1)) * sum_{j=1..|f|} chi_f(j) B_{n+1}(j / |f|);
-    for f = 1 this is zeta(-n), with zeta(0) = -1/2.
+    With m = |f|, the Bernoulli-polynomial expression
+    L(-n, chi_f) = -(m^n / (n+1)) * sum_{j=1..m} chi_f(j) B_{n+1}(j / m),
+    expanded by B_{n+1}(x) = sum_i C(n+1, i) B_{n+1-i} x^i, becomes
+    L(-n, chi_f) = -(1/(n+1)) * sum_{i=0..n+1} C(n+1, i) B_{n+1-i} S_i m^(n-i)
+    with the power sums S_i = sum_{j=1..m} chi_f(j) j^i taken in Python ints.
+    For f = 1 this is zeta(-n), with zeta(0) = -1/2.
     """
     if n < 0:
         raise ValueError("dirichlet_L_nonpositive expects n >= 0")
     if chi.f != 1 and not is_fundamental_discriminant(chi.f):
         raise NotFundamentalError(f"{chi.f} is not 1 or a fundamental discriminant")
     m = chi.modulus
-    total = Fraction(0)
+    sums = [0] * (n + 2)
     for j in range(1, m + 1):
-        c = chi(j)
-        if c:
-            total += c * bernoulli_poly(n + 1, Fraction(j, m))
-    return -Fraction(m) ** n / (n + 1) * total
+        power = chi(j)
+        if power:
+            for i in range(n + 2):
+                sums[i] += power
+                power *= j
+    # every term carries one factor m more than the formula, taken out at the end
+    total = sum(
+        math.comb(n + 1, i) * bernoulli(n + 1 - i) * sums[i] * m ** (n + 1 - i)
+        for i in range(n + 2)
+    )
+    return -total / (m * (n + 1))
 
 
 def fundamental_decomposition(delta):

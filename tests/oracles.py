@@ -11,9 +11,10 @@ the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, and the case-formula oracle is the order-2/3/4/6 case
 analysis of the averaging identity, each in place of the integer discriminant
-form and the Moebius relation.  The rep-document oracle lays a matrix out
-the way the CLI once built it, as {"re", "im"} dicts through json.dumps, in
-place of the streamed row renderer.
+form and the Moebius relation.  The L-value oracle sums one Bernoulli
+polynomial per residue in Fractions, in place of the integer power sums.  The
+rep-document oracle lays a matrix out the way the CLI once built it, as
+{"re", "im"} dicts through json.dumps, in place of the streamed row renderer.
 """
 
 import json
@@ -24,8 +25,19 @@ from itertools import product
 import numpy as np
 
 from jacobiforms import QuadChar, dirichlet_L_nonpositive, moebius, trivial_coefficient_exact
-from jacobiforms.numbertheory import bernoulli, factorize
+from jacobiforms.numbertheory import bernoulli, bernoulli_poly, factorize
 from jacobiforms.rationals import frac1, is_integral, unit_phase
+
+
+def dirichlet_L_by_bernoulli_poly(n, chi):
+    """L(-n, chi_f) = -(|f|^n / (n+1)) * sum_{j=1..|f|} chi_f(j) B_{n+1}(j / |f|), in Fractions."""
+    m = chi.modulus
+    total = Fraction(0)
+    for j in range(1, m + 1):
+        c = chi(j)
+        if c:
+            total += c * bernoulli_poly(n + 1, Fraction(j, m))
+    return -Fraction(m) ** n / (n + 1) * total
 
 
 def cohen_h(r, n):

@@ -26,6 +26,8 @@ from jacobiforms import (
 from jacobiforms.errors import NotADiscriminantError, NotFundamentalError, OutOfRangeError
 from jacobiforms.numbertheory import is_fundamental_discriminant, zeta_float
 
+from oracles import dirichlet_L_by_bernoulli_poly
+
 
 class TestKronecker:
     def test_trivial_numerator(self):
@@ -97,6 +99,13 @@ class TestDirichletL:
                 val = dirichlet_L_nonpositive(n, chi)
                 obstructed = chi(-1) == (-1) ** n
                 assert (val == 0) == obstructed, (f, n, val)
+
+    def test_power_sums_match_bernoulli_polynomials(self):
+        discs = [1] + [f for f in range(-399, 400) if is_fundamental_discriminant(f)]
+        for f in discs:
+            chi = QuadChar(f)
+            for n in range(13):
+                assert dirichlet_L_nonpositive(n, chi) == dirichlet_L_by_bernoulli_poly(n, chi), (f, n)
 
 
 class TestFundamentalDecomposition:
