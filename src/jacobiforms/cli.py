@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 
-from ._lazy import np
 from .eisenstein import EisensteinSpec, eisenstein_expansion
 from .errors import ComputationDomainError, ValidationError
 from .lattice import isotropy_set, load_lattice_json
@@ -122,8 +121,8 @@ def _cmd_poincare(args):
     return EXIT_OK
 
 
-def _matrix_doc(label, matrix, group):
-    return {"label": label, "index": group.coords.tolist(), "matrix": np.asarray(matrix)}
+def _matrix_doc(rep, group):
+    return {"label": rep.label, "index": [list(c) for c in group.classes()], "matrix": rep.rows}
 
 
 # json.dumps spells the non-finite floats as JavaScript does; repr spells them otherwise
@@ -143,22 +142,22 @@ def _matrix_rows(matrix, depth):
     """The rows of a matrix as json.dumps lays out lists of {"re", "im"} objects
     nested `depth` levels deep, each with its leading newline and indent.
 
-    One template per matrix takes the float texts of a row: float.__repr__ of
-    the Python floats of `.tolist()`, as json's encoder writes them.
+    The matrix is a sequence of rows of complex numbers.  One template per
+    matrix takes the float texts of a row: float.__repr__ of the real and
+    imaginary parts, as json's encoder writes them.
     """
     outer = "\n" + "  " * depth
     inner = outer + "  "
     entry = "{" + inner + '  "re": %s,' + inner + '  "im": %s' + inner + "}"
-    template = outer + "[" + inner + ("," + inner).join([entry] * matrix.shape[1]) + outer + "]"
-    pairs = np.stack((matrix.real, matrix.imag), axis=-1).reshape(len(matrix), -1)
-    for row in pairs:
-        texts = list(map(float.__repr__, row.tolist()))
+    template = outer + "[" + inner + ("," + inner).join([entry] * len(matrix[0])) + outer + "]"
+    for row in matrix:
+        texts = list(map(float.__repr__, [part for z in row for part in (z.real, z.imag)]))
         yield template % tuple(map(_JSON_CONSTANTS.get, texts, texts))
 
 
 def _rep_chunks(name, docs):
     """The text of json.dumps({"lattice": name, "matrices": docs}, indent=2) as chunks,
-    with the complex "matrix" of each doc laid out as rows of {"re", "im"} objects.
+    with the complex rows of each doc's "matrix" laid out as {"re", "im"} objects.
 
     The lattice name, labels and indices are laid out by json.dumps; each
     matrix follows row by row, so no chunk holds more than one row of it.
@@ -193,19 +192,15 @@ def _cmd_rep(args):
     docs = []
     if args.word:
         tokens = [t.strip() for t in args.word.split(",") if t.strip()]
-        rep = rho_word(lattice, tokens)
-        docs.append(_matrix_doc(rep.label, rep.matrix, group))
+        docs.append(_matrix_doc(rho_word(lattice, tokens), group))
     if args.schrodinger:
         rep = schrodinger_matrix(lattice, *_schrodinger_args(group, args.schrodinger))
-        docs.append(_matrix_doc(rep.label, rep.matrix, group))
+        docs.append(_matrix_doc(rep, group))
     if args.avg:
-        x = _element(group, args.avg)
-        rep = averaging_matrix(lattice, x)
-        docs.append(_matrix_doc(rep.label, rep.matrix, group))
+        docs.append(_matrix_doc(averaging_matrix(lattice, _element(group, args.avg)), group))
     if not docs:
         for g in ("T", "S"):
-            rep = rho_word(lattice, [g])
-            docs.append(_matrix_doc(rep.label, rep.matrix, group))
+            docs.append(_matrix_doc(rho_word(lattice, [g]), group))
     _write_output(_rep_chunks(name, docs), args.output)
     return EXIT_OK
 
@@ -265,12 +260,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    # No request makes a BLAS call large enough to gain from threads (the largest
-    # is one |G| x |G| complex matmul in `rep --word`), and starting OpenBLAS's
-    # pool can add half again to numpy's import.  numpy is lazy, so this default
-    # still reaches OpenBLAS when it loads; a count the caller set is kept.
-    if "OMP_NUM_THREADS" not in os.environ:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

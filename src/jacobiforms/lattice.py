@@ -8,9 +8,10 @@ G^{-1}.  The discriminant group L#/L is built on first use and put into
 canonical cyclic coordinates once, via the Smith normal form of the Gram
 matrix.  It is kept as the generators' pairing matrix and norms mod the level,
 in Python ints (see `DiscriminantGroup`), from which elements, pairings and
-indices are computed without numpy; the coordinate and beta arrays behind the
-isotropy set and the Weil matrices are built on their first use.  A
-`DiscElement` (equality is coordinate equality) is built only when asked for.
+indices are computed without numpy, and so is the per-class data behind the
+Weil matrices; the coordinate and beta arrays behind the isotropy set are
+built on their first use.  A `DiscElement` (equality is coordinate equality)
+is built only when asked for.
 """
 
 import json
@@ -228,9 +229,12 @@ class DiscriminantGroup:
     both Python ints, so beta(x, y) = x A y^t / N mod 1 and N beta(x) = sum_i
     c_i (q_i c_i + sum_{j>i} A_ij c_j) mod N.  Elements, pairings and indices
     are computed from these in Python ints; a `DiscElement` is built only when
-    asked for, and then kept.  The array forms for bulk work are built on first
-    use: `coords`, the |G| x s array C of all coordinate vectors in
-    lexicographic order, and `beta_num`, N beta(x) mod N for each row.
+    asked for, and then kept.  Classes are listed in lexicographic order of
+    their coordinates (`classes`); `beta_numerators`, `pairings`,
+    `pairing_matrix` and `translation` give per-class data in that order, as
+    Python ints.  The array forms for the isotropy set of a large group are
+    built on first use: `coords`, the |G| x s array C of all coordinate
+    vectors, and `beta_num`, N beta(x) mod N for each row.
     """
 
     def __init__(self, lattice):
@@ -269,11 +273,6 @@ class DiscriminantGroup:
     def beta_num(self):
         return self._beta_numerator(self.coords.T, np.zeros(len(self), dtype=np.int64))
 
-    @cached_property
-    def _gram_array(self):
-        s = len(self.orders)
-        return np.array(self.gram_mod, dtype=np.int64).reshape(s, s)
-
     def _build_element(self, coords):
         rep = tuple(
             frac1(sum((c * self._generators[i][j] for i, c in enumerate(coords)), Fraction(0)))
@@ -283,15 +282,35 @@ class DiscriminantGroup:
         beta = Fraction(self._beta_numerator(coords), self.lattice.level)
         return DiscElement(coords=coords, order=order, beta_mod1=beta, rep=rep)
 
-    def positions(self, coords):
-        """Row of C holding the class of each row of an integer coordinate array."""
-        return np.ravel_multi_index(np.asarray(coords, dtype=np.int64).T, self.orders, mode="wrap")
+    def classes(self):
+        """The coordinate tuples of all classes, in lexicographic order."""
+        return product(*(range(d) for d in self.orders))
+
+    @staticmethod
+    def _lex_sums(columns):
+        """sum_i columns[i][c_i] for every class c, in lexicographic order."""
+        sums = [0]
+        for column in columns:
+            sums = [a + b for a in sums for b in column]
+        return sums
+
+    def beta_numerators(self):
+        """N beta(y) mod N for every class y."""
+        return [self._beta_numerator(c) for c in self.classes()]
+
+    def translation(self, shift):
+        """Index of the class y + shift for every class y, with shift given by its coordinates."""
+        columns, stride = [], 1
+        for s, d in zip(reversed(shift), reversed(self.orders)):
+            columns.append([(c + s) % d * stride for c in range(d)])
+            stride *= d
+        return self._lex_sums(columns[::-1])
 
     def __len__(self):
         return math.prod(self.orders)
 
     def __iter__(self):
-        return map(self.element, product(*(range(d) for d in self.orders)))
+        return map(self.element, self.classes())
 
     @property
     def zero(self):
@@ -332,15 +351,19 @@ class DiscriminantGroup:
         coords = tuple(a[pos] % d for pos, d in zip(self._positions, self.orders))
         return self.element(coords)
 
-    def pairings(self, x):
-        """N beta(y, x) mod N for every row y of C."""
+    def _pairing_row(self, coords):
         level = self.lattice.level
-        return self.coords @ (self._gram_array @ np.array(x.coords, dtype=np.int64) % level) % level
+        ax = [sum(a * c for a, c in zip(row, coords)) % level for row in self.gram_mod]
+        sums = self._lex_sums([[a * c for c in range(d)] for a, d in zip(ax, self.orders)])
+        return [v % level for v in sums]
+
+    def pairings(self, x):
+        """N beta(y, x) mod N for every class y."""
+        return self._pairing_row(x.coords)
 
     def pairing_matrix(self):
-        """N beta(x, y) mod N for every pair of rows x, y of C."""
-        level = self.lattice.level
-        return self.coords @ self._gram_array % level @ self.coords.T % level
+        """N beta(x, y) mod N for every pair of classes, one row per x."""
+        return [self._pairing_row(c) for c in self.classes()]
 
     def pairing_mod1(self, x, y):
         """beta(x, y) mod Z, independent of representatives."""

@@ -4,9 +4,11 @@ through trivial ones.
 
 Every matrix is read off the integer model of the discriminant form (see
 `DiscriminantGroup`): each phase e(q/N), N the level, is gathered from one
-table of `unit_phase(q/N)`, at N beta(x) for rho(T), at -C A C^t mod N for
-rho(S) and along the permutation y -> y - lam x for sigma_x.  Entries are
-complex128; unitarity and the conjugation identity hold to ~1e-15.
+table of `unit_phase(q/N)`, at N beta(x) for rho(T), at -N beta(x, y) mod N
+for rho(S) and along the permutation y -> y - lam x for sigma_x.  The gathers
+run in Python ints and the entries are Python complexes, so only a product of
+matrices (`rho_word`) or the complex128 `RepMatrix.matrix` loads numpy.
+Unitarity and the conjugation identity hold to ~1e-15.
 
 The relation.  For isotropic x of order N, even weight and each class y, the
 averaging identity reads S(x) := sum_{lam mod N} G_{lam x}(D, y)
@@ -19,7 +21,7 @@ the divisors of N gives the unit-orbit sum sum_{u in (Z/N)^*} G_{ux}(D, y)
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._lazy import np
 from .eisenstein import trivial_coefficient_exact
@@ -33,16 +35,41 @@ _GENERATOR_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
 class RepMatrix:
-    """Complex matrix over the canonical DiscElement ordering."""
+    """Complex matrix over the canonical DiscElement ordering.
 
-    label: str
-    matrix: "np.ndarray"
+    `rows` holds the entries as lists of Python complexes.  A monomial matrix
+    (one nonzero entry per column, as rho(T) and sigma_x) may be given instead
+    as `monomial` = (targets, values), with entry (targets[j], j) = values[j];
+    its rows are then built on first use.  `matrix` is the complex128 array,
+    built on first use.
+    """
+
+    def __init__(self, label, rows=None, monomial=None):
+        self.label = label
+        self.monomial = monomial
+        if rows is not None:
+            self.rows = rows
+
+    @cached_property
+    def rows(self):
+        targets, values = self.monomial
+        rows = [[0j] * len(values) for _ in values]
+        for j, (i, z) in enumerate(zip(targets, values)):
+            rows[i][j] = z
+        return rows
+
+    @cached_property
+    def matrix(self):
+        return np.array(self.rows, dtype=np.complex128)
 
     def dual(self):
         """Entrywise conjugate; for a unitary representation this is rho*."""
-        return RepMatrix(label=self.label + "*", matrix=self.matrix.conj())
+        label = self.label + "*"
+        if self.monomial is not None:
+            targets, values = self.monomial
+            return RepMatrix(label, monomial=(targets, [z.conjugate() for z in values]))
+        return RepMatrix(label, rows=[[z.conjugate() for z in row] for row in self.rows])
 
     def unitarity_defect(self):
         n = self.matrix.shape[0]
@@ -65,12 +92,15 @@ def rho_generator(lattice, g):
     """
     group = lattice.disc_group
     level = lattice.level
+    table = _phase_table(level)
     if g == "T":
-        return RepMatrix(label="T", matrix=np.diag(np.array(_phase_table(level))[group.beta_num]))
+        values = [table[q] for q in group.beta_numerators()]
+        return RepMatrix("T", monomial=(range(len(values)), values))
     if g == "S":
-        scalar = unit_phase(Fraction(-lattice.rank, 8)) / np.sqrt(lattice.det)
-        table = np.array([scalar * z for z in _phase_table(level)])
-        return RepMatrix(label="S", matrix=table[-group.pairing_matrix() % level])
+        scalar = unit_phase(Fraction(-lattice.rank, 8)) / math.sqrt(lattice.det)
+        table = [scalar * z for z in table]
+        return RepMatrix("S", rows=[[table[-q % level] for q in row]
+                                    for row in group.pairing_matrix()])
     raise ValueError(f"unknown generator {g!r}")
 
 
@@ -88,22 +118,18 @@ def rho_word(lattice, word):
             mat = mat @ rho_generator(lattice, token[0]).matrix.conj().T
         else:
             raise ValueError(f"unknown token {token!r}; expected T, S, T^-1 or S^-1")
-    return RepMatrix(label="".join(word), matrix=mat)
+    return RepMatrix("".join(word), rows=mat.tolist())
 
 
 def schrodinger_matrix(lattice, x, lam, mu, t):
     """sigma_x(lam, mu, t) e_y = e(mu beta(x,y) + (t - lam mu) beta(x)) e_{y - lam x}."""
     group = lattice.disc_group
     level = lattice.level
-    n = len(group)
-    q_x = int(level * x.beta_mod1)
-    phases = np.array(_phase_table(level))[
-        (mu % level * group.pairings(x) + (t - lam * mu) % level * q_x) % level
-    ]
-    targets = group.positions(group.coords - lam % level * np.array(x.coords, dtype=np.int64))
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[targets, np.arange(n)] = phases
-    return RepMatrix(label=f"sigma_{x}({lam},{mu},{t})", matrix=mat)
+    table = _phase_table(level)
+    twist = (t - lam * mu) % level * int(level * x.beta_mod1)
+    values = [table[(mu * q + twist) % level] for q in group.pairings(x)]
+    targets = group.translation([-lam * c for c in x.coords])
+    return RepMatrix(f"sigma_{x}({lam},{mu},{t})", monomial=(targets, values))
 
 
 def conjugation_check(lattice, x, lam, mu, t, g):
@@ -126,16 +152,22 @@ def averaging_matrix(lattice, x):
     """Av_x = N_x^{-2} sum over (lam, mu) in (Z_{N_x^2})^2 of sigma*_x(lam, mu, 0).
 
     Representative-independent: sigma*_x(lam + a N_x^2, mu, 0) = sigma*_x(lam, mu, 0).
-    For isotropic x, Av_x / N_x^2 is an orthogonal projection.
+    For isotropic x, Av_x / N_x^2 is an orthogonal projection.  Each entry adds
+    its nonzero terms in (lam, mu) order and is then multiplied by the float
+    1/N_x^2, which gives the bits of a dense complex128 sum divided by N_x^2
+    (kept as a test oracle).
     """
-    group = lattice.disc_group
-    n = len(group)
+    n = len(lattice.disc_group)
     n2 = x.order**2
-    total = np.zeros((n, n), dtype=np.complex128)
+    total = [[0j] * n for _ in range(n)]
     for lam in range(n2):
         for mu in range(n2):
-            total += schrodinger_matrix(lattice, x, lam, mu, 0).dual().matrix
-    return RepMatrix(label=f"Av_{x}", matrix=total / n2)
+            targets, values = schrodinger_matrix(lattice, x, lam, mu, 0).dual().monomial
+            for j, (i, z) in enumerate(zip(targets, values)):
+                total[i][j] += z
+    scale = 1.0 / n2
+    return RepMatrix(f"Av_{x}", rows=[[complex(z.real * scale, z.imag * scale) for z in row]
+                                       for row in total])
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ of (Z/b)^rank, the Hensel-node oracle does the same with the gradient on
 grid and Fourier-inverts it, and the walk keys of the H_c table are read off
 the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
-representatives, and the case-formula oracle is the order-2/3/4/6 case
-analysis of the averaging identity, each in place of the integer discriminant
-form and the Moebius relation.  The L-value oracle sums one Bernoulli
+representatives, the averaging oracle adds the sigma_x as dense complex128
+arrays and divides by N^2, and the case-formula oracle is the order-2/3/4/6
+case analysis of the averaging identity, each in place of the integer
+discriminant form, the sparse sum and the Moebius relation.  The L-value oracle sums one Bernoulli
 polynomial per residue in Fractions, in place of the integer power sums.  The
 rep-document oracle lays a matrix out the way the CLI once built it, as
 {"re", "im"} dicts through json.dumps, in place of the streamed row renderer.
@@ -24,20 +25,37 @@ from itertools import product
 
 import numpy as np
 
-from jacobiforms import QuadChar, dirichlet_L_nonpositive, moebius, trivial_coefficient_exact
-from jacobiforms.numbertheory import bernoulli, bernoulli_poly, factorize
+from jacobiforms import (
+    QuadChar,
+    dirichlet_L_nonpositive,
+    moebius,
+    schrodinger_matrix,
+    trivial_coefficient_exact,
+)
+from jacobiforms.numbertheory import bernoulli, factorize
 from jacobiforms.rationals import frac1, is_integral, unit_phase
 
 
 def dirichlet_L_by_bernoulli_poly(n, chi):
-    """L(-n, chi_f) = -(|f|^n / (n+1)) * sum_{j=1..|f|} chi_f(j) B_{n+1}(j / |f|), in Fractions."""
+    """L(-n, chi_f) = -(|f|^n / (n+1)) * sum_{j=1..|f|} chi_f(j) B_{n+1}(j / |f|), exactly.
+
+    With m = |f| and d the common denominator of the coefficients of
+    B_{n+1}(x) = sum_i C(n+1, i) B_{n+1-i} x^i, each value d * m^(n+1) * B_{n+1}(j/m)
+    is an integer, taken per residue j by Horner's rule.
+    """
     m = chi.modulus
-    total = Fraction(0)
+    coeffs = [math.comb(n + 1, i) * bernoulli(n + 1 - i) for i in range(n + 2)]
+    d = math.lcm(*(a.denominator for a in coeffs))
+    scaled = [int(a * d) * m ** (n + 1 - i) for i, a in enumerate(coeffs)]
+    total = 0
     for j in range(1, m + 1):
         c = chi(j)
         if c:
-            total += c * bernoulli_poly(n + 1, Fraction(j, m))
-    return -Fraction(m) ** n / (n + 1) * total
+            value = 0
+            for a in reversed(scaled):
+                value = value * j + a
+            total += c * value
+    return -Fraction(m) ** n / (n + 1) * Fraction(total, d * m ** (n + 1))
 
 
 def cohen_h(r, n):
@@ -290,6 +308,18 @@ def schrodinger_loop(lattice, x, lam, mu, t):
         target = group.add(y, group.neg(shift))
         mat[position[target.coords], j] = unit_phase(phase)
     return mat
+
+
+def averaging_dense(lattice, x):
+    """Av_x = N^-2 sum_{lam, mu mod N^2} sigma*_x(lam, mu, 0), summed as dense complex128
+    arrays and divided by N^2 (sigma_x itself is checked against `schrodinger_loop`)."""
+    n2 = x.order**2
+    n = len(lattice.disc_group)
+    total = np.zeros((n, n), dtype=np.complex128)
+    for lam in range(n2):
+        for mu in range(n2):
+            total += schrodinger_matrix(lattice, x, lam, mu, 0).matrix.conj()
+    return total / n2
 
 
 def nontrivial_case_formulas(lattice, k, x, D, y):

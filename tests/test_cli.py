@@ -345,6 +345,35 @@ class TestRepCommand:
         assert err["error"] == "ValidationError"
         assert "'x-coords;lam,mu,t'" in err["message"]
 
+    def test_gathers_never_load_numpy(self, tmp_path):
+        # rho(T), rho(S), sigma_x and the averaging operator are gathers in Python
+        # complexes; a product of matrices (a word) executes numpy
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+        }
+        script = (
+            "import os, sys\n"
+            "import jacobiforms\n"
+            "from jacobiforms.cli import main\n"
+            "def loaded():\n"
+            "    return any(name in sys.modules for name in ('numpy._core', 'numpy.core'))\n"
+            "for path, args in (\n"
+            "        (sys.argv[1], ['--avg', '4', '--schrodinger', '4;1,1,0']),\n"
+            "        (sys.argv[2], ['--schrodinger', '4,12;2,1,3', '--avg', '10,10'])):\n"
+            "    assert main(['rep', '--lattice', path, *args, '-o', os.devnull]) == 0, path\n"
+            "lattice = jacobiforms.load_lattice_json(sys.argv[2])[1]\n"
+            "[jacobiforms.rho_generator(lattice, g).rows for g in ('T', 'S')]\n"
+            "print(loaded())\n"
+            "jacobiforms.rho_word(lattice, ['S', 'T'])\n"
+            "print(loaded())\n"
+        )
+        paths = [str(LATTICES / "a1_scaled4.json"), _golden_lattice(tmp_path, "square20")]
+        proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nTrue\n"
+
     def test_malformed_avg_names_the_form(self, a1_path, capsys):
         assert main(["rep", "--lattice", a1_path, "--avg", "a"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -453,76 +482,6 @@ class TestRepAtScale:
         assert main(["rep", "--lattice", path, *args, "-o", str(out_path)]) == 0
         assert out_path.read_bytes() == want.encode()
         assert os.listdir(tmp_path) == ["out.json"]
-
-
-def _bare_env(**extra):
-    """A user's environment: PATH and the package location, plus `extra`."""
-    return {
-        "PATH": os.environ.get("PATH", ""),
-        "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        **extra,
-    }
-
-
-# a rep request through cli.main, then the process's thread count and BLAS setting
-_THREADS_SCRIPT = (
-    "import os, sys\n"
-    "from jacobiforms.cli import main\n"
-    "assert main(['rep', '--lattice', sys.argv[1], '--word', 'S,T', '-o', os.devnull]) == 0\n"
-    "assert 'numpy._core' in sys.modules\n"
-    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-)
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
-class TestBlasThreads:
-    def _run(self, env):
-        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(LATTICES / "a2.json")],
-                              capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    def test_cli_loads_numpy_with_one_thread(self):
-        assert self._run(_bare_env()) == "1 1\n"
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs two CPUs for a second BLAS thread")
-    @pytest.mark.parametrize("name, want", [("OPENBLAS_NUM_THREADS", "2\n"),
-                                            ("OMP_NUM_THREADS", "None\n")])
-    def test_caller_thread_count_is_kept(self, name, want):
-        assert self._run(_bare_env(**{name: "2"})) == "2 " + want
-
-    def test_library_import_leaves_the_environment(self):
-        script = (
-            "import os, sys\n"
-            "before = dict(os.environ)\n"
-            "import jacobiforms\n"
-            "jacobiforms.rho_word(jacobiforms.make_lattice([[2, 1], [1, 2]]), ['S', 'T'])\n"
-            "print('numpy._core' in sys.modules, dict(os.environ) == before)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=300, env=_bare_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True True\n"
-
-    @pytest.mark.parametrize("verb, lattice, args", [
-        ("rep", "square20", ["--word", "S,T,S,T,S,T"]),
-        ("rep", "a1_scaled4", ["--avg", "2"]),
-        ("eisenstein", "a2", ["-k", "8", "--mode", "numeric", "--n-max", "1", "--c-max", "120"]),
-    ])
-    def test_pool_size_moves_no_byte(self, verb, lattice, args, tmp_path):
-        if lattice in GOLDEN_GRAMS:
-            path = _golden_lattice(tmp_path, lattice)
-        else:
-            path = str(LATTICES / f"{lattice}.json")
-        outs = [
-            subprocess.run([sys.executable, "-m", "jacobiforms", verb, "--lattice", path, *args],
-                           capture_output=True, timeout=300,
-                           env=_bare_env(OPENBLAS_NUM_THREADS=threads))
-            for threads in ("1", "2")
-        ]
-        assert [proc.returncode for proc in outs] == [0, 0], outs[1].stderr
-        assert outs[0].stdout == outs[1].stdout
 
 
 class TestVerifyCommand:

@@ -21,7 +21,7 @@ from jacobiforms.errors import NotIsotropicError, OddWeightError, UnsupportedOrd
 from jacobiforms.lattice import enumerate_supp, isotropy_set
 from jacobiforms.rationals import unit_phase
 
-from oracles import nontrivial_case_formulas, rho_generator_loop, schrodinger_loop
+from oracles import averaging_dense, nontrivial_case_formulas, rho_generator_loop, schrodinger_loop
 
 BASIS_TRIPLES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -74,6 +74,16 @@ class TestMatchesLoopOracles:
                     got = schrodinger_matrix(lat, x, *triple).matrix
                     want = schrodinger_loop(lat, x, *triple)
                     assert np.array_equal(_bits(got), _bits(want)), (lat, x, triple)
+
+    def test_averaging_bit_equal(self, model_lattices):
+        # every isotropic class of order 2 to 4, and order 6 on [[72]], where a
+        # quotient by 36 and a product with 1/36 differ in the last bit
+        cases = [(lat, x) for lat in model_lattices for x in isotropy_set(lat) if 1 < x.order <= 4]
+        order_six = make_lattice([[72]])
+        cases.append((order_six, order_six.disc_group.element((12,))))
+        for lat, x in cases:
+            got = averaging_matrix(lat, x).matrix
+            assert np.array_equal(_bits(got), _bits(averaging_dense(lat, x))), (lat, x)
 
 
 class TestRhoWord:
