@@ -18,7 +18,7 @@ from .lattice import isotropy_set, load_lattice_json
 from .poincare import PoincareSpec, poincare_expansion
 from .rationals import format_rational, parse_rational
 from .verify import run_suites
-from .weilrep import averaging_matrix, rho_word, schrodinger_matrix
+from .weilrep import averaging_matrix, rho_generator, rho_word, schrodinger_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -200,7 +200,7 @@ def _cmd_rep(args):
         docs.append(_matrix_doc(averaging_matrix(lattice, _element(group, args.avg)), group))
     if not docs:
         for g in ("T", "S"):
-            docs.append(_matrix_doc(rho_word(lattice, [g]), group))
+            docs.append(_matrix_doc(rho_generator(lattice, g), group))
     _write_output(_rep_chunks(name, docs), args.output)
     return EXIT_OK
 

@@ -26,14 +26,14 @@ too), and a singular zero recurses on the form reduced by p.  Each node is
 counted in closed form at odd p, from a symmetric elimination of G mod p and
 the classical count of a nondegenerate form's values, and by a walk of
 (Z/2)^rank at p = 2; its singular zeros are listed only where they recurse,
-at e >= 2, and e = 1 takes the count alone.  The LRU cache on
-that recursion is the one memo of R_b: `rep_count`, the stable profiles
-behind the local factors and the bad-prime counts of the Dirichlet series all
-read through it.  A node that would list more than NODE_POINT_LIMIT points
-raises ResourceLimitError before allocating.  The brute-force count over
-(Z/b)^rank and the walk of (Z/p)^rank at every node stay in the tests as
-oracles.  This part, like the Dirichlet series, runs in Python ints; numpy
-loads only for the H_c series.
+at e >= 2, and e = 1 takes the count alone.  This recursion is the one route
+to R_{p^e}, at good and bad primes alike, and the LRU cache on it the one memo
+of R_b across calls: `rep_count`, the stable profiles behind the local factors
+and the prime powers of the Dirichlet series all read through it.  A node
+that would list more than NODE_POINT_LIMIT points raises ResourceLimitError
+before allocating.  The brute-force count over (Z/b)^rank and the walk of
+(Z/p)^rank at every node stay in the tests as oracles.  This part, like the
+Dirichlet series, runs in Python ints; numpy loads only for the H_c series.
 """
 
 import math
@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 from ._lazy import np
@@ -659,16 +659,23 @@ def _hensel_count(gram, p, g, n, e):
     return total
 
 
+def _prime_power_counts(lattice, x, D):
+    """(p, e) -> R_{p^e} for Q(lambda) = beta(lambda + x) - D, by `_hensel_count`."""
+    # Q(lambda) = beta(lambda) + (G x).lambda + beta(x) - D
+    gx = tuple(int(v) for v in lattice.gram_times(x.rep))
+    n = int(lattice.beta(x.rep) - D)
+
+    def count(p, e):
+        q = p**e
+        return _hensel_count(lattice.gram, p, tuple(v % q for v in gx), n % q, e)
+
+    return count
+
+
 def rep_count(key):
     """R_b: the CRT product over p^e || b of Hensel counts, memoized per prime power."""
-    # Q(lambda) = beta(lambda + x) - D = beta(lambda) + (G x).lambda + beta(x) - D
-    lat, xhat = key.lattice, key.x.rep
-    gx = lat.gram_times(xhat)
-    n = lat.beta(xhat) - key.D
-    return math.prod(
-        _hensel_count(lat.gram, p, tuple(int(v) % p**e for v in gx), int(n) % p**e, e)
-        for p, e in factorize(key.b)
-    )
+    count = _prime_power_counts(key.lattice, key.x, key.D)
+    return math.prod(count(p, e) for p, e in factorize(key.b))
 
 
 def _d_tilde(x, D):
@@ -744,30 +751,6 @@ def good_prime_factor(lattice, x, D, p, s):
     return num / den
 
 
-def _good_prime_count(lattice, x, D, p):
-    """R_p at a good prime, from the closed forms above.
-
-    Even rank: p^(rank-1) - chi_Delta(p) p^(rank/2 - 1).
-    Odd rank:  p^(rank-1) + chi(p) p^((rank-1)/2).
-    """
-    rank = lattice.rank
-    if rank % 2 == 0:
-        return p ** (rank - 1) - kronecker(lattice.delta, p) * p ** (rank // 2 - 1)
-    dt = _d_tilde(x, D)
-    return p ** (rank - 1) + kronecker(dt * lattice.delta, p) * p ** ((rank - 1) // 2)
-
-
-def rep_count_prime_power(lattice, x, D, p, e):
-    """R_{p^e}, via closed forms at good primes and rep_count at bad ones."""
-    if e == 0:
-        return 1
-    rank = lattice.rank
-    dt = _d_tilde(x, D)
-    if (2 * dt * lattice.det) % p != 0:
-        return p ** ((e - 1) * (rank - 1)) * _good_prime_count(lattice, x, D, p)
-    return rep_count(RepCountKey(lattice, x, Fraction(D), p**e))
-
-
 @lru_cache(maxsize=64)
 def _spf_sieve(limit):
     """Smallest prime factor of each 2 <= n <= limit, as a list indexed by n."""
@@ -782,8 +765,8 @@ def _spf_sieve(limit):
 def dirichlet_series_partial(lattice, x, D, s, B):
     """Truncated Dirichlet series sum_{b <= B} R_b / b^s (float).
 
-    R_b is assembled multiplicatively from prime-power counts (CRT); prime
-    powers come from rep_count_prime_power.
+    R_b is assembled multiplicatively from the prime-power counts of
+    `rep_count` (CRT), each taken once per call.
     """
     if s <= lattice.rank + 0.5:
         raise ValueError(f"s = {s} is too close to the abscissa rank = {lattice.rank}")
@@ -791,12 +774,7 @@ def dirichlet_series_partial(lattice, x, D, s, B):
     if B < 1:
         raise ValueError("B must be positive")
     spf = _spf_sieve(max(B, 2))
-    pp_cache = {}
-
-    def prime_power(p, e):
-        if (p, e) not in pp_cache:
-            pp_cache[(p, e)] = rep_count_prime_power(lattice, x, D, p, e)
-        return pp_cache[(p, e)]
+    prime_power = cache(_prime_power_counts(lattice, x, Fraction(D)))
 
     total = 1.0  # b = 1 term
     for b in range(2, B + 1):

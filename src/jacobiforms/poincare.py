@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConvergenceDomainError, OutOfRangeError
+from .errors import ConvergenceDomainError
 from .eisenstein import (
     CoefficientValue,
     _check_supp,
@@ -22,7 +22,7 @@ from .eisenstein import (
     _series_expansion,
 )
 from .lattice import DiscElement
-from .numbertheory import BESSEL_X_MAX, bessel_j, gamma_half
+from .numbertheory import bessel_j, gamma_half
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,6 @@ def poincare_coefficient(spec, Dp, xp, c_max):
     if c_max == 0:
         return CoefficientValue(value=value, tail_estimate=None)
     bessel_arg = 4 * math.pi * math.sqrt(float(D * Dp))
-    if bessel_arg > BESSEL_X_MAX:
-        raise OutOfRangeError(
-            f"4 pi sqrt(D D') = {bessel_arg} exceeds the Bessel range {BESSEL_X_MAX}"
-        )
     alpha = Fraction(2 * k - rank - 2, 2)  # k - rank/2 - 1
     # the Bessel power series and the tail bound both divide by Gamma(alpha + 1)
     _float_or_refuse(k, f"Gamma({alpha + 1})", lambda: math.gamma(alpha + 1))

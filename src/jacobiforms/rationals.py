@@ -8,16 +8,19 @@ import cmath
 import math
 from fractions import Fraction
 
+from .errors import ValidationError
+
 TWO_PI = 2.0 * math.pi
 
 
 def parse_rational(text):
-    """Parse 'p/q' or a plain integer string into a Fraction."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse 'p/q' or a plain integer string into a Fraction; anything else,
+    a zero denominator included, raises ValidationError naming the form."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"expected a rational 'p/q' or an integer, got {text!r}") from exc
 
 
 def format_rational(q):

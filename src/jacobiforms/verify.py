@@ -28,7 +28,7 @@ from .expsums import (
     rep_count,
 )
 from .lattice import enumerate_supp, make_lattice
-from .numbertheory import QuadChar, dirichlet_L_nonpositive
+from .numbertheory import QuadChar, bessel_j, dirichlet_L_nonpositive
 from .poincare import PoincareSpec, poincare_coefficient, poincare_expansion
 from .weilrep import (
     averaging_matrix,
@@ -142,6 +142,16 @@ def _check_delta_terms():
     assert poincare_coefficient(spec, Fraction(-1), x0, 0).value == 2.0
 
 
+def _check_bessel_past_sixty():
+    # the Poincare weights J(4 pi sqrt(D D') / c) reach past x = 60 at large |D D'|
+    import mpmath
+    for alpha in (Fraction(17, 2), Fraction(9), Fraction(35, 2)):
+        for x in (60.5, 125.7, 400.0, 1000.0):
+            with mpmath.workdps(30):
+                err = abs(bessel_j(alpha, x) - mpmath.besselj(float(alpha), x))
+            assert err <= 1e-16, (alpha, x, err)
+
+
 def _check_unitarity():
     for lat in _lattices():
         for g in ("T", "S"):
@@ -195,6 +205,7 @@ SUITES = {
     "poincare": [
         ("cusp support and symmetry", _check_poincare_props),
         ("delta terms", _check_delta_terms),
+        ("Bessel J past x = 60", _check_bessel_past_sixty),
     ],
     "weil": [
         ("unitarity", _check_unitarity),

@@ -105,19 +105,23 @@ def rho_generator(lattice, g):
 
 
 def rho_word(lattice, word):
-    """Ordered product of generator matrices; inverses via conjugate transpose."""
+    """Ordered product of generator matrices; inverses via conjugate transpose.
+
+    The product starts from the first letter's matrix, so a one-letter word is
+    that letter's matrix bit for bit.
+    """
     word = tuple(word)
     if not word:
         raise ValueError("word must be non-empty")
-    n = len(lattice.disc_group)
-    mat = np.eye(n, dtype=np.complex128)
+    mat = None
     for token in word:
         if token in ("T", "S"):
-            mat = mat @ rho_generator(lattice, token).matrix
+            factor = rho_generator(lattice, token).matrix
         elif token in ("T^-1", "S^-1"):
-            mat = mat @ rho_generator(lattice, token[0]).matrix.conj().T
+            factor = rho_generator(lattice, token[0]).matrix.conj().T
         else:
             raise ValueError(f"unknown token {token!r}; expected T, S, T^-1 or S^-1")
+        mat = factor if mat is None else mat @ factor
     return RepMatrix("".join(word), rows=mat.tolist())
 
 

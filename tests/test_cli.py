@@ -104,6 +104,12 @@ class TestEisensteinCommand:
         values = sorted(parse_rational(e["value"]) for e in doc["entries"])
         assert values == [1, 56, 126]
 
+    def test_zero_denominator_names_the_form(self, a1_path, capsys):
+        assert main(["eisenstein", "--lattice", a1_path, "-k", "4", "--n-max", "1/0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "'p/q'" in err["message"]
+
     def test_odd_weight_all_zero(self, a1_path, capsys):
         code = main([
             "eisenstein", "--lattice", a1_path, "-k", "5", "-r", "0",
@@ -289,6 +295,21 @@ class TestPoincareCommand:
         assert err["error"] == "OutOfRangeError"
         assert "k=200" in err["message"]
 
+    @pytest.mark.parametrize("flag", ["-D=-3/0", "-D=x", "-D=-1/"])
+    def test_malformed_rational_names_the_form(self, a1_path, capsys, flag):
+        args = ["poincare", "--lattice", a1_path, "-k", "10", "-D=-1", "-r", "0", "--c-max", "10"]
+        assert main([*args, flag]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "'p/q'" in err["message"]
+
+    def test_past_the_old_bessel_cap(self, a1_path, capsys):
+        # 4 pi sqrt(D D') reaches 20 pi * sqrt(3) at c = 1, past the former cap of 60
+        code = main(["poincare", "--lattice", a1_path, "-k", "10", "-D=-25", "-r", "0", "--n-max", "3"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["entries"] and doc["tail_estimate"] < 1e-12
+
     def test_malformed_class_names_the_form(self, a1_path, capsys):
         assert main(["poincare", "--lattice", a1_path, "-k", "10", "-D=-1/4", "-r", "1,x"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -347,7 +368,8 @@ class TestRepCommand:
 
     def test_gathers_never_load_numpy(self, tmp_path):
         # rho(T), rho(S), sigma_x and the averaging operator are gathers in Python
-        # complexes; a product of matrices (a word) executes numpy
+        # complexes, and the default rep prints rho(T) and rho(S) as gathered; a
+        # product of matrices (a word) executes numpy
         env = {
             "PATH": os.environ.get("PATH", ""),
             "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
@@ -359,6 +381,7 @@ class TestRepCommand:
             "def loaded():\n"
             "    return any(name in sys.modules for name in ('numpy._core', 'numpy.core'))\n"
             "for path, args in (\n"
+            "        (sys.argv[1], []), (sys.argv[2], []),\n"
             "        (sys.argv[1], ['--avg', '4', '--schrodinger', '4;1,1,0']),\n"
             "        (sys.argv[2], ['--schrodinger', '4,12;2,1,3', '--avg', '10,10'])):\n"
             "    assert main(['rep', '--lattice', path, *args, '-o', os.devnull]) == 0, path\n"

@@ -33,7 +33,6 @@ from jacobiforms.expsums import (
     good_prime_factor,
     h_series_terms,
     lattice_sum_fft,
-    rep_count_prime_power,
 )
 from jacobiforms.lattice import enumerate_supp, load_lattice_json
 from jacobiforms.numbertheory import factorize, zeta_float
@@ -376,7 +375,8 @@ class TestRepCount:
             rep_count(key)
 
     def test_prime_power_closed_forms_match_enumeration(self, a1, square2, a2):
-        # ledger-required validation of the good-prime shortcut
+        # rep_count at good and bad prime powers (the closed-form Hensel nodes at
+        # odd p) against the count over (Z/p^e)^rank
         for lat in (a1, square2, a2):
             x0 = lat.disc_group.zero
             for D in (Fraction(-1), Fraction(-2)):
@@ -384,7 +384,7 @@ class TestRepCount:
                     for e in (1, 2):
                         if p ** (e * lat.rank) > 10**7:
                             continue
-                        via_form = rep_count_prime_power(lat, x0, D, p, e)
+                        via_form = rep_count(RepCountKey(lattice=lat, x=x0, D=D, b=p**e))
                         via_enum = rep_count_enumerate(lat, x0, D, p**e)
                         assert via_form == via_enum, (lat.gram, D, p, e)
 

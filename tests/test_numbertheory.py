@@ -23,7 +23,7 @@ from jacobiforms import (
     moebius,
     sigma_twisted,
 )
-from jacobiforms.errors import NotADiscriminantError, NotFundamentalError, OutOfRangeError
+from jacobiforms.errors import NotADiscriminantError, NotFundamentalError
 from jacobiforms.numbertheory import is_fundamental_discriminant, zeta_float
 
 from oracles import dirichlet_L_by_bernoulli_poly
@@ -239,9 +239,15 @@ class TestBesselJ:
         assert (info.misses, info.hits) == (len(set(args)), len(args) - len(set(args))) == (8, 4)
         assert got == [bessel_j.__wrapped__(*a) for a in args]
 
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            bessel_j(1, 61.0)
+    def test_past_sixty_matches_mpmath(self):
+        # no range cap: x in (60, 1000] against 50-digit mpmath, where the
+        # envelope sqrt(2 / (pi x)) of J is still >= 0.025
+        for alpha in (0, 1, Fraction(3, 2), Fraction(7, 2), 6, Fraction(17, 2), Fraction(37, 2)):
+            alpha = Fraction(alpha)
+            for x in (60.5, 61.0, 113.1, 250.0, 517.3, 999.9, 1000.0):
+                with mpmath.workdps(50):
+                    ref = mpmath.besselj(mpmath.mpf(alpha.numerator) / alpha.denominator, x)
+                assert abs(bessel_j(alpha, x) - ref) <= 1e-16, (alpha, x)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):

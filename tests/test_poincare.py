@@ -10,7 +10,7 @@ from jacobiforms import (
     poincare_expansion,
 )
 from jacobiforms import expsums
-from jacobiforms.errors import ConvergenceDomainError, OutOfRangeError
+from jacobiforms.errors import ConvergenceDomainError, TailTooLargeError
 from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import bessel_j, gamma_half
 
@@ -87,10 +87,15 @@ class TestPoincareCoefficient:
         v2 = poincare_coefficient(spec, Fraction(-3, 4), xh, 1000)
         assert abs(v1.value - v2.value) <= 1e-8
 
-    def test_bessel_out_of_range(self, a1):
+    def test_past_the_old_bessel_cap(self, a1):
+        # 4 pi sqrt(D D') = 20 pi > 60 at c = 1: the c-sum converges, and at c_max 10
+        # it is refused by its tail guard (tail ~5e6), not by a range on the argument
         group = a1.disc_group
         spec = PoincareSpec(lattice=a1, k=10, D=Fraction(-25), r=group.zero)
-        with pytest.raises(OutOfRangeError):
+        v500 = poincare_coefficient(spec, Fraction(-25), group.zero, 500)
+        v1000 = poincare_coefficient(spec, Fraction(-25), group.zero, 1000)
+        assert abs(v500.value - v1000.value) <= 1e-8
+        with pytest.raises(TailTooLargeError):
             poincare_coefficient(spec, Fraction(-25), group.zero, 10)
 
     def test_convergence_guard(self, square2):

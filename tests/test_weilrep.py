@@ -87,6 +87,14 @@ class TestMatchesLoopOracles:
 
 
 class TestRhoWord:
+    def test_one_letter_word_is_the_gathered_generator(self, model_lattices):
+        # the product starts from the first letter's matrix: no identity product
+        # whose BLAS kernel could set the sign of a zero part
+        for lat in model_lattices:
+            for g in ("T", "S"):
+                got = rho_word(lat, [g]).matrix
+                assert np.array_equal(_bits(got), _bits(rho_generator(lat, g).matrix)), (lat, g)
+
     def test_inverse_cancels(self, a1):
         for word in (["T", "T^-1"], ["S", "S^-1"], ["T^-1", "T"]):
             assert np.max(np.abs(rho_word(a1, word).matrix - np.eye(2))) <= 1e-12
