@@ -17,7 +17,6 @@ from .errors import ComputationDomainError, ValidationError
 from .lattice import isotropy_set, load_lattice_json
 from .poincare import PoincareSpec, poincare_expansion
 from .rationals import format_rational, parse_rational
-from .verify import run_suites
 from .weilrep import averaging_matrix, rho_generator, rho_word, schrodinger_matrix
 
 EXIT_OK = 0
@@ -206,6 +205,9 @@ def _cmd_rep(args):
 
 
 def _cmd_verify(args):
+    # imported here: every other command would compile the self-checks for nothing
+    from .verify import run_suites
+
     report, ok = run_suites(args.suite)
     print(report)
     return EXIT_OK if ok else EXIT_VERIFY

@@ -11,11 +11,13 @@ Poincare series: prefactor * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r)).
 Eisenstein weighs by c^(-k), the D -> 0 limit of the Poincare Bessel weight.
 Every expansion, exact or numeric, is assembled by `_series_expansion`, which
 hands its support down to `expsums.shared_targets`: the H_c of every
-coefficient come from one table for the whole expansion (a closed-form
-Kloosterman or Salie sum on the part of c prime to 2 det, a walk of
-(Z/c_b)^rank per distinct key on the rest), while each coefficient keeps its
-own c-sum.  A prefactor that leaves the float range is refused while it is
-built, before the first H_c.
+coefficient come from one table for the whole expansion, while each
+coefficient keeps its own c-sum.  At D = 0 the table is a Ramanujan sum or its
+Jacobi twist in closed form on the part of c prime to 2 det, and quadratic
+Gauss sums by recursion once per distinct key on the rest, so a numeric
+Eisenstein request runs in Python ints and complexes and never loads numpy.
+A prefactor that leaves the float range is refused while it is built, before
+the first H_c.
 """
 
 import math

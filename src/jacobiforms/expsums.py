@@ -10,13 +10,19 @@ e(pint(lambda)/c) over n1(lambda) = t mod c, and since K(m, t; c) =
 sum_u e((m u^-1 + t u)/c), H needs one length-c FFT of acc, read at the
 units.  These two are the oracles.  The series route, `_h_table`, splits c =
 c_g c_b by CRT, c_b made of the primes of 2 det and c_g prime to it: H_c =
-e(beta(r', r)/c) K W, with K a Kloosterman sum (even rank) or Salie sum (odd
-rank) mod c_g in closed form from the Weil representation, and W the walk at
-modulus c_b on arguments scaled by c_g^-1 mod c_b, once per distinct key
-(c_b, c_g^-1 mod c_b).  Within one expansion (D, r) is fixed, so inside
-`shared_targets` one table z[target, c] serves every target (D', r') of the
-expansion, and each coefficient's c-sum reads its row; a lone coefficient is
-the one-target case.  The routes are asserted against each other in the tests.
+e(beta(r', r)/c) K W.  K is a Kloosterman sum (even rank) or Salie sum (odd
+rank) mod c_g in closed form from the Weil representation; where D = 0 mod
+c_g, as at every Eisenstein coefficient, its d-sum is a Ramanujan sum or its
+twist by the Jacobi symbol, and elsewhere one FFT per (c_g, D).  W is a sum
+over the units of c_b of quadratic Gauss sums S(U, h; p^e), one per prime
+power of c_b, each reduced two powers of p at a time onto the solutions of
+U G lambda = -h mod p (`_gauss_sum`, on the node machinery of the Hensel
+recursion below), once per distinct key (c_b, c_g^-1 mod c_b); its leaves are
+counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
+is fixed, so inside `shared_targets` one table z[target, c] serves every
+target (D', r') of the expansion, and each coefficient's c-sum reads its row;
+a lone coefficient is the one-target case.  The routes are asserted against
+each other in the tests.
 
 Representation numbers R_b count the zeros mod b of the integral polynomial
 Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
@@ -33,7 +39,8 @@ and the prime powers of the Dirichlet series all read through it.  A node
 that would list more than NODE_POINT_LIMIT points raises ResourceLimitError
 before allocating.  The brute-force count over (Z/b)^rank and the walk of
 (Z/p)^rank at every node stay in the tests as oracles.  This part, like the
-Dirichlet series, runs in Python ints; numpy loads only for the H_c series.
+Dirichlet series and the Eisenstein c-sums, runs in Python ints and complexes;
+numpy loads only for the walk oracle and for the FFT of K at D != 0 mod c_g.
 """
 
 import math
@@ -43,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
+from operator import mul
 
 from ._lazy import np
 from .errors import (
@@ -100,22 +108,6 @@ class _SumData:
     def pint(self, lam):
         """Integer part of beta(r', lambda + r): (G r') . lambda, for the first target."""
         return sum(g * v for g, v in zip(self.gps[0], lam))
-
-    def scaled(self, a):
-        """The data whose `_h_c` is sum_d sum_lambda e(a (d^-1 n1 + d m + pint) / c) per target.
-
-        With d -> a^-1 d the sum is H_c of n1 times a^2, every G r' times a,
-        m unchanged and no phase e(p0/c); `_h_table` walks it at c = c_b.
-        """
-        a2 = a * a
-        return _SumData(
-            gram=tuple(tuple(a2 * v for v in row) for row in self.gram),
-            rank=self.rank,
-            n0=a2 * self.n0,
-            gx=tuple(a2 * v for v in self.gx),
-            gps=tuple(tuple(a * v for v in gp) for gp in self.gps),
-            targets=tuple((g, np0, Fraction(0)) for g, np0, _ in self.targets),
-        )
 
 
 def _sum_data(lattice, D, r, targets):
@@ -224,11 +216,9 @@ def kloosterman_decomposition(lattice, D, r, Dp, rp, c):
 
 # -- lattice sums (the walk, and the series table) -------------------------------
 
-# A c-sum whose walks cover more than H_POINT_LIMIT points in all is refused
-# before its first walk, naming its cost.  The table walks only (Z/c_b)^rank per
-# distinct key, so 5e8 admits A3 at the default c_max = 1000 and refuses D4
-# there (c_b = 512 alone is 6.9e10 points); `lattice_sum_fft` counts
-# sum_{c' <= c} c'^rank, the c-sum that its walk of every c would cost.
+# `lattice_sum_fft` walks (Z/c')^rank at every c' <= c; it is refused before
+# its walk when that c-sum, sum_{c' <= c} c'^rank, covers more than
+# H_POINT_LIMIT points, naming its cost.
 H_POINT_LIMIT = 5 * 10**8
 
 
@@ -312,7 +302,7 @@ def lattice_sum_fft(lattice, D, r, Dp, rp, c):
     """H_{L,c}(D, r, D', r') by the walk of (Z/c)^rank (within ~1e-10 of the definitional route).
 
     The oracle of `_h_table` at every c.  Refused when a walk of every c' <= c
-    would be, which also bounds every per-c table.
+    would cover more than H_POINT_LIMIT points.
     """
     c = int(c)
     if c < 1:
@@ -328,7 +318,7 @@ class _Shared:
 
     targets: tuple
     key: tuple = None
-    table: "np.ndarray" = None
+    table: "_HTable" = None
 
 
 _SHARED = ContextVar("expsums_shared_targets", default=None)
@@ -338,7 +328,7 @@ _SHARED = ContextVar("expsums_shared_targets", default=None)
 def shared_targets(targets):
     """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
     from one table z[target, c] for all of them, built at the first term with
-    one walk per key (c_b, a') of `_h_table` and dropped on exit."""
+    one Gauss-sum recursion per key (c_b, a') of `_h_table` and dropped on exit."""
     token = _SHARED.set(_Shared(tuple(targets)))
     try:
         yield
@@ -355,12 +345,184 @@ def _split(c, bad):
     return c, c_b
 
 
-def _check_walks(rank, c_max, keys):
-    points = sum(c_b**rank for c_b, _ in keys)
-    if points > H_POINT_LIMIT:
+# The recursion of `_gauss_sum` ends in at most p^(k floor(e/2)) leaves at a
+# prime power p^e, k the dimension of the radical of G mod p.  `_h_table` runs
+# it per key (c_b, a), unit of c_b and prime power of c_b for each distinct
+# G r', and refuses a table whose leaves per G r' would exceed H_LEAF_LIMIT
+# before its first recursion, naming the count.  It is a constant, not a
+# setting.  At c_max = 1000 the bound is 1.4e3 leaves on E8 (k = 0), 1.4e4 on
+# A3 (k = 1), 1.7e5 on D4 (k = 2), 2.4e6 on A1^3 (k = 3) and 2.2e12 on 2 E8
+# (k = 8); the memo of the subsums keeps the work well below it.
+H_LEAF_LIMIT = 10**7
+
+
+@lru_cache(maxsize=256)
+def _roots(n):
+    """[e(j/n) for j = 0..n-1], each as `unit_phase_ratio` gives it."""
+    return [unit_phase_ratio(j, n) for j in range(n)]
+
+
+@lru_cache(maxsize=256)
+def _gauss_node(gram, p):
+    """(solve, leaf, k) for the nodes of `_gauss_sum` at a prime p.
+
+    solve(U, h) lists (lambda, beta(lambda), G lambda) for one integer lambda per
+    class mod p with U G lambda + h = 0 mod p: none, or a coset of the radical R
+    of G mod p, of p^k points.
+    leaf(U, h) = S(U, h; p), the sum of e((U beta(lambda) + h.lambda)/p) over
+    (Z/p)^rank.  At p = 2 both read one walk of (Z/2)^rank that groups lambda by
+    G lambda mod 2 and keeps beta(lambda) mod 2 (U is odd and drops out).  At
+    odd p both come from `_diagonalize_mod_p`: with lambda = sum y_i b_i,
+    G lambda = v asks b_i.v = pivot_i y_i below the pivots and b_i.v = 0 on R,
+    and the leaf is p^k times one-dimensional Gauss sums
+    sum_y e((a y^2 + t y)/p) = (a/p) g_p e(-t^2 (4a)^-1 / p), with
+    g_p = sqrt(p) at p = 1 mod 4 and i sqrt(p) at p = 3 mod 4.
+    """
+    rank = len(gram)
+    if p == 2:
+        _check_node(p, f"walks 2^rank = 2^{rank}", 2**rank, "points")
+        cosets, parity = {}, {}
+        for lam in product((0, 1), repeat=rank):
+            image, beta = tuple(sum(gij * v for gij, v in zip(row, lam)) for row in gram), _int_beta(gram, lam)
+            cosets.setdefault(tuple(v % 2 for v in image), []).append((lam, beta, image))
+            parity[lam] = beta % 2
+
+        @cache
+        def leaf2(h):
+            return sum(1 - 2 * ((b + sum(x * y for x, y in zip(h, lam))) % 2)
+                       for lam, b in parity.items())
+
+        k = rank - (len(cosets).bit_length() - 1)
+        return (lambda U, h: cosets.get(tuple([v & 1 for v in h]), ()),
+                lambda U, h: leaf2(h), k)
+
+    pivots, basis = _diagonalize_mod_p(gram, p)
+    s, radical = len(pivots), basis[len(pivots):]
+    k = len(radical)
+    _check_node(p, f"lists p^k = {p}^{k}", p**k, "points")
+    g_p = (1j if p % 4 == 3 else 1) * math.sqrt(p)
+    half = pow(2, -1, p)
+
+    def coords(h):  # b_i.h mod p, and whether h is orthogonal to R
+        t = [sum(x * y for x, y in zip(vec, h)) % p for vec in basis]
+        return t[:s], not any(t[s:])
+
+    @lru_cache(maxsize=1 << 12)
+    def solve_mod_p(U, h):
+        t, solvable = coords(h)
+        if not solvable:
+            return ()
+        ubar = pow(U, -1, p)
+        y = [-ti * ubar * pow(piv, -1, p) % p for ti, piv in zip(t, pivots)]
+        lam0 = [sum(yi * vec[j] for yi, vec in zip(y, basis)) for j in range(rank)]
+        points = (tuple(l0 + sum(z * vec[j] for z, vec in zip(zs, radical)) for j, l0 in enumerate(lam0))
+                  for zs in product(range(p), repeat=k))
+        return [(lam, _int_beta(gram, lam), [sum(gij * v for gij, v in zip(row, lam)) for row in gram])
+                for lam in points]
+
+    @lru_cache(maxsize=1 << 12)
+    def leaf_mod_p(U, h):
+        t, solvable = coords(h)
+        if not solvable:
+            return 0
+        sign, num = 1, 0
+        for ti, piv in zip(t, pivots):
+            a = U * piv * half % p
+            sign *= kronecker(a, p)
+            num -= ti * ti * pow(4 * a, -1, p)
+        return p**k * sign * g_p**s * unit_phase_ratio(num, p)
+
+    # both depend on U and h mod p only: memoized there
+    return (lambda U, h: solve_mod_p(U % p, tuple([v % p for v in h])),
+            lambda U, h: leaf_mod_p(U % p, tuple([v % p for v in h])), k)
+
+
+def _gauss_sum(gram, p, e, U, h):
+    """S(U, h; p^e) = sum over lambda mod p^e of e((U beta(lambda) + h.lambda)/p^e).
+
+    U is a unit and U, h are reduced mod p^e.  With lambda = lambda1 + p mu,
+    Q(lambda) = U beta(lambda) + h.lambda and grad = U G lambda1 + h,
+      Q(lambda1 + p mu) = Q(lambda1) + p grad.mu + p^2 U beta(mu)
+    (exact, beta integral on L).  The sum over mu mod p^(e-1) vanishes unless
+    grad = 0 mod p; then splitting mu once more, mod p^(e-2) and along p^(e-2),
+    leaves p^rank S(U, grad/p; p^(e-2)).  So for e >= 2
+      S = p^rank sum_{lambda1 mod p, grad = 0 mod p} e(Q(lambda1)/p^e) S(U, grad/p; p^(e-2)),
+    one level of `_gauss_node` per two powers of p, down to e = 0 (S = 1) or
+    the leaf at e = 1.
+    """
+    if e == 0:
+        return 1
+    solve, leaf, _ = _gauss_node(gram, p)
+    if e == 1:
+        return leaf(U, h)
+    q, sub = p**e, p ** (e - 2)
+    roots = _roots(q)
+    total = 0j
+    for lam, beta, glam in solve(U, h):
+        value = U * beta + sum(map(mul, h, lam))
+        total += roots[value % q] * _subsum(
+            gram, p, e - 2, U % sub, tuple([(U * g + hi) // p % sub for g, hi in zip(glam, h)]))
+    return p ** len(gram) * total
+
+
+# A top-level S is met about once per unit and G r', its subsums again and again
+# across units, keys and targets: only the subsums are memoized, so the memo
+# does not grow with the units times the classes r' of an expansion.
+_subsum = lru_cache(maxsize=1 << 16)(_gauss_sum)
+
+
+def _check_leaves(data, c_max, keys):
+    ks = {p: _gauss_node(data.gram, p)[2] for c_b, _ in keys for p, _ in factorize(c_b)}
+    leaves = sum(math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(c_b))
+                 * sum(p ** (ks[p] * (e // 2)) for p, e in factorize(c_b))
+                 for c_b, _ in keys)
+    if leaves > H_LEAF_LIMIT:
         raise ResourceLimitError(
-            f"H_c for c <= {c_max} walks (Z/c_b)^{rank} once per key (c_b, c_g^-1 mod c_b) "
-            f"with c_b > 1: {len(keys)} keys, {points} points, over the limit of {H_POINT_LIMIT}")
+            f"H_c for c <= {c_max} sums (Z/c_b)^{data.rank} as Gauss sums per key "
+            f"(c_b, c_g^-1 mod c_b) and unit of c_b: {len(keys)} keys, {leaves} leaves "
+            f"per G r', over the limit of {H_LEAF_LIMIT}")
+
+
+def _bad_part(data, c_b, a):
+    """W at every target of data, for the key (c_b, a) with a = c_g^-1 mod c_b.
+
+    After CRT on (d, lambda), the part of H_c at c_b is
+    W = sum over d in (Z/c_b)* and lambda mod c_b of
+    e((d^-1 a^2 n1(lambda) + d m + a pint(lambda)) / c_b), m = beta(r') - D'.
+    With u = d^-1, U = u a^2 and h = U G r + a G r' the exponent is
+    U beta(lambda) + h.lambda + U n0 + m u^-1, and the sum over lambda mod c_b
+    splits by CRT again (1/c_b = sum_q s_q/q mod 1, s_q = (c_b/q)^-1 mod q):
+      W = sum_u e((U n0 + m u^-1)/c_b) prod_{q = p^e || c_b} S(U s_q, h s_q; q).
+    The Gauss sums depend on the target only through G r', so they are formed
+    once per unit and distinct G r'.
+    """
+    factors = [(p, e, p**e, pow(c_b // p**e, -1, p**e)) for p, e in factorize(c_b)]
+    # per G r' and prime power q: (p, e, q, s_q, a s_q G r')
+    terms = [[(p, e, q, s, [a * s * y for y in gp]) for p, e, q, s in factors] for gp in data.gps]
+    roots = _roots(c_b)
+    out = [0j] * len(data.targets)
+    for u in _units(c_b):
+        U = u * a * a % c_b
+        ubar = pow(u, -1, c_b)
+        sums = []
+        for gp_terms in terms:
+            z = 1
+            for p, e, q, s, agp in gp_terms:
+                us = U * s
+                z *= _gauss_sum(data.gram, p, e, us % q, tuple([(us * x + y) % q for x, y in zip(data.gx, agp)]))
+            sums.append(z)
+        phase = U * data.n0
+        for i, (g, m, _) in enumerate(data.targets):
+            out[i] += roots[(phase + m * ubar) % c_b] * sums[g]
+    return out
+
+
+@lru_cache(maxsize=256)
+def _legendre_table(p):
+    """[(u/p) for u = 0..p-1] at an odd prime p, with -1 at u = 0, which no unit meets."""
+    table = -np.ones(p, dtype=np.int64)
+    table[np.arange(1, p) ** 2 % p] = 1
+    return table
 
 
 def _jacobi_symbols(units, m):
@@ -368,10 +530,30 @@ def _jacobi_symbols(units, m):
     out = np.ones(len(units), dtype=np.int64)
     for p, e in factorize(m):
         if e % 2:
-            table = -np.ones(p, dtype=np.int64)
-            table[np.arange(1, p) ** 2 % p] = 1
-            out *= table[units % p]
+            out *= _legendre_table(p)[units % p]
     return out
+
+
+def _unit_sum(m, factors, x, odd):
+    """sum_{d in (Z/m)*} chi(d) e(x d/m), chi = 1 (odd False) or the Jacobi symbol (d/m).
+
+    By CRT it is prod_{q = p^e || m} ((m/q)/p)^e G_q(x), G_q the sum mod q.  At
+    chi = 1, and at even e, G_q is the Ramanujan sum c_q(x): phi(q) if q | x,
+    -p^(e-1) if p^(e-1) || x, else 0.  At odd e with chi the Jacobi symbol,
+    G_q = 0 unless p^(e-1) | x, and then p^(e-1) ((x/p^(e-1))/p) g_p, with
+    g_p = sqrt(p) or i sqrt(p) as p = 1 or 3 mod 4.
+    """
+    value = 1
+    for p, e in factors:
+        q, low = p**e, p ** (e - 1)
+        if x % low:
+            return 0
+        if odd and e % 2:
+            value *= kronecker(m // q, p) * low * kronecker(x // low, p) * math.sqrt(p)
+            value *= 1j if p % 4 == 3 else 1
+        else:
+            value *= q - low if x % q == 0 else -low
+    return value
 
 
 def _closed_form(lattice, D, data, dps):
@@ -385,65 +567,100 @@ def _closed_form(lattice, D, data, dps):
     m prime to det, and the Gauss sum of beta mod m is the product of the
     one-dimensional ones over a diagonalization.)  D, D' and beta(r', r) are
     held as N times integers, N their common denominator, which is prime to
-    m.  Only D' varies the d-phase across targets, so one length-m FFT of
-    d -> ((a d)/m)^n e(-a D d^-1 / m) is read at -a D' for every target; it
-    depends on c_b only through -a D mod m, so at D = 0 one FFT serves every
-    c_b of m.
+    m.  Where D = 0 mod m, as at every Eisenstein c, the d-sum is a Ramanujan
+    sum or its twist by the Jacobi symbol, in closed form (`_unit_sum`).
+    Elsewhere only D' varies the d-phase across targets, so one length-m FFT
+    of d -> ((a d)/m)^n e(-a D d^-1 / m) is read at -a D' for every target;
+    it depends on c_b only through -a D mod m.
     """
     rank, det, n_targets = lattice.rank, lattice.det, len(dps)
     p0s = [p0 for _, _, p0 in data.targets]
     big_n = math.lcm(*(q.denominator for q in [Fraction(D), *dps, *p0s]))
     nd = int(D * big_n)
-    ndp = np.array([int(q * big_n) for q in dps], dtype=np.int64)
-    np0 = np.array([int(q * big_n) for q in p0s], dtype=np.int64)
+    ndp = [int(q * big_n) for q in dps]
+    np0 = [int(q * big_n) for q in p0s]
+    target_arrays = cache(lambda: (np.array(ndp, dtype=np.int64), np.array(np0, dtype=np.int64)))
 
     def at(m):
         if m == 1:
-            return lambda c_b: np.ones(n_targets, dtype=complex)
-        units = _unit_array(m)
-        inv = _inverses(units, m) if nd % m else None  # D = 0 mod m needs no d^-1
-        roots = np.exp((2j * np.pi / m) * np.arange(m))
-        chi = _jacobi_symbols(units, m) if rank % 2 else 1
+            return lambda c_b: [1 + 0j] * n_targets
+        factors = factorize(m)
         eps = (1, 1j, -1, -1j)[rank % 4] if m % 4 == 3 else 1
         scale = eps * kronecker(det, m) * kronecker(2, m) ** rank * m ** (rank / 2)
         ffts = {}
 
+        @cache
+        def arrays():  # the units mod m, their inverses, the m-th roots of unity, chi(units)
+            units = _unit_array(m)
+            chi = _jacobi_symbols(units, m) if rank % 2 else 1
+            return units, _inverses(units, m), np.exp((2j * np.pi / m) * np.arange(m)), chi
+
+        def fft(t):  # [x] -> sum_d (d/m)^n e((x d + t d^-1)/m)
+            if t not in ffts:
+                units, inv, roots, chi = arrays()
+                f = np.zeros(m, dtype=complex)
+                f[units] = roots[t * inv % m] * chi
+                ffts[t] = np.fft.ifft(f, norm="forward")
+            return ffts[t]
+
         def k(c_b):
             s = m - pow(c_b * big_n, -1, m)  # -a / N mod m
             t = s * nd % m
-            if t not in ffts:
-                f = np.zeros(m, dtype=complex)
-                f[units] = roots[t * inv % m] * chi if t else chi
-                ffts[t] = np.fft.ifft(f, norm="forward")  # [x] -> sum_d f[d] e(x d / m)
             sign = kronecker(c_b, m) if rank % 2 else 1
-            return (sign * scale) * roots[s * (np0 % m) % m] * ffts[t][s * (ndp % m) % m]
+            if t == 0:
+                return [(sign * scale) * unit_phase_ratio(s * v, m) * _unit_sum(m, factors, s * w % m, rank % 2)
+                        for v, w in zip(np0, ndp)]
+            ndp_array, np0_array = target_arrays()
+            return ((sign * scale) * arrays()[2][s * np0_array % m] * fft(t)[s * ndp_array % m]).tolist()
 
         return k
 
     return at
 
 
+class _HTable:
+    """H_c of every target at c = 1..c_max, packed c-major as (re, im) doubles like
+    a complex128 array: table[target, c - 1] reads one, row(target) all of a target's."""
+
+    def __init__(self, n_targets, c_max):
+        self.n = n_targets
+        self.parts = memoryview(bytearray(16 * n_targets * c_max)).cast("d")
+
+    def put(self, c, hs):  # the H_c of every target at one c
+        i = 2 * self.n * (c - 1)
+        for h in hs:
+            self.parts[i], self.parts[i + 1] = h.real, h.imag
+            i += 2
+
+    def row(self, i):
+        step = 2 * self.n
+        return map(complex, self.parts[2 * i::step], self.parts[2 * i + 1::step])
+
+    def __getitem__(self, key):
+        i = 2 * (key[1] * self.n + key[0])
+        return complex(self.parts[i], self.parts[i + 1])
+
+
 def _h_table(lattice, D, r, targets, c_max):
-    """z[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first walk.
+    """table[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first recursion.
 
     Split c = c_g c_b with c_b | (2 det)^oo and c_g prime to 2 det.  By CRT on
     (d, lambda), H_c = e(beta(r', r)/c) K W: K is `_closed_form` at m = c_g,
-    and W is `_h_c` at modulus c_b on the data scaled by a' = c_g^-1 mod c_b,
-    walked once per key (c_b, a') in order of first c and never where c_b = 1
-    (W = 1 there).  The point limit counts the walks of the distinct keys only.
-    The closed form runs grouped by c_g, so its tables mod c_g are built once.
+    and W is `_bad_part` at the key (c_b, a), a = c_g^-1 mod c_b, formed once
+    per key in order of first c and never where c_b = 1 (W = 1 there).  The
+    leaf limit counts the Gauss-sum recursions of the distinct keys.  The
+    closed form runs grouped by c_g, so its tables mod c_g are built once.
     """
     data = _sum_data(lattice, D, r, targets)
     split = [_split(c, 2 * lattice.det) for c in range(1, c_max + 1)]
-    walks = dict.fromkeys((c_b, pow(c_g, -1, c_b)) for c_g, c_b in split if c_b > 1)
-    _check_walks(data.rank, c_max, walks)
-    for c_b, a in walks:
-        walks[c_b, a] = np.array(_h_c(data.scaled(a), c_b))
+    keys = dict.fromkeys((c_b, pow(c_g, -1, c_b)) for c_g, c_b in split if c_b > 1)
+    _check_leaves(data, c_max, keys)
+    for c_b, a in keys:
+        keys[c_b, a] = _bad_part(data, c_b, a)
     closed_form = _closed_form(lattice, D, data, [Fraction(Dp) for Dp, _ in targets])
-    p0s = sorted({p0 for _, _, p0 in data.targets})
-    p0_row = np.array([p0s.index(p0) for _, _, p0 in data.targets])
-    p0_ratios = [(p0.numerator, p0.denominator) for p0 in p0s]
-    table = np.empty((len(targets), c_max), dtype=complex)
+    p0s = [(p0.numerator, p0.denominator) for _, _, p0 in data.targets]
+    distinct_p0s = set(p0s)
+    table = _HTable(len(targets), c_max)
     by_m = {}
     for c_g, c_b in split:
         by_m.setdefault(c_g, []).append(c_b)
@@ -451,10 +668,9 @@ def _h_table(lattice, D, r, targets, c_max):
         k = closed_form(c_g)
         for c_b in c_bs:
             c = c_g * c_b
-            h = np.array([unit_phase_ratio(a, n * c) for a, n in p0_ratios])[p0_row] * k(c_b)
-            if c_b > 1:
-                h = h * walks[c_b, pow(c_g, -1, c_b)]
-            table[:, c - 1] = h
+            phases = {p0: unit_phase_ratio(p0[0], p0[1] * c) for p0 in distinct_p0s}
+            hs = [phases[p0] * z for z, p0 in zip(k(c_b), p0s)]
+            table.put(c, [h * w for h, w in zip(hs, keys[c_b, pow(c_g, -1, c_b)])] if c_b > 1 else hs)
     return table
 
 
@@ -464,7 +680,7 @@ def h_series_terms(lattice, D, r, Dp, rp, k, c_max):
     Uses conj(H(r)) = H(-r) (substitute (d, lambda) -> (-d, -lambda) in the
     defining sum).  H_c comes from the table of the enclosing `shared_targets`
     when (D', r') is one of its targets, else from a one-target table; either
-    is checked against the point limit before its first walk.
+    is checked against the leaf limit before its first recursion.
     """
     shared = _SHARED.get()
     if shared is None or (Dp, rp) not in shared.targets:
@@ -474,9 +690,9 @@ def h_series_terms(lattice, D, r, Dp, rp, k, c_max):
         if shared.key != key:
             shared.key, shared.table = key, _h_table(lattice, D, r, shared.targets, c_max)
         row, table = shared.targets.index((Dp, rp)), shared.table
-    for c in range(1, c_max + 1):
-        h = complex(table[row, c - 1])
-        yield c, h + (-1) ** k * h.conjugate()
+    sign = (-1) ** k
+    for c, h in enumerate(table.row(row), 1):
+        yield c, h + sign * h.conjugate()
 
 
 # -- representation numbers -------------------------------------------------------

@@ -4,9 +4,11 @@ expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
 
 The c-sum, its guards and the expansion loop are Eisenstein's
 (`_series_coefficient`, `_series_expansion`, which shares one H_c table across
-the expansion: closed form on the part of c prime to 2 det, a walk per key
-(c_b, c_g^-1 mod c_b) on the rest); this module supplies the prefactor, the
-Bessel weight (memoized per argument) and the tail bound.
+the expansion: a Kloosterman or Salie sum on the part of c prime to 2 det,
+read from one FFT per (c_g, D) since D != 0, and Gauss sums by recursion per
+key (c_b, c_g^-1 mod c_b) on the rest; the FFT is what loads numpy here);
+this module supplies the prefactor, the Bessel weight (memoized per argument)
+and the tail bound.
 """
 
 import math

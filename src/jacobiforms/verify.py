@@ -49,13 +49,14 @@ def _check_kloosterman_decomposition():
     rng = random.Random(11)
     for lat in (_lattices()[0], _lattices()[2]):
         sup = [i for i in enumerate_supp(lat, 2) if i.D < 0]
-        for _ in range(12):
+        # c <= 40, with c = 16 and 32 (c_b = 16 and 32 on both lattices) always among them
+        for c in [rng.randint(1, 40) for _ in range(10)] + [16, 32]:
             i1, i2 = rng.choice(sup), rng.choice(sup)
-            c = rng.randint(1, 12)
             h = poincare_lattice_sum(lat, i1.D, i1.x, i2.D, i2.x, c)
             kd = kloosterman_decomposition(lat, i1.D, i1.x, i2.D, i2.x, c)
             ff = lattice_sum_fft(lat, i1.D, i1.x, i2.D, i2.x, c)
-            # the series table: closed form on the part of c prime to 2 det
+            # the series table: closed form on the part of c prime to 2 det, Gauss
+            # sums on the rest
             tab = _h_table(lat, i1.D, i1.x, [(i2.D, i2.x)], c)[0, c - 1]
             assert abs(h - kd) < 1e-9, (i1, i2, c, h, kd)
             assert abs(h - ff) < 1e-9, (i1, i2, c, h, ff)

@@ -37,7 +37,7 @@ def _golden_lattice(tmp_path, name):
     return str(path)
 
 
-def _no_h_c(data, c):
+def _no_h_c(data, c_b, a):
     raise AssertionError("an H_c term was computed")
 
 
@@ -181,6 +181,29 @@ class TestEisensteinCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_numeric_path_never_loads_numpy(self, tmp_path):
+        # numeric Eisenstein c-sums run in Python ints and complexes: Gauss sums
+        # on the part of c at the primes of 2 det, Ramanujan sums on the rest
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+        }
+        paths = [str(LATTICES / "a1.json"), str(LATTICES / "a2.json")]
+        paths += [_golden_lattice(tmp_path, name) for name in ("A3", "D4")]
+        script = (
+            "import os, sys\n"
+            "from jacobiforms.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    args = ['eisenstein', '--lattice', path, '-k', '8', '--mode', 'numeric',\n"
+            "            '--n-max', '1', '--c-max', '300']\n"
+            "    assert main(args + ['-o', os.devnull]) == 0, path\n"
+            "print('numpy._core' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_malformed_class_names_the_form(self, a1_path, capsys):
         assert main(["eisenstein", "--lattice", a1_path, "-k", "6", "-r", "x"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -188,16 +211,20 @@ class TestEisensteinCommand:
         assert "'a,b,...'" in err["message"]
 
     def test_over_limit_c_sum_exits_3(self, tmp_path, capsys, monkeypatch):
-        # D4 at c <= 1000 still walks (Z/c_b)^4 at c_b | 8^oo: refused before the first walk
-        monkeypatch.setattr(expsums, "_h_c", _no_h_c)
+        # 2 E8 is 0 mod 2, so at c_b = 2^j each of the phi(c_b) units takes
+        # 2^(8 floor(j/2)) Gauss-sum leaves: refused before the first recursion
+        monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
+        path = tmp_path / "2E8.json"
+        path.write_text(json.dumps({"name": "2E8", "gram": [[2 * v for v in row] for row in GOLDEN_GRAMS["E8"]]}))
         code = main([
-            "eisenstein", "--lattice", _golden_lattice(tmp_path, "D4"), "-k", "8",
+            "eisenstein", "--lattice", str(path), "-k", "8",
             "--mode", "numeric", "--n-max", "1", "--c-max", "1000",
         ])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceLimitError"
-        assert str(sum(c_b**4 for c_b, _ in walk_keys(4, 1000))) in err["message"]
+        leaves = sum(c_b // 2 * 2 ** (8 * ((c_b.bit_length() - 1) // 2)) for c_b, _ in walk_keys(2**8, 1000))
+        assert f" {leaves} leaves" in err["message"]
 
     def test_numeric_output_matches_golden_bytes(self, tmp_path):
         out_path = tmp_path / "out.json"
@@ -219,7 +246,7 @@ class TestEisensteinCommand:
         assert out_path.read_bytes() == (DATA / f"eisenstein_{name}_k{k}_n3_exact.json").read_bytes()
 
     def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
-        monkeypatch.setattr(expsums, "_h_c", _no_h_c)
+        monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
         code = main([
             "eisenstein", "--lattice", a1_path, "-k", "400", "--mode", "numeric",
             "--n-max", "1", "--c-max", "10",
@@ -285,7 +312,7 @@ class TestPoincareCommand:
 
     def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
         # Gamma(k - rank/2) overflows a float; the Bessel series and the tail divide by it
-        monkeypatch.setattr(expsums, "_h_c", _no_h_c)
+        monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
         code = main([
             "poincare", "--lattice", a1_path, "-k", "200", "-D=-1",
             "-r", "0", "--n-max", "1", "--c-max", "10",

@@ -219,6 +219,20 @@ class TestNumericCoefficient:
         with pytest.raises(TailTooLargeError):
             eisenstein_coefficient_numeric(spec, Fraction(-1), a1.disc_group.zero, 1)
 
+    @pytest.mark.parametrize("name, k", [("d4", 8), ("e8", 12)])
+    def test_rank_four_and_eight_match_exact_within_tail(self, request, name, k):
+        # c_b = 2^j up to 512 goes through the Gauss-sum recursion (the radical
+        # of G mod 2 has dimension 2 on D4, 0 on E8), and the odd c through the
+        # Ramanujan sums; the exact route shares neither
+        lattice = request.getfixturevalue(name)
+        spec = EisensteinSpec(lattice=lattice, k=k, r=lattice.disc_group.zero)
+        expansion = eisenstein_expansion(spec, 1, "numeric", c_max=1000)
+        numeric = {idx: value for idx, value in expansion.entries.items() if idx.D < 0}
+        assert numeric and expansion.tail_estimate < 1e-6
+        for idx, value in numeric.items():
+            exact = trivial_coefficient_exact(lattice, k, idx.D, idx.x)
+            assert abs(value - float(exact)) <= expansion.tail_estimate, (idx, value, exact)
+
     def test_anisotropic_class_rejected(self, a1):
         with pytest.raises(NotIsotropicError):
             EisensteinSpec(lattice=a1, k=8, r=a1.disc_group.element((1,)))
@@ -289,16 +303,16 @@ class TestSharedWalk:
             assert expansion.entries[idx] == lone, idx
 
     def test_expansion_walks_once_per_c(self, a1_scaled4, monkeypatch):
-        # one walk per key (c_b, c_g^-1 mod c_b) for all 16 coefficients, and none
-        # at a c prime to 2 det = 16: the odd c are all closed form
+        # one Gauss-sum recursion per key (c_b, c_g^-1 mod c_b) for all 16
+        # coefficients, and none at a c prime to 2 det = 16: the odd c are all closed form
         walks = []
-        profile = expsums._lambda_profile
+        bad_part = expsums._bad_part
 
-        def counted(data, c):
-            walks.append(c)
-            return profile(data, c)
+        def counted(data, c_b, a):
+            walks.append(c_b)
+            return bad_part(data, c_b, a)
 
-        monkeypatch.setattr(expsums, "_lambda_profile", counted)
+        monkeypatch.setattr(expsums, "_bad_part", counted)
         spec = EisensteinSpec(lattice=a1_scaled4, k=10, r=a1_scaled4.disc_group.element((4,)))
         expansion = eisenstein_expansion(spec, 2, "numeric", c_max=40)
         assert sum(idx.D < 0 for idx in expansion.entries) == 16

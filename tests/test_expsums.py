@@ -5,6 +5,8 @@ from itertools import islice, product
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jacobiforms import (
     EisensteinSpec,
@@ -24,10 +26,12 @@ from jacobiforms.errors import (
     NotIsotropicError,
     ResourceLimitError,
     StabilizationFailureError,
+    ValidationError,
 )
 from jacobiforms import expsums
 from jacobiforms.expsums import (
     _ord_p,
+    H_LEAF_LIMIT,
     H_POINT_LIMIT,
     bad_primes,
     good_prime_factor,
@@ -200,13 +204,17 @@ class TestSeriesGuard:
         assert peak < 100 * 2**20, peak
 
     def test_shared_walk_keeps_one_chunk_live(self, square2):
-        # an expansion over 4 classes r' walks once per c but builds each r''s
-        # chunk of (G r').lambda in turn, so it peaks about where one coefficient does
+        # an expansion over 4 classes r' forms the Gauss sums of each key once per
+        # unit and G r', memoizing only their subsums, so beside the one packed
+        # row of H_c (16 bytes per c) that each extra target adds to the table it
+        # peaks about where one coefficient does; each run starts from an empty
+        # memo, which is the route's working memory
         spec = EisensteinSpec(lattice=square2, k=10, r=square2.disc_group.zero)
         first = _negative_supp(square2, 1)[0]
-        eisenstein_expansion(spec, 1, "numeric", c_max=5)  # imports and one-off tables
+        eisenstein_expansion(spec, 1, "numeric", c_max=400)  # imports and one-off tables
 
         def peak(run):
+            expsums._subsum.cache_clear()
             tracemalloc.start()
             try:
                 run()
@@ -214,32 +222,41 @@ class TestSeriesGuard:
             finally:
                 tracemalloc.stop()
 
-        one = peak(lambda: eisenstein_coefficient_numeric(spec, first.D, first.x, 120))
-        expansion = peak(lambda: eisenstein_expansion(spec, 1, "numeric", c_max=120))
+        one = peak(lambda: eisenstein_coefficient_numeric(spec, first.D, first.x, 400))
+        expansion = peak(lambda: eisenstein_expansion(spec, 1, "numeric", c_max=400))
         assert len({idx.x for idx in _negative_supp(square2, 1)}) == 4
-        assert expansion <= 1.25 * one, (expansion, one)
+        assert expansion - 3 * 16 * 400 <= 1.25 * one, (expansion, one)
 
-    def test_over_limit_expansion_fails_before_the_first_term(self, a3, d4, monkeypatch):
-        class FirstWalk(Exception):
+    def test_over_limit_expansion_fails_before_the_first_term(self, a3, d4, e8, monkeypatch):
+        class FirstRecursion(Exception):
             pass
 
-        def no_terms(data, c):
-            raise FirstWalk
+        def no_terms(data, c_b, a):
+            raise FirstRecursion
 
-        monkeypatch.setattr(expsums, "_h_c", no_terms)
-        # the table walks (Z/c_b)^rank once per key; D4 (2 det = 8) at c <= 1000
-        # still walks c_b = 512 alone at 512^4 points, so it is refused first
-        points = sum(c_b**4 for c_b, _ in walk_keys(d4.det, 1000))
-        assert points > H_POINT_LIMIT
-        spec = EisensteinSpec(lattice=d4, k=10, r=d4.disc_group.zero)
-        with pytest.raises(ResourceLimitError, match=str(points)):
-            eisenstein_expansion(spec, 1, "numeric", c_max=1000)
-        # A3 (2 det = 8) at c <= 1000 is admitted and reaches its first walk
-        assert sum(c_b**3 for c_b, _ in walk_keys(a3.det, 1000)) <= H_POINT_LIMIT
-        with pytest.raises(FirstWalk):
-            eisenstein_expansion(EisensteinSpec(lattice=a3, k=10, r=a3.disc_group.zero), 1,
+        monkeypatch.setattr(expsums, "_bad_part", no_terms)
+        # at c_b = 2^j the recursion branches into the 2^k points of the radical of
+        # G mod 2 at each of floor(j/2) levels, for each of the phi(c_b) units: 2 E8
+        # (G = 0 mod 2, k = 8) at c <= 1000 is refused before its first recursion
+        def leaves(lattice, k):
+            return sum(c_b // 2 * 2 ** (k * ((c_b.bit_length() - 1) // 2))
+                       for c_b, _ in walk_keys(lattice.det, 1000))
+
+        two_e8 = make_lattice([[2 * v for v in row] for row in e8.gram])
+        assert leaves(two_e8, 8) > H_LEAF_LIMIT
+        with pytest.raises(ResourceLimitError, match=f" {leaves(two_e8, 8)} leaves"):
+            eisenstein_expansion(EisensteinSpec(lattice=two_e8, k=8, r=two_e8.disc_group.zero), 1,
                                  "numeric", c_max=1000)
-        with pytest.raises(ResourceLimitError, match=str(sum(c**3 for c in range(1, 2001)))):
+        # D4 (k = 2) and A3 (k = 1), 2 det = 8, are admitted and reach their first recursion
+        for lattice, k in ((d4, 2), (a3, 1)):
+            assert leaves(lattice, k) <= H_LEAF_LIMIT
+            with pytest.raises(FirstRecursion):
+                eisenstein_expansion(EisensteinSpec(lattice=lattice, k=10, r=lattice.disc_group.zero),
+                                     1, "numeric", c_max=1000)
+        # the walk oracle keeps the point limit on its c-sum
+        points = sum(c**3 for c in range(1, 2001))
+        assert points > H_POINT_LIMIT
+        with pytest.raises(ResourceLimitError, match=str(points)):
             lattice_sum_fft(a3, -1, a3.disc_group.zero, -1, a3.disc_group.zero, 2000)
 
 
@@ -277,6 +294,31 @@ class TestClosedForm:
         for c in {c for c in range(1, c_max + 1) if c ** (lat.rank + 1) <= 3 * 10**4} | {12}:
             want = poincare_lattice_sum(lat, D, r, Dp, rp, c)
             assert table[0, c - 1] == pytest.approx(want, rel=1e-10, abs=1e-10), c
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_walk_on_random_lattices(self, data):
+        # random even forms of rank 1-3 with det <= 64: radicals of G mod 2 of
+        # every dimension from 0 to rank, and the odd primes of det, against the
+        # whole walk at every c <= 48 (c_b = 16 and 32 included)
+        rank = data.draw(st.integers(1, 3))
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = 2 * data.draw(st.integers(1, 5))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = data.draw(st.integers(-3, 3))
+        try:
+            lat = make_lattice(gram)
+        except ValidationError:
+            assume(False)
+        assume(lat.det <= 64)
+        supp = [(idx.D, idx.x) for idx in _negative_supp(lat, 2)]
+        D, r = data.draw(st.sampled_from([(Fraction(0), lat.disc_group.zero)] + supp))
+        Dp, rp = data.draw(st.sampled_from(supp))
+        table = expsums._h_table(lat, D, r, [(Dp, rp)], 48)
+        for c in range(1, 49):
+            want = lattice_sum_fft(lat, D, r, Dp, rp, c)
+            assert table[0, c - 1] == pytest.approx(want, rel=1e-10, abs=1e-10), (gram, D, r, Dp, rp, c)
 
     @pytest.mark.parametrize("path", _SHIPPED, ids=[p.stem for p in _SHIPPED])
     def test_phase_in_ints_is_unit_phase_bit_for_bit(self, path):

@@ -181,16 +181,17 @@ class TestSharedWalk:
             assert value == poincare_coefficient(spec, idx.D, idx.x, c_max).value, idx
 
     def test_expansion_walks_once_per_c(self, a2, monkeypatch):
-        # one walk per key (c_b, c_g^-1 mod c_b) for all 6 coefficients, at the
-        # c_b > 1 made of 2 and 3 only, and none at a c prime to 2 det = 6
+        # one Gauss-sum recursion per key (c_b, c_g^-1 mod c_b) for all 6
+        # coefficients, at the c_b > 1 made of 2 and 3 only, and none at a c prime
+        # to 2 det = 6
         walks = []
-        profile = expsums._lambda_profile
+        bad_part = expsums._bad_part
 
-        def counted(data, c):
-            walks.append(c)
-            return profile(data, c)
+        def counted(data, c_b, a):
+            walks.append(c_b)
+            return bad_part(data, c_b, a)
 
-        monkeypatch.setattr(expsums, "_lambda_profile", counted)
+        monkeypatch.setattr(expsums, "_bad_part", counted)
         spec = PoincareSpec(lattice=a2, k=10, D=Fraction(-2, 3), r=a2.disc_group.element((1,)))
         expansion = poincare_expansion(spec, 2, 30)
         assert len(expansion.entries) == 6
