@@ -1,7 +1,9 @@
 """numpy, executed on its first attribute use.
 
-Exact requests (lattice validation, the discriminant form, trivial Eisenstein
-coefficients) run in Python ints and should not pay for numpy's import.  Every
+Requests other than `rep --word` and `verify` (lattice validation, the
+discriminant form and its isotropy set, exact and numeric Eisenstein and
+Poincare expansions, the gathered Weil matrices) run in Python ints and
+complexes and should not pay for numpy's import.  Every
 module binds numpy as `from ._lazy import np`; this is the stdlib
 `importlib.util.LazyLoader` recipe, so binding it runs nothing and the first
 read such as `np.array` executes numpy.  Any plain `import numpy` loads it at

@@ -16,8 +16,8 @@ coefficient keeps its own c-sum.  At D = 0 the table is a Ramanujan sum or its
 Jacobi twist in closed form on the part of c prime to 2 det, and quadratic
 Gauss sums by recursion once per distinct key on the rest, so a numeric
 Eisenstein request runs in Python ints and complexes and never loads numpy.
-A prefactor that leaves the float range is refused while it is built, before
-the first H_c.
+A prefactor that leaves the float range is refused while it is built, and an
+infinite tail bound as soon as it is known, both before the first H_c.
 """
 
 import math
@@ -231,8 +231,13 @@ def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, val
     The sum is real for either parity, so an imaginary residue is a bug.  The
     a-priori bound tail() (0 when k is odd and r = -r: every term vanishes) must
     be <= 1e-3 (1 + |value|), else TailTooLargeError; the singular term sets the
-    scale 1.  The default start -0.0 is the additive identity.
+    scale 1.  tail() does not depend on the value, so an infinite one is
+    refused before the first H_c.  The default start -0.0 is the additive identity.
     """
+    tail = 0.0 if k % 2 == 1 and lattice.disc_group.neg(r) == r else tail()
+    if math.isinf(tail):
+        raise TailTooLargeError(f"tail estimate inf at k={k}, rank {lattice.rank}: no c_max "
+                                f"bounds the tail of this c-sum, so it is not summed")
     total = 0j
     for c, z in h_series_terms(lattice, D, r, Dp, xp, k, c_max):
         total += weight(c) * z
@@ -240,7 +245,6 @@ def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, val
     if abs(raw.imag) > _IM_TOLERANCE * max(1.0, abs(raw.real)):
         raise AssertionError(f"imaginary residue {raw.imag} exceeds tolerance")
     value += raw.real
-    tail = 0.0 if k % 2 == 1 and lattice.disc_group.neg(r) == r else tail()
     if tail > 1e-3 * (1.0 + abs(value)):
         raise TailTooLargeError(
             f"tail estimate {tail} exceeds 1e-3 * (1 + |value|) = {1e-3 * (1 + abs(value))}"

@@ -13,7 +13,8 @@ c_g c_b by CRT, c_b made of the primes of 2 det and c_g prime to it: H_c =
 e(beta(r', r)/c) K W.  K is a Kloosterman sum (even rank) or Salie sum (odd
 rank) mod c_g in closed form from the Weil representation; where D = 0 mod
 c_g, as at every Eisenstein coefficient, its d-sum is a Ramanujan sum or its
-twist by the Jacobi symbol, and elsewhere one FFT per (c_g, D).  W is a sum
+twist by the Jacobi symbol, and elsewhere a CRT product of sums mod the prime
+powers of c_g, by Salie's evaluation or over the units.  W is a sum
 over the units of c_b of quadratic Gauss sums S(U, h; p^e), one per prime
 power of c_b, each reduced two powers of p at a time onto the solutions of
 U G lambda = -h mod p (`_gauss_sum`, on the node machinery of the Hensel
@@ -39,8 +40,8 @@ and the prime powers of the Dirichlet series all read through it.  A node
 that would list more than NODE_POINT_LIMIT points raises ResourceLimitError
 before allocating.  The brute-force count over (Z/b)^rank and the walk of
 (Z/p)^rank at every node stay in the tests as oracles.  This part, like the
-Dirichlet series and the Eisenstein c-sums, runs in Python ints and complexes;
-numpy loads only for the walk oracle and for the FFT of K at D != 0 mod c_g.
+Dirichlet series and the Eisenstein and Poincare c-sums, runs in Python ints
+and complexes; numpy loads only for the walk oracle.
 """
 
 import math
@@ -59,7 +60,7 @@ from .errors import (
     StabilizationFailureError,
 )
 from .lattice import DiscElement, EvenLattice
-from .numbertheory import bernoulli, bernoulli_poly, factorize, kronecker
+from .numbertheory import bernoulli, bernoulli_poly, factorize, kronecker, sqrt_mod
 from .rationals import is_integral, unit_phase, unit_phase_ratio
 
 _STABILIZATION_CAP = 4
@@ -517,23 +518,6 @@ def _bad_part(data, c_b, a):
     return out
 
 
-@lru_cache(maxsize=256)
-def _legendre_table(p):
-    """[(u/p) for u = 0..p-1] at an odd prime p, with -1 at u = 0, which no unit meets."""
-    table = -np.ones(p, dtype=np.int64)
-    table[np.arange(1, p) ** 2 % p] = 1
-    return table
-
-
-def _jacobi_symbols(units, m):
-    """The Jacobi symbol (u/m) at every unit u of an odd m."""
-    out = np.ones(len(units), dtype=np.int64)
-    for p, e in factorize(m):
-        if e % 2:
-            out *= _legendre_table(p)[units % p]
-    return out
-
-
 def _unit_sum(m, factors, x, odd):
     """sum_{d in (Z/m)*} chi(d) e(x d/m), chi = 1 (odd False) or the Jacobi symbol (d/m).
 
@@ -556,6 +540,34 @@ def _unit_sum(m, factors, x, odd):
     return value
 
 
+def _prime_power_sum(p, e, x, t, odd):
+    """S_q(x, t) = sum_{d in (Z/q)*} chi(d) e((x d + t d^-1)/q) at q = p^e, chi = (d/p)^e (odd) or 1.
+
+    Where chi is the Jacobi symbol (d/q), at odd rank or even e, and p does not
+    divide t, Salie's evaluation (Iwaniec, Topics in Classical Automorphic
+    Forms, ch. 4) gives S_q = eps_q sqrt(q) (t/q) sum_{y^2 = x t mod q} e(2y/q),
+    eps_q = 1 or i as q = 1 or 3 mod 4; d -> d^-1 keeps (d/q) and swaps x and
+    t, so p | t with p not dividing x is the same sum.  The y-sum is
+    e(2y/q) + e(-2y/q) over the roots +-y of a square unit x t, 0 at a
+    non-square, and at p | x 1 at e = 1 (y = 0) and 0 at e >= 2 (the roots
+    fill whole cosets of p^(e - v/2) Z, p^v || x t).  The other cases, a
+    Kloosterman sum at odd e and even rank and p | gcd(x, t), are summed over
+    the phi(q) units with the phases of `_roots`.
+    """
+    q = p**e
+    if (odd or e % 2 == 0) and (t % p or x % p):
+        if t % p == 0:
+            x, t = t, x
+        scale = (1 if q % 4 == 1 else 1j) * math.sqrt(q) * kronecker(t, p) ** e
+        if x % p == 0:
+            return scale if e == 1 else 0
+        y = sqrt_mod(x * t, p, e)
+        return 0 if y is None else scale * (unit_phase_ratio(2 * y, q) + unit_phase_ratio(-2 * y, q))
+    roots = _roots(q)
+    return sum((kronecker(d, p) ** e if odd else 1) * roots[(x * d + t * pow(d, -1, q)) % q]
+               for d in range(1, q) if d % p)
+
+
 def _closed_form(lattice, D, data, dps):
     """at(m)(c_b): the factor K of H_c, c = m c_b, from the part m prime to 2 det, per target.
 
@@ -569,9 +581,10 @@ def _closed_form(lattice, D, data, dps):
     held as N times integers, N their common denominator, which is prime to
     m.  Where D = 0 mod m, as at every Eisenstein c, the d-sum is a Ramanujan
     sum or its twist by the Jacobi symbol, in closed form (`_unit_sum`).
-    Elsewhere only D' varies the d-phase across targets, so one length-m FFT
-    of d -> ((a d)/m)^n e(-a D d^-1 / m) is read at -a D' for every target;
-    it depends on c_b only through -a D mod m.
+    Elsewhere the d-sum F_t(x) = sum_d (d/m)^n e((x d + t d^-1)/m), at
+    x = -a N D' and t = -a N D mod m, splits by CRT into
+    prod_{q = p^e || m} S_q(w_q x, w_q t), w_q = (m/q)^-1 mod q, each
+    `_prime_power_sum` memoized on (q, x mod q, t mod q) for this call only.
     """
     rank, det, n_targets = lattice.rank, lattice.det, len(dps)
     p0s = [p0 for _, _, p0 in data.targets]
@@ -579,7 +592,7 @@ def _closed_form(lattice, D, data, dps):
     nd = int(D * big_n)
     ndp = [int(q * big_n) for q in dps]
     np0 = [int(q * big_n) for q in p0s]
-    target_arrays = cache(lambda: (np.array(ndp, dtype=np.int64), np.array(np0, dtype=np.int64)))
+    local = cache(lambda p, e, x, t: _prime_power_sum(p, e, x, t, rank % 2))
 
     def at(m):
         if m == 1:
@@ -587,21 +600,7 @@ def _closed_form(lattice, D, data, dps):
         factors = factorize(m)
         eps = (1, 1j, -1, -1j)[rank % 4] if m % 4 == 3 else 1
         scale = eps * kronecker(det, m) * kronecker(2, m) ** rank * m ** (rank / 2)
-        ffts = {}
-
-        @cache
-        def arrays():  # the units mod m, their inverses, the m-th roots of unity, chi(units)
-            units = _unit_array(m)
-            chi = _jacobi_symbols(units, m) if rank % 2 else 1
-            return units, _inverses(units, m), np.exp((2j * np.pi / m) * np.arange(m)), chi
-
-        def fft(t):  # [x] -> sum_d (d/m)^n e((x d + t d^-1)/m)
-            if t not in ffts:
-                units, inv, roots, chi = arrays()
-                f = np.zeros(m, dtype=complex)
-                f[units] = roots[t * inv % m] * chi
-                ffts[t] = np.fft.ifft(f, norm="forward")
-            return ffts[t]
+        parts = [(p, e, p**e, pow(m // p**e, -1, p**e)) for p, e in factors]
 
         def k(c_b):
             s = m - pow(c_b * big_n, -1, m)  # -a / N mod m
@@ -610,8 +609,9 @@ def _closed_form(lattice, D, data, dps):
             if t == 0:
                 return [(sign * scale) * unit_phase_ratio(s * v, m) * _unit_sum(m, factors, s * w % m, rank % 2)
                         for v, w in zip(np0, ndp)]
-            ndp_array, np0_array = target_arrays()
-            return ((sign * scale) * arrays()[2][s * np0_array % m] * fft(t)[s * ndp_array % m]).tolist()
+            return [(sign * scale) * unit_phase_ratio(s * v, m)
+                    * math.prod(local(p, e, w * s * x % q, w * t % q) for p, e, q, w in parts)
+                    for v, x in zip(np0, ndp)]
 
         return k
 
@@ -649,7 +649,7 @@ def _h_table(lattice, D, r, targets, c_max):
     and W is `_bad_part` at the key (c_b, a), a = c_g^-1 mod c_b, formed once
     per key in order of first c and never where c_b = 1 (W = 1 there).  The
     leaf limit counts the Gauss-sum recursions of the distinct keys.  The
-    closed form runs grouped by c_g, so its tables mod c_g are built once.
+    closed form runs grouped by c_g, so its set-up mod c_g is done once.
     """
     data = _sum_data(lattice, D, r, targets)
     split = [_split(c, 2 * lattice.det) for c in range(1, c_max + 1)]

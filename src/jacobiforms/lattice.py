@@ -8,10 +8,9 @@ G^{-1}.  The discriminant group L#/L is built on first use and put into
 canonical cyclic coordinates once, via the Smith normal form of the Gram
 matrix.  It is kept as the generators' pairing matrix and norms mod the level,
 in Python ints (see `DiscriminantGroup`), from which elements, pairings and
-indices are computed without numpy, and so is the per-class data behind the
-Weil matrices; the coordinate and beta arrays behind the isotropy set are
-built on their first use.  A `DiscElement` (equality is coordinate equality)
-is built only when asked for.
+indices are computed without numpy, and so are the per-class data behind the
+Weil matrices and the isotropy set.  A `DiscElement` (equality is coordinate
+equality) is built only when asked for.
 """
 
 import json
@@ -232,9 +231,8 @@ class DiscriminantGroup:
     asked for, and then kept.  Classes are listed in lexicographic order of
     their coordinates (`classes`); `beta_numerators`, `pairings`,
     `pairing_matrix` and `translation` give per-class data in that order, as
-    Python ints.  The array forms for the isotropy set of a large group are
-    built on first use: `coords`, the |G| x s array C of all coordinate
-    vectors, and `beta_num`, N beta(x) mod N for each row.
+    Python ints.  `coords` is the same order as a |G| x s numpy array C of all
+    coordinate vectors, built on first use.
     """
 
     def __init__(self, lattice):
@@ -256,22 +254,17 @@ class DiscriminantGroup:
         self.q = tuple(int(level * lattice.beta(a)) % level for a in gens)
         self._elements = {}
 
-    def _beta_numerator(self, c, start=0):
-        """N beta(x) mod N from the coordinates c_i of one class (ints) or of
-        every class (rows of C^t, with `start` a zero array)."""
+    def _beta_numerator(self, c):
+        """N beta(x) mod N from the coordinates c_i of one class."""
         level, a, q = self.lattice.level, self.gram_mod, self.q
         s = len(q)
-        return sum((c[i] * ((q[i] * c[i] + sum(a[i][j] * c[j] for j in range(i + 1, s))) % level)
-                    for i in range(s)), start) % level
+        return sum(c[i] * ((q[i] * c[i] + sum(a[i][j] * c[j] for j in range(i + 1, s))) % level)
+                   for i in range(s)) % level
 
     @cached_property
     def coords(self):
         s = len(self.orders)
         return np.indices(self.orders, dtype=np.int64).reshape(s, len(self)).T
-
-    @cached_property
-    def beta_num(self):
-        return self._beta_numerator(self.coords.T, np.zeros(len(self), dtype=np.int64))
 
     def _build_element(self, coords):
         rep = tuple(
@@ -295,8 +288,23 @@ class DiscriminantGroup:
         return sums
 
     def beta_numerators(self):
-        """N beta(y) mod N for every class y."""
-        return [self._beta_numerator(c) for c in self.classes()]
+        """N beta(y) mod N for every class y, one run of the last coordinate at a time.
+
+        With y = (prefix, c), N beta(y) = N beta(prefix, 0) + c (q_s c + sum_i A_is
+        prefix_i) mod N, so each run is one column, shared by the prefixes of equal
+        linear term, shifted by N beta(prefix, 0).
+        """
+        level, a, q = self.lattice.level, self.gram_mod, self.q
+        if not q:
+            return [0]
+        s, out, columns = len(q), [], {}
+        for prefix in product(*(range(d) for d in self.orders[:-1])):
+            lin = sum(a[i][s - 1] * c for i, c in enumerate(prefix)) % level
+            if lin not in columns:
+                columns[lin] = [c * (q[-1] * c + lin) % level for c in range(self.orders[-1])]
+            base = self._beta_numerator((*prefix, 0))
+            out += columns[lin] if base == 0 else [(base + v) % level for v in columns[lin]]
+        return out
 
     def translation(self, shift):
         """Index of the class y + shift for every class y, with shift given by its coordinates."""
@@ -446,7 +454,7 @@ def beta_values(lattice, r):
 def isotropy_set(lattice):
     """All classes x with beta(x) integral, in the canonical order."""
     group = lattice.disc_group
-    return [group.element(c) for c in group.coords[group.beta_num == 0].tolist()]
+    return [group.element(c) for c, v in zip(group.classes(), group.beta_numerators()) if v == 0]
 
 
 def lattice_character(lattice, D, a):

@@ -54,6 +54,29 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
+def sqrt_mod(n, p, e):
+    """A square root of n mod q = p^e for an odd prime p not dividing n, or None if n is no square.
+
+    Tonelli-Shanks in the cyclic group (Z/q)*, of order 2^s odd; a unit is a
+    square mod q iff it is one mod p, so z, the least non-square mod p, is a
+    non-square there.
+    """
+    if kronecker(n, p) != 1:
+        return None
+    q, s, odd = p**e, 0, p ** (e - 1) * (p - 1)
+    while odd % 2 == 0:
+        s, odd = s + 1, odd // 2
+    z = next(z for z in range(2, p) if kronecker(z, p) == -1)
+    c, t, r = pow(z, odd, q), pow(n, odd, q), pow(n, (odd + 1) // 2, q)
+    while t != 1:  # r^2 = n t mod q, and t has order 2^i for some i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % q
+        b = pow(c, 1 << (s - i - 1), q)
+        s, c, t, r = i, b * b % q, t * b * b % q, r * b % q
+    return r
+
+
 @lru_cache(maxsize=None)
 def factorize(n):
     """Prime factorization of n >= 1 by trial division, as a tuple of (p, e)."""

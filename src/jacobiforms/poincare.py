@@ -5,10 +5,10 @@ expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
 The c-sum, its guards and the expansion loop are Eisenstein's
 (`_series_coefficient`, `_series_expansion`, which shares one H_c table across
 the expansion: a Kloosterman or Salie sum on the part of c prime to 2 det,
-read from one FFT per (c_g, D) since D != 0, and Gauss sums by recursion per
-key (c_b, c_g^-1 mod c_b) on the rest; the FFT is what loads numpy here);
-this module supplies the prefactor, the Bessel weight (memoized per argument)
-and the tail bound.
+since D != 0 a CRT product of sums mod its prime powers, and Gauss sums by
+recursion per key (c_b, c_g^-1 mod c_b) on the rest, all in Python ints and
+complexes, so no Poincare request loads numpy); this module supplies the
+prefactor, the Bessel weight (memoized per argument) and the tail bound.
 """
 
 import math

@@ -41,6 +41,19 @@ def _no_h_c(data, c_b, a):
     raise AssertionError("an H_c term was computed")
 
 
+def _numpy_loaded(script, args):
+    """Run script with args in a fresh interpreter; whether numpy executed in it."""
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+    }
+    script += "print('numpy._core' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout != "False\n"
+
+
 @pytest.fixture()
 def a1_path(tmp_path):
     path = tmp_path / "a1.json"
@@ -84,6 +97,20 @@ class TestInfo:
     def test_output_matches_golden_bytes(self, tmp_path, capsys):
         assert main(["info", "--lattice", _golden_lattice(tmp_path, "square20")]) == 0
         assert capsys.readouterr().out == (DATA / "info_square20.txt").read_text()
+
+    def test_never_loads_numpy(self, tmp_path):
+        # the isotropy set comes from the beta numerators in Python ints, also at
+        # |G| = 400 (square20)
+        paths = [str(p) for p in sorted(LATTICES.glob("*.json"))]
+        paths += [_golden_lattice(tmp_path, name) for name in ("A3", "D4", "E8", "square20")]
+        script = (
+            "import contextlib, io, sys\n"
+            "from jacobiforms.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['info', '--lattice', path]) == 0, path\n"
+        )
+        assert not _numpy_loaded(script, paths)
 
     def test_invalid_lattice(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
@@ -159,10 +186,6 @@ class TestEisensteinCommand:
     def test_exact_path_never_loads_numpy(self, tmp_path):
         # numpy is bound lazily: importing the package, reading lattices and exact
         # expansions run in Python ints, and only array work executes numpy
-        env = {
-            "PATH": os.environ.get("PATH", ""),
-            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        }
         paths = [str(LATTICES / "a1.json"), str(LATTICES / "a2.json")]
         paths += [_golden_lattice(tmp_path, name) for name in ("A3", "D4", "E8")]
         script = (
@@ -174,20 +197,12 @@ class TestEisensteinCommand:
             "    load_lattice_json(path)\n"
             "    args = ['eisenstein', '--lattice', path, '-k', '8', '--mode', 'exact']\n"
             "    assert main(args + ['-o', os.devnull]) == 0, path\n"
-            "print('numpy._core' in sys.modules)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script, *paths],
-                              capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert not _numpy_loaded(script, paths)
 
     def test_numeric_path_never_loads_numpy(self, tmp_path):
         # numeric Eisenstein c-sums run in Python ints and complexes: Gauss sums
         # on the part of c at the primes of 2 det, Ramanujan sums on the rest
-        env = {
-            "PATH": os.environ.get("PATH", ""),
-            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        }
         paths = [str(LATTICES / "a1.json"), str(LATTICES / "a2.json")]
         paths += [_golden_lattice(tmp_path, name) for name in ("A3", "D4")]
         script = (
@@ -197,12 +212,26 @@ class TestEisensteinCommand:
             "    args = ['eisenstein', '--lattice', path, '-k', '8', '--mode', 'numeric',\n"
             "            '--n-max', '1', '--c-max', '300']\n"
             "    assert main(args + ['-o', os.devnull]) == 0, path\n"
-            "print('numpy._core' in sys.modules)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script, *paths],
-                              capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert not _numpy_loaded(script, paths)
+
+    def test_infinite_tail_exits_3_before_any_h_c(self, tmp_path, capsys, monkeypatch):
+        # on E8 + E8 the a-priori tail is infinite for every k <= rank + 1 = 17:
+        # refused before the first term, not after summing the whole c-sum
+        monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
+        monkeypatch.setattr(expsums, "_closed_form", _no_h_c)
+        e8 = GOLDEN_GRAMS["E8"]
+        gram = [row + [0] * 8 for row in e8] + [[0] * 8 + row for row in e8]
+        path = tmp_path / "E8x2.json"
+        path.write_text(json.dumps({"name": "E8x2", "gram": gram}))
+        code = main([
+            "eisenstein", "--lattice", str(path), "-k", "12", "--mode", "numeric",
+            "--n-max", "1", "--c-max", "200",
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TailTooLargeError"
+        assert "tail estimate inf at k=12, rank 16" in err["message"]
 
     def test_malformed_class_names_the_form(self, a1_path, capsys):
         assert main(["eisenstein", "--lattice", a1_path, "-k", "6", "-r", "x"]) == 2
@@ -212,12 +241,13 @@ class TestEisensteinCommand:
 
     def test_over_limit_c_sum_exits_3(self, tmp_path, capsys, monkeypatch):
         # 2 E8 is 0 mod 2, so at c_b = 2^j each of the phi(c_b) units takes
-        # 2^(8 floor(j/2)) Gauss-sum leaves: refused before the first recursion
+        # 2^(8 floor(j/2)) Gauss-sum leaves: refused before the first recursion.
+        # k = 10 > rank + 1 keeps the tail finite, which would be refused first
         monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
         path = tmp_path / "2E8.json"
         path.write_text(json.dumps({"name": "2E8", "gram": [[2 * v for v in row] for row in GOLDEN_GRAMS["E8"]]}))
         code = main([
-            "eisenstein", "--lattice", str(path), "-k", "8",
+            "eisenstein", "--lattice", str(path), "-k", "10",
             "--mode", "numeric", "--n-max", "1", "--c-max", "1000",
         ])
         assert code == 3
@@ -309,6 +339,26 @@ class TestPoincareCommand:
         ])
         assert code == 0
         assert out_path.read_bytes() == (DATA / "poincare_a2_k10_D-2_3_r1.json").read_bytes()
+
+    def test_poincare_path_never_loads_numpy(self, tmp_path):
+        # K at D != 0 mod c_g is a CRT product of Salie and Kloosterman sums mod
+        # prime powers in Python ints and complexes: no FFT, so no numpy
+        runs = [
+            (str(LATTICES / "a1.json"), "-3/4", "1"),
+            (str(LATTICES / "a2.json"), "-2/3", "2"),
+            (str(LATTICES / "a1_scaled4.json"), "-15/16", "7"),
+            (_golden_lattice(tmp_path, "A3"), "-5/8", "1"),
+        ]
+        script = (
+            "import os, sys\n"
+            "from jacobiforms.cli import main\n"
+            "args = sys.argv[1:]\n"
+            "for path, D, r in zip(args[::3], args[1::3], args[2::3]):\n"
+            "    argv = ['poincare', '--lattice', path, '-k', '10', f'-D={D}', '-r', r,\n"
+            "            '--n-max', '1', '--c-max', '150']\n"
+            "    assert main(argv + ['-o', os.devnull]) == 0, path\n"
+        )
+        assert not _numpy_loaded(script, [v for run in runs for v in run])
 
     def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
         # Gamma(k - rank/2) overflows a float; the Bessel series and the tail divide by it

@@ -39,10 +39,10 @@ from jacobiforms.expsums import (
     lattice_sum_fft,
 )
 from jacobiforms.lattice import enumerate_supp, load_lattice_json
-from jacobiforms.numbertheory import factorize, zeta_float
+from jacobiforms.numbertheory import factorize, kronecker, zeta_float
 from jacobiforms.rationals import unit_phase, unit_phase_ratio
 
-from oracles import rep_count_enumerate, walk_keys, zeros_mod_p_walk
+from oracles import k_factor_fft, rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
 _SHIPPED = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
 _A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
@@ -237,7 +237,8 @@ class TestSeriesGuard:
         monkeypatch.setattr(expsums, "_bad_part", no_terms)
         # at c_b = 2^j the recursion branches into the 2^k points of the radical of
         # G mod 2 at each of floor(j/2) levels, for each of the phi(c_b) units: 2 E8
-        # (G = 0 mod 2, k = 8) at c <= 1000 is refused before its first recursion
+        # (G = 0 mod 2, k = 8) at c <= 1000 is refused before its first recursion;
+        # weight 10 > rank + 1 keeps the tail finite, which would be refused first
         def leaves(lattice, k):
             return sum(c_b // 2 * 2 ** (k * ((c_b.bit_length() - 1) // 2))
                        for c_b, _ in walk_keys(lattice.det, 1000))
@@ -245,7 +246,7 @@ class TestSeriesGuard:
         two_e8 = make_lattice([[2 * v for v in row] for row in e8.gram])
         assert leaves(two_e8, 8) > H_LEAF_LIMIT
         with pytest.raises(ResourceLimitError, match=f" {leaves(two_e8, 8)} leaves"):
-            eisenstein_expansion(EisensteinSpec(lattice=two_e8, k=8, r=two_e8.disc_group.zero), 1,
+            eisenstein_expansion(EisensteinSpec(lattice=two_e8, k=10, r=two_e8.disc_group.zero), 1,
                                  "numeric", c_max=1000)
         # D4 (k = 2) and A3 (k = 1), 2 det = 8, are admitted and reach their first recursion
         for lattice, k in ((d4, 2), (a3, 1)):
@@ -266,6 +267,9 @@ _CLOSED_FORM_LATTICES = (
     ([[2]], 60), ([[6]], 60), ([[8]], 60), ([[2, 1], [1, 2]], 60), ([[2, 0], [0, 2]], 60),
     ([[4, 1], [1, 6]], 60), (_A3, 30), (_D4, 30),
 )
+# odd primes up to 43, a mix of 1 and 3 mod 4: good primes of every 2-adic
+# lattice, with prime powers up to 3^5, 7^3 and 11^2 below 2000
+_K_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 class TestClosedForm:
@@ -331,6 +335,64 @@ class TestClosedForm:
                 got = unit_phase_ratio(p0.numerator, p0.denominator * c)
                 want = unit_phase(p0 / c)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (p0, c)
+
+    @pytest.mark.parametrize("p, e", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)])
+    @pytest.mark.parametrize("odd", [0, 1])
+    def test_prime_power_sum_matches_definition(self, p, e, odd):
+        # S_q(x, t) at every (x, t) mod q against its defining sum over the units
+        # with exact Fraction phases: the Salie form, the x <-> t swap, p | x with
+        # p not dividing t, and the direct sums all occur
+        q = p**e
+        seen = set()
+        for x, t in product(range(q), repeat=2):
+            want = sum((kronecker(d, p) ** e if odd else 1) * unit_phase(Fraction(x * d + t * pow(d, -1, q), q))
+                       for d in range(1, q) if d % p)
+            got = expsums._prime_power_sum(p, e, x, t, odd)
+            assert got == pytest.approx(want, abs=1e-11 * q), (x, t)
+            closed = bool(odd or e % 2 == 0) and bool(t % p or x % p)
+            seen.add("direct" if not closed else "swap" if t % p == 0 else "p | x" if x % p == 0 else "salie")
+        assert seen == ({"salie", "swap", "p | x", "direct"} if odd or e % 2 == 0 else {"direct"})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_k_matches_fft_oracle(self, data):
+        # K at random odd m <= 2000 prime to 2 det (only p = 2 is bad on these
+        # lattices), at both parities of rank, against the FFT over all units of
+        # m.  The first prime power q0 = p0^e0 of m has e0 in {1, 2, 3}, and D and
+        # D' are drawn with p0 dividing N D, N D', both or neither, so the x <-> t
+        # swap and p0 | gcd(x, t) occur, and q0 = 3 mod 4 whenever p0 is.  m takes
+        # another prime where it fits, so t = 0 mod q0 need not mean t = 0 mod m
+        gram = data.draw(st.sampled_from([[[2]], [[2, 0], [0, 2]], _A3, _D4]))
+        lat = make_lattice(gram)
+        p0, e0 = data.draw(st.sampled_from([(p, e) for p in _K_PRIMES for e in (1, 2, 3) if p**e <= 2000]))
+        m = p0**e0
+        others = [p for p in _K_PRIMES if p != p0]
+        for p in data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True)):
+            e = data.draw(st.integers(1, 5))
+            if m * p**e <= 2000:
+                m *= p**e
+        case = data.draw(st.sampled_from(["gcd", "swap", "x", "plain"]))
+        group = list(lat.disc_group)
+
+        def pair(divisible):  # (D, r) with p0^j | N D when `divisible`, N the level
+            r = data.draw(st.sampled_from(group))
+            num = r.beta_mod1.numerator * (lat.level // r.beta_mod1.denominator)
+            u = data.draw(st.integers(1, 40))
+            if not divisible:
+                return r.beta_mod1 - u, r
+            j = data.draw(st.integers(1, e0))
+            n = num * pow(lat.level, -1, p0**j) % p0**j + p0**j * u  # N (beta(r) - n) = 0 mod p0^j
+            return r.beta_mod1 - n, r
+
+        D, r = pair(case in ("gcd", "swap"))
+        targets = [pair(case in ("gcd", "x")) for _ in range(3)]
+        c_b = 2 ** data.draw(st.integers(0, 5))
+        sums = expsums._sum_data(lat, D, r, targets)
+        dps = [Dp for Dp, _ in targets]
+        got = expsums._closed_form(lat, D, sums, dps)(m)(c_b)
+        want = k_factor_fft(lat, D, sums, dps)(m)(c_b)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, abs=1e-9 * m ** (lat.rank / 2 + 1)), (gram, D, targets, m, c_b)
 
     def test_mixed_c_split(self):
         # c_b collects the primes of 2 det, c_g the rest

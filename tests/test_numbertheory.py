@@ -24,7 +24,7 @@ from jacobiforms import (
     sigma_twisted,
 )
 from jacobiforms.errors import NotADiscriminantError, NotFundamentalError
-from jacobiforms.numbertheory import is_fundamental_discriminant, zeta_float
+from jacobiforms.numbertheory import is_fundamental_discriminant, sqrt_mod, zeta_float
 
 from oracles import dirichlet_L_by_bernoulli_poly
 
@@ -55,6 +55,19 @@ class TestKronecker:
     @settings(max_examples=120, deadline=None)
     def test_top_multiplicative(self, a, b, n):
         assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 113, 257])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_sqrt_mod_finds_a_root_of_every_square_unit(p, e):
+    # p - 1 = 2^s odd with s up to 8 drives the Tonelli-Shanks loop, e >= 2 the
+    # lift; a unit is a square mod p^e iff it is one mod p (Euler's criterion)
+    q = p**e
+    for n in range(1, min(q, 3000)):
+        if n % p:
+            root = sqrt_mod(n, p, e)
+            assert (root is not None) == (pow(n, (p - 1) // 2, p) == 1), n
+            assert root is None or root * root % q == n, n
 
 
 class TestBernoulli:
