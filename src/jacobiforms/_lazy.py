@@ -1,20 +1,25 @@
-"""numpy, executed on its first attribute use.
+"""Modules executed on their first attribute use: numpy and the package's own.
 
-Requests other than `rep --word` and `verify` (lattice validation, the
-discriminant form and its isotropy set, exact and numeric Eisenstein and
-Poincare expansions, the gathered Weil matrices) run in Python ints and
-complexes and should not pay for numpy's import.  Every
-module binds numpy as `from ._lazy import np`; this is the stdlib
-`importlib.util.LazyLoader` recipe, so binding it runs nothing and the first
-read such as `np.array` executes numpy.  Any plain `import numpy` loads it at
-once, so the package never writes one.
+A request runs a small part of the package: `info` and `rep` never reach the
+Eisenstein and Poincare modules, an exact Eisenstein request never reaches the
+H_c sums and a numeric one never the representation counts, and only
+`rep --word` and `verify` do array work.  `lazy_import` registers a module
+through the stdlib `importlib.util.LazyLoader` recipe: binding it runs
+nothing, and its first attribute read, such as `np.array` or
+`eisenstein.eisenstein_expansion`, executes it.  numpy is bound as
+`from ._lazy import np`; `jacobiforms/__init__.py` registers every submodule,
+so a module that needs another on some paths only binds it as
+`from . import name` and reads `name.attr` where that path runs.  A plain
+`import numpy` or `from .name import attr` executes the module at once, so the
+package writes one only where every caller needs the module.
 """
 
 import importlib.util
 import sys
 
 
-def _lazy_import(name):
+def lazy_import(name):
+    """The module `name`, to be executed on its first attribute read (now, if already imported)."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -26,4 +31,4 @@ def _lazy_import(name):
     return module
 
 
-np = _lazy_import("numpy")
+np = lazy_import("numpy")

@@ -3,7 +3,8 @@
 Subcommands: info, eisenstein, poincare, rep, verify.  Exit codes: 0 success,
 1 verification failure, 2 validation error, 3 computation-domain error.
 Output files are written atomically (temp file + rename); domain errors emit
-machine-readable JSON on stderr.
+machine-readable JSON on stderr.  The series and representation modules are
+bound lazily (see `_lazy`), so each command executes only the modules it reads.
 """
 
 import argparse
@@ -12,12 +13,10 @@ import os
 import sys
 import tempfile
 
-from .eisenstein import EisensteinSpec, eisenstein_expansion
+from . import eisenstein, poincare, weilrep
 from .errors import ComputationDomainError, ValidationError
 from .lattice import isotropy_set, load_lattice_json
-from .poincare import PoincareSpec, poincare_expansion
 from .rationals import format_rational, parse_rational
-from .weilrep import averaging_matrix, rho_generator, rho_word, schrodinger_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -101,8 +100,8 @@ def _cmd_info(args):
 def _cmd_eisenstein(args):
     name, lattice = load_lattice_json(args.lattice)
     group = lattice.disc_group
-    spec = EisensteinSpec(lattice=lattice, k=args.k, r=_element(group, args.r))
-    expansion = eisenstein_expansion(spec, parse_rational(args.n_max), args.mode, c_max=args.c_max)
+    spec = eisenstein.EisensteinSpec(lattice=lattice, k=args.k, r=_element(group, args.r))
+    expansion = eisenstein.eisenstein_expansion(spec, parse_rational(args.n_max), args.mode, c_max=args.c_max)
     expansion.lattice_name = name
     _write_output([_render(expansion.to_json_dict(), args.format)], args.output)
     return EXIT_OK
@@ -111,10 +110,10 @@ def _cmd_eisenstein(args):
 def _cmd_poincare(args):
     name, lattice = load_lattice_json(args.lattice)
     group = lattice.disc_group
-    spec = PoincareSpec(
+    spec = poincare.PoincareSpec(
         lattice=lattice, k=args.k, D=parse_rational(args.D), r=_element(group, args.r)
     )
-    expansion = poincare_expansion(spec, parse_rational(args.n_max), args.c_max)
+    expansion = poincare.poincare_expansion(spec, parse_rational(args.n_max), args.c_max)
     expansion.lattice_name = name
     _write_output([_render(expansion.to_json_dict(), args.format)], args.output)
     return EXIT_OK
@@ -191,15 +190,15 @@ def _cmd_rep(args):
     docs = []
     if args.word:
         tokens = [t.strip() for t in args.word.split(",") if t.strip()]
-        docs.append(_matrix_doc(rho_word(lattice, tokens), group))
+        docs.append(_matrix_doc(weilrep.rho_word(lattice, tokens), group))
     if args.schrodinger:
-        rep = schrodinger_matrix(lattice, *_schrodinger_args(group, args.schrodinger))
+        rep = weilrep.schrodinger_matrix(lattice, *_schrodinger_args(group, args.schrodinger))
         docs.append(_matrix_doc(rep, group))
     if args.avg:
-        docs.append(_matrix_doc(averaging_matrix(lattice, _element(group, args.avg)), group))
+        docs.append(_matrix_doc(weilrep.averaging_matrix(lattice, _element(group, args.avg)), group))
     if not docs:
         for g in ("T", "S"):
-            docs.append(_matrix_doc(rho_generator(lattice, g), group))
+            docs.append(_matrix_doc(weilrep.rho_generator(lattice, g), group))
     _write_output(_rep_chunks(name, docs), args.output)
     return EXIT_OK
 

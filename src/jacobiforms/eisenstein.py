@@ -9,22 +9,26 @@ coefficient, the index-one reduction, and the numeric c-sum all agree).
 The numeric route is the guarded c-sum `_series_coefficient`, shared with the
 Poincare series: prefactor * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r)).
 Eisenstein weighs by c^(-k), the D -> 0 limit of the Poincare Bessel weight.
-Every expansion, exact or numeric, is assembled by `_series_expansion`, which
-hands its support down to `expsums.shared_targets`: the H_c of every
-coefficient come from one table for the whole expansion, while each
+Every expansion, exact or numeric, is assembled by `_series_expansion`; a
+numeric one hands its support down to `expsums.shared_targets`: the H_c of
+every coefficient come from one table for the whole expansion, while each
 coefficient keeps its own c-sum.  At D = 0 the table is a Ramanujan sum or its
 Jacobi twist in closed form on the part of c prime to 2 det, and quadratic
 Gauss sums by recursion once per distinct key on the rest, so a numeric
 Eisenstein request runs in Python ints and complexes and never loads numpy.
 A prefactor that leaves the float range is refused while it is built, and an
 infinite tail bound as soon as it is known, both before the first H_c.
+`repcounts` and `expsums` are bound lazily (see `_lazy`): an exact request
+executes only the counts, and a numeric one only the sums.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from contextlib import nullcontext
 from fractions import Fraction
 
+from . import expsums, repcounts
+from ._record import Frozen
 from .errors import (
     ConvergenceDomainError,
     NotIsotropicError,
@@ -32,14 +36,7 @@ from .errors import (
     OutOfRangeError,
     TailTooLargeError,
 )
-from .expsums import (
-    bad_primes,
-    dirichlet_series_partial,
-    h_series_terms,
-    local_factor,
-    shared_targets,
-)
-from .lattice import DiscElement, FourierExpansion, FourierIndex, coset_points, enumerate_supp
+from .lattice import FourierExpansion, FourierIndex, coset_points, enumerate_supp
 from .numbertheory import (
     QuadChar,
     bernoulli,
@@ -54,13 +51,10 @@ from .rationals import is_integral
 _IM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class EisensteinSpec:
+class EisensteinSpec(Frozen):
     """Weight, lattice and isotropic class indexing an Eisenstein series."""
 
-    lattice: object
-    k: int
-    r: DiscElement
+    _fields = ("lattice", "k", "r")
 
     def __post_init__(self):
         if self.k < 1:
@@ -69,12 +63,10 @@ class EisensteinSpec:
             raise NotIsotropicError(f"beta({self.r}) = {self.r.beta_mod1} is not integral")
 
 
-@dataclass(frozen=True)
-class CoefficientValue:
+class CoefficientValue(Frozen):
     """A coefficient together with its series tail estimate (None: no series was summed)."""
 
-    value: float
-    tail_estimate: float
+    _fields = ("value", "tail_estimate")
 
     def __float__(self):
         return self.value
@@ -152,7 +144,7 @@ def trivial_coefficient_exact(lattice, k, D, x):
         return Fraction(0)
     rank, det = lattice.rank, lattice.det
     dt = int(D * x.order**2)
-    bad = bad_primes(lattice, x, D)
+    bad = repcounts.bad_primes(lattice, x, D)
     if rank % 2 == 0:
         f1, d1 = fundamental_decomposition(lattice.delta)
         chi = QuadChar(f1)
@@ -160,7 +152,7 @@ def trivial_coefficient_exact(lattice, k, D, x):
         lval = dirichlet_L_nonpositive(n1, chi)
         result = 2 * Fraction(-1) ** ((rank + 3) // 4) * (-D * abs(f1)) ** n1 / (d1 * lval)
         for p in bad:
-            result *= local_factor(lattice, x, D, p, k - 1)
+            result *= repcounts.local_factor(lattice, x, D, p, k - 1)
             result /= 1 - chi(p) * Fraction(p) ** (rank // 2 - k)
         return result
     # odd rank
@@ -185,7 +177,7 @@ def trivial_coefficient_exact(lattice, k, D, x):
     for p in bad:
         result *= 1 - chi(p) * Fraction(p) ** (half_up - k)
         result /= 1 - Fraction(p) ** (1 - 2 * k + rank)
-        result *= local_factor(lattice, x, D, p, k - 1)
+        result *= repcounts.local_factor(lattice, x, D, p, k - 1)
     return result
 
 
@@ -210,7 +202,7 @@ def trivial_coefficient_series(lattice, k, D, x, B):
         * float(-D) ** (k - rank / 2 - 1)
         / (2 * math.sqrt(det) * gamma_val * zeta_float(k - rank))
     )
-    partial = dirichlet_series_partial(lattice, x, D, float(k - 1), B)
+    partial = repcounts.dirichlet_series_partial(lattice, x, D, float(k - 1), B)
     return pref * 2 * partial
 
 
@@ -239,7 +231,7 @@ def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, val
         raise TailTooLargeError(f"tail estimate inf at k={k}, rank {lattice.rank}: no c_max "
                                 f"bounds the tail of this c-sum, so it is not summed")
     total = 0j
-    for c, z in h_series_terms(lattice, D, r, Dp, xp, k, c_max):
+    for c, z in expsums.h_series_terms(lattice, D, r, Dp, xp, k, c_max):
         total += weight(c) * z
     raw = pref * total
     if abs(raw.imag) > _IM_TOLERANCE * max(1.0, abs(raw.real)):
@@ -252,15 +244,17 @@ def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, val
     return CoefficientValue(value=value, tail_estimate=tail)
 
 
-def _series_expansion(spec, n_max, coefficient, entries=(), **fields):
+def _series_expansion(spec, n_max, coefficient, entries=(), reads_h=True, **fields):
     """Expansion of `spec`: `entries` plus coefficient(D', x') at every D' < 0 in
     supp up to n_max, reporting the largest tail estimate among them (None if
-    no coefficient summed a series).  `fields` go to FourierExpansion."""
+    no coefficient summed a series).  Coefficients that read H_c (`reads_h`)
+    share one table of it.  `fields` go to FourierExpansion."""
     n_max = Fraction(n_max)
     entries = dict(entries)
     tail = None
     support = [idx for idx in enumerate_supp(spec.lattice, n_max) if idx.D < 0]
-    with shared_targets([(idx.D, idx.x) for idx in support]):
+    targets = [(idx.D, idx.x) for idx in support]
+    with expsums.shared_targets(targets) if reads_h else nullcontext():
         for idx in support:
             coeff = coefficient(idx.D, idx.x)
             entries[idx] = coeff.value
@@ -317,4 +311,4 @@ def eisenstein_expansion(spec, n_max, mode, c_max=1000):
         return eisenstein_coefficient_numeric(spec, D, x, c_max)
 
     return _series_expansion(spec, n_max, coefficient, singular_term(spec, n_max).entries,
-                             mode=mode, series="eisenstein")
+                             reads_h=mode == "numeric", mode=mode, series="eisenstein")

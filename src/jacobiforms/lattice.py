@@ -10,18 +10,20 @@ matrix.  It is kept as the generators' pairing matrix and norms mod the level,
 in Python ints (see `DiscriminantGroup`), from which elements, pairings and
 indices are computed without numpy, and so are the per-class data behind the
 Weil matrices and the isotropy set.  A `DiscElement` (equality is coordinate
-equality) is built only when asked for.
+equality) is built only when asked for.  The symmetric elimination of G mod p
+and the point limit of a node mod p serve both the Gauss sums of `expsums` and
+the Hensel counts of `repcounts`.
 """
 
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
 from ._lazy import np
+from ._record import Frozen, Record
 from .errors import (
     DegenerateError,
     NonIntegralArgumentError,
@@ -29,6 +31,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     OddDiagonalError,
+    ResourceLimitError,
 )
 from .numbertheory import kronecker
 from .rationals import ceil_minus_sqrt, floor_plus_sqrt, format_rational, frac1, is_integral
@@ -152,17 +155,78 @@ def _inverse(mat):
     return [[aug[i][n + j] for j in range(n)] for i in range(n)]
 
 
+# -- Gram matrices mod p: the nodes of the Gauss-sum and Hensel recursions -------
+
+def _int_beta(gram, vec):
+    """beta of an integer vector, as a Python int."""
+    total = 0
+    n = len(vec)
+    for i in range(n):
+        total += gram[i][i] // 2 * vec[i] * vec[i]
+        for j in range(i + 1, n):
+            total += gram[i][j] * vec[i] * vec[j]
+    return total
+
+
+# A node of either recursion lists points mod p (a coset of the radical of
+# G mod p) and at p = 2 walks (Z/2)^rank.  A node that would list or walk more
+# than NODE_POINT_LIMIT points is refused before anything is allocated, so a
+# request that cannot finish fails at once with its cost named; it is a
+# constant, not a setting.
+NODE_POINT_LIMIT = 10**7
+
+
+def _check_node(p, what, size, noun):
+    if size > NODE_POINT_LIMIT:
+        raise ResourceLimitError(
+            f"a Hensel node at p={p} {what} = {size} {noun}, over the limit of {NODE_POINT_LIMIT}"
+        )
+
+
+def _diagonalize_mod_p(gram, p):
+    """Symmetric elimination of G mod an odd prime p.
+
+    Returns (pivots, basis): with b_i the vectors of `basis`, b_i^t G b_j = 0
+    mod p for i != j, b_i^t G b_i is the i-th pivot (nonzero) for i < len(pivots),
+    and the vectors after the pivots span the radical of G mod p.
+    """
+    n = len(gram)
+    a = [[v % p for v in row] for row in gram]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def add(i, j, f):  # b_i -> b_i + f b_j, as a congruence on a
+        a[i] = [(x + f * y) % p for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = (row[i] + f * row[j]) % p
+        basis[i] = [(x + f * y) % p for x, y in zip(basis[i], basis[j])]
+
+    pivots = []
+    for t in range(n):
+        i = next((i for i in range(t, n) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                break
+            i = pair[0]
+            add(i, pair[1], 1)  # the new diagonal entry is 2 a_ij, nonzero at odd p
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[i] = row[i], row[t]
+        basis[t], basis[i] = basis[i], basis[t]
+        inv = pow(a[t][t], -1, p)
+        for r in range(t + 1, n):
+            if a[r][t]:
+                add(r, t, -a[r][t] * inv % p)
+        pivots.append(a[t][t])
+    return pivots, basis
+
+
 # -- domain types ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvenLattice:
+class EvenLattice(Frozen):
     """Validated even positive-definite lattice with cached invariants."""
 
-    gram: tuple
-    rank: int
-    det: int
-    level: int
-    delta: int
+    _fields = ("gram", "rank", "det", "level", "delta")
 
     def beta(self, r):
         """Quadratic form beta(r) = r^t G r / 2 as an exact rational."""
@@ -190,29 +254,24 @@ class EvenLattice:
         return f"EvenLattice(gram={self.gram}, det={self.det}, level={self.level})"
 
 
-@dataclass(frozen=True)
-class DiscElement:
+class DiscElement(Frozen):
     """Element of L#/L in canonical cyclic-factor coordinates.
 
     `rep` is the fixed coset representative (all coordinates in [0, 1)); it is
     excluded from equality because it is determined by `coords`.
     """
 
-    coords: tuple
-    order: int
-    beta_mod1: Fraction
-    rep: tuple = field(compare=False, repr=False)
+    _fields = ("coords", "order", "beta_mod1")
+    _extra = ("rep",)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class FourierIndex:
+class FourierIndex(Frozen):
     """Support pair (D, x): D <= 0 rational with D = beta(x) mod Z."""
 
-    D: Fraction
-    x: DiscElement
+    _fields = ("D", "x")
 
     @property
     def qexp(self):
@@ -530,8 +589,7 @@ def coset_points(lattice, x, bound):
 
 # -- Fourier expansions ----------------------------------------------------------
 
-@dataclass
-class FourierExpansion:
+class FourierExpansion(Record):
     """Truncated Fourier expansion: FourierIndex -> exact rational or complex.
 
     `mode` records which pipeline produced the non-singular entries; exact
@@ -539,16 +597,10 @@ class FourierExpansion:
     is the per-entry provenance tag).
     """
 
-    weight: int
-    lattice: EvenLattice
-    entries: dict
-    n_max: Fraction
-    mode: str
-    series: str = "eisenstein"
-    r_coords: tuple = None
-    D: Fraction = None
-    tail_estimate: float = None
-    lattice_name: str = None
+    _fields = ("weight", "lattice", "entries", "n_max", "mode", "series", "r_coords", "D",
+               "tail_estimate", "lattice_name")
+    _defaults = {"series": "eisenstein", "r_coords": None, "D": None, "tail_estimate": None,
+                 "lattice_name": None}
 
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0].qexp, kv[0].x.coords))

@@ -4,15 +4,16 @@ Gamma at half-integers and J-Bessel evaluation.
 
 All arithmetic that feeds exact coefficient formulas returns
 `fractions.Fraction`; only the Bessel/zeta helpers are floating point.  Those
-take small-argument Bessel values from the float power series and everything
-else from mpmath, imported on first use, memoized per (alpha, x).
+take small-argument Bessel values from the float power series, half-integer
+orders past it from the spherical Bessel recurrences, and everything else
+from mpmath, imported on first use, memoized per (alpha, x).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Frozen
 from .errors import NotADiscriminantError, NotFundamentalError
 
 _BESSEL_FLOAT_CUTOFF = 1.5
@@ -144,14 +145,13 @@ def is_fundamental_discriminant(f):
     return False
 
 
-@dataclass(frozen=True)
-class QuadChar:
+class QuadChar(Frozen):
     """Quadratic Dirichlet character a -> (f/a) attached to a discriminant f.
 
     f = 1 encodes the trivial character (so L(s, chi_1) is the Riemann zeta).
     """
 
-    f: int
+    _fields = ("f",)
 
     def __post_init__(self):
         if self.f != 1 and self.f % 4 not in (0, 1):
@@ -292,17 +292,47 @@ def _bessel_series_float(alpha, x):
             return total
 
 
+def _spherical_bessel(n, x):
+    """j_n(x) = sqrt(pi / (2x)) J_{n+1/2}(x) for x > 0, from j_0 = sin x / x and
+    j_1 = (sin x / x - cos x) / x by j_{k-1} + j_{k+1} = (2k + 1) j_k / x.
+
+    Upward from j_0, j_1 where x >= n, where the recurrence is stable.  Below
+    that, j_k decays with k and the upward recurrence loses it, so Miller's
+    downward recurrence runs from 0 at an index well past n, rescaled before it
+    overflows, and is normalized by whichever of j_0, j_1 is larger in size.
+    """
+    sin_x, cos_x = math.sin(x), math.cos(x)
+    j0, j1 = sin_x / x, (sin_x / x - cos_x) / x
+    if n == 0:
+        return j0
+    if x >= n:
+        for k in range(1, n):
+            j0, j1 = j1, (2 * k + 1) / x * j1 - j0
+        return j1
+    above, here, jn = 0.0, 1e-300, 0.0  # j_{k+1} and j_k up to one scale
+    for k in range(n + 20 + math.isqrt(40 * n), 0, -1):
+        above, here = here, (2 * k + 1) / x * here - above
+        if k - 1 == n:
+            jn = here
+        if abs(here) > 1e250:
+            above, here, jn = above * 1e-250, here * 1e-250, jn * 1e-250
+    return jn * (j0 / here if abs(j0) >= abs(j1) else j1 / above)
+
+
 @lru_cache(maxsize=1 << 16)
 def bessel_j(alpha, x):
     """J-Bessel function of integer or half-integer index alpha >= 0.
 
     Up to x = 1.5 the defining power series is summed in floats with
-    term-ratio stopping; past that, where the series cancels, the value is
-    mpmath.besselj, which serves every x > 0.  Against 50-digit mpmath the
-    absolute error stays below 1e-15 and, where |J| > 1e-6, the relative error
-    below 1e-14 (measured on x up to 10^6 and alpha up to 30).  Memoized on
-    (alpha, x): a Poincare expansion meets each J_alpha(4 pi sqrt(D D') / c)
-    once per target sharing D D', and every repeat returns the same float.
+    term-ratio stopping.  Past that, where the series cancels, a half-integer
+    alpha = n + 1/2 gives sqrt(2x / pi) j_n(x) (`_spherical_bessel`), and an
+    integer alpha mpmath.besselj, which serves every x > 0.  Against 50-digit
+    mpmath the absolute error stays below 5e-16 and, where |J| > 1e-6, the
+    relative error below 1e-11 (measured on x up to 10^6 and alpha up to 30;
+    the relative error peaks next to a zero of J, where sin and cos cancel).
+    Memoized on (alpha, x): a Poincare expansion meets each
+    J_alpha(4 pi sqrt(D D') / c) once per target sharing D D', and every
+    repeat returns the same float.
     """
     alpha = Fraction(alpha)
     if alpha < 0 or (2 * alpha).denominator != 1:
@@ -313,5 +343,7 @@ def bessel_j(alpha, x):
     a = float(alpha)
     if x <= _BESSEL_FLOAT_CUTOFF:
         return _bessel_series_float(a, x)
+    if alpha.denominator == 2:
+        return math.sqrt(2 * x / math.pi) * _spherical_bessel(int(alpha), x)
     import mpmath
     return float(mpmath.besselj(a, x))

@@ -12,9 +12,9 @@ prefactor, the Bessel weight (memoized per argument) and the tail bound.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Frozen
 from .errors import ConvergenceDomainError
 from .eisenstein import (
     CoefficientValue,
@@ -23,18 +23,13 @@ from .eisenstein import (
     _series_coefficient,
     _series_expansion,
 )
-from .lattice import DiscElement
 from .numbertheory import bessel_j, gamma_half
 
 
-@dataclass(frozen=True)
-class PoincareSpec:
+class PoincareSpec(Frozen):
     """Weight k > rank + 2, negative D and class r with D = beta(r) mod Z."""
 
-    lattice: object
-    k: int
-    D: Fraction
-    r: DiscElement
+    _fields = ("lattice", "k", "D", "r")
 
     def __post_init__(self):
         object.__setattr__(self, "D", Fraction(self.D))
@@ -43,13 +38,10 @@ class PoincareSpec:
         _check_supp(self.lattice, self.D, self.r)
 
 
-@dataclass(frozen=True)
-class PeterssonConstant:
+class PeterssonConstant(Frozen):
     """lambda_{k,L,D} = mantissa * pi^pi_power * sqrt(sqrt_arg), all exact."""
 
-    mantissa: Fraction
-    pi_power: int
-    sqrt_arg: Fraction
+    _fields = ("mantissa", "pi_power", "sqrt_arg")
 
     @property
     def value(self):

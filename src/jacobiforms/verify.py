@@ -17,19 +17,12 @@ from .eisenstein import (
     trivial_coefficient_exact,
     trivial_coefficient_series,
 )
-from .expsums import (
-    RepCountKey,
-    _h_table,
-    good_prime_factor,
-    kloosterman_decomposition,
-    lattice_sum_fft,
-    local_factor,
-    poincare_lattice_sum,
-    rep_count,
-)
+from .expsums import _h_table
 from .lattice import enumerate_supp, make_lattice
 from .numbertheory import QuadChar, bessel_j, dirichlet_L_nonpositive
+from .oracles import good_prime_factor, kloosterman_decomposition, lattice_sum_fft, poincare_lattice_sum
 from .poincare import PoincareSpec, poincare_coefficient, poincare_expansion
+from .repcounts import RepCountKey, local_factor, rep_count
 from .weilrep import (
     averaging_matrix,
     conjugation_check,

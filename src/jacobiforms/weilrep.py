@@ -19,12 +19,11 @@ the divisors of N gives the unit-orbit sum sum_{u in (Z/N)^*} G_{ux}(D, y)
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from ._lazy import np
-from .eisenstein import trivial_coefficient_exact
+from ._record import Frozen
 from .errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
 from .numbertheory import divisors, moebius
 from .rationals import is_integral, unit_phase
@@ -174,8 +173,7 @@ def averaging_matrix(lattice, x):
                                        for row in total])
 
 
-@dataclass(frozen=True)
-class OrbitRelation:
+class OrbitRelation(Frozen):
     """Averaging relation data for an isotropic class x of order N.
 
     `orbit` lists the classes lambda*x (lambda = 0..N-1) whose Eisenstein
@@ -184,9 +182,7 @@ class OrbitRelation:
     h-components add up to the y-component of that sum.
     """
 
-    x: object
-    orbit: tuple
-    components: dict
+    _fields = ("x", "orbit", "components")
 
 
 def _check_relation(k, x):
@@ -215,6 +211,8 @@ def nontrivial_from_trivial(lattice, k, x, D, y):
     phi(N) G_x(D, y) = sum_{d | N} mu(d) [beta(dx, y) in Z] sum_{lam mod N/d} G_0(D, y + lam dx)
     (see the module docstring); other orders raise UnsupportedOrderError.
     """
+    from .eisenstein import trivial_coefficient_exact  # here: no `rep` request runs eisenstein
+
     _check_relation(k, x)
     order = x.order
     units = sum(1 for u in range(order) if math.gcd(u, order) == 1)

@@ -35,8 +35,9 @@ from jacobiforms import (
     schrodinger_matrix,
     trivial_coefficient_exact,
 )
-from jacobiforms.expsums import _inverses, _unit_array, _unit_sum
+from jacobiforms.expsums import _unit_sum
 from jacobiforms.numbertheory import bernoulli, factorize, kronecker
+from jacobiforms.oracles import _inverses, _unit_array
 from jacobiforms.rationals import frac1, is_integral, unit_phase, unit_phase_ratio
 
 

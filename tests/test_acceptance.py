@@ -35,16 +35,11 @@ from jacobiforms import (
     trivial_coefficient_exact,
     trivial_coefficient_series,
 )
-from jacobiforms.expsums import (
-    RepCountKey,
-    bad_primes,
-    good_prime_factor,
-    poincare_lattice_sum,
-    rep_count,
-)
 from jacobiforms.lattice import enumerate_supp
 from jacobiforms.numbertheory import bessel_j, factorize, gamma_half, sigma_twisted
+from jacobiforms.oracles import good_prime_factor, poincare_lattice_sum
 from jacobiforms.rationals import is_integral
+from jacobiforms.repcounts import RepCountKey, bad_primes, rep_count
 
 from oracles import eichler_zagier_coefficient, poincare_series_oracle, rep_count_enumerate
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -41,17 +42,23 @@ def _no_h_c(data, c_b, a):
     raise AssertionError("an H_c term was computed")
 
 
-def _numpy_loaded(script, args):
-    """Run script with args in a fresh interpreter; whether numpy executed in it."""
+def _executed(script, args):
+    """Run script with args in a fresh interpreter; the names of the modules that executed in it.
+
+    A module bound by `_lazy.lazy_import` (numpy, every submodule of the
+    package) sits in sys.modules before it runs, as an instance of a
+    LazyLoader subclass of ModuleType, and becomes a plain module when it
+    executes.
+    """
     env = {
         "PATH": os.environ.get("PATH", ""),
         "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
     }
-    script += "print('numpy._core' in sys.modules)\n"
+    script += "import types\nprint(*[m for m, v in sys.modules.items() if type(v) is types.ModuleType])\n"
     proc = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout != "False\n"
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 @pytest.fixture()
@@ -110,7 +117,7 @@ class TestInfo:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(['info', '--lattice', path]) == 0, path\n"
         )
-        assert not _numpy_loaded(script, paths)
+        assert "numpy" not in _executed(script, paths)
 
     def test_invalid_lattice(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
@@ -198,7 +205,7 @@ class TestEisensteinCommand:
             "    args = ['eisenstein', '--lattice', path, '-k', '8', '--mode', 'exact']\n"
             "    assert main(args + ['-o', os.devnull]) == 0, path\n"
         )
-        assert not _numpy_loaded(script, paths)
+        assert "numpy" not in _executed(script, paths)
 
     def test_numeric_path_never_loads_numpy(self, tmp_path):
         # numeric Eisenstein c-sums run in Python ints and complexes: Gauss sums
@@ -213,7 +220,7 @@ class TestEisensteinCommand:
             "            '--n-max', '1', '--c-max', '300']\n"
             "    assert main(args + ['-o', os.devnull]) == 0, path\n"
         )
-        assert not _numpy_loaded(script, paths)
+        assert "numpy" not in _executed(script, paths)
 
     def test_infinite_tail_exits_3_before_any_h_c(self, tmp_path, capsys, monkeypatch):
         # on E8 + E8 the a-priori tail is infinite for every k <= rank + 1 = 17:
@@ -358,7 +365,7 @@ class TestPoincareCommand:
             "            '--n-max', '1', '--c-max', '150']\n"
             "    assert main(argv + ['-o', os.devnull]) == 0, path\n"
         )
-        assert not _numpy_loaded(script, [v for run in runs for v in run])
+        assert "numpy" not in _executed(script, [v for run in runs for v in run])
 
     def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
         # Gamma(k - rank/2) overflows a float; the Bessel series and the tail divide by it
@@ -597,6 +604,77 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "passed, 0 failed" in proc.stdout
+
+
+_SUMS = {"jacobiforms.expsums", "jacobiforms.repcounts", "jacobiforms.oracles"}
+# request -> (lattice, argv, modules that must execute, modules that must not)
+_MODULE_SETS = {
+    "eisenstein-exact": ("a2", ["eisenstein", "-k", "8", "--mode", "exact"],
+                         {"jacobiforms.eisenstein", "jacobiforms.repcounts"},
+                         {"jacobiforms.poincare", "jacobiforms.weilrep", "jacobiforms.expsums",
+                          "jacobiforms.oracles", "dataclasses", "mpmath", "numpy"}),
+    "eisenstein-numeric": ("a2", ["eisenstein", "-k", "8", "--mode", "numeric", "--n-max", "1",
+                                  "--c-max", "100"],
+                           {"jacobiforms.eisenstein", "jacobiforms.expsums"},
+                           {"jacobiforms.repcounts", "jacobiforms.oracles"}),
+    "rep-default": ("a2", ["rep"], {"jacobiforms.weilrep"},
+                    {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS}),
+    "rep-schrodinger": ("a1_scaled4", ["rep", "--schrodinger", "4;1,1,0"], {"jacobiforms.weilrep"},
+                        {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS}),
+    "rep-avg": ("a1_scaled4", ["rep", "--avg", "4"], {"jacobiforms.weilrep"},
+                {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS}),
+    "poincare-a1": ("a1", ["poincare", "-k", "10", "-D=-3/4", "-r", "1", "--n-max", "2",
+                           "--c-max", "400"],
+                    {"jacobiforms.poincare", "jacobiforms.expsums"}, {"mpmath", "numpy"}),
+}
+
+
+class TestModulesExecuted:
+    @pytest.mark.parametrize("name", sorted(_MODULE_SETS))
+    def test_request_executes_only_its_modules(self, name):
+        # every submodule is bound lazily, so a request executes the modules its
+        # command reads and no other: an exact expansion never the H_c sums, a
+        # numeric one never the counts, `rep` neither, and a half-integer Bessel
+        # order (a1) never mpmath
+        lattice, argv, present, absent = _MODULE_SETS[name]
+        script = (
+            "import os, sys\n"
+            "from jacobiforms.cli import main\n"
+            "argv = sys.argv[2:3] + ['--lattice', sys.argv[1]] + sys.argv[3:]\n"
+            "assert main(argv + ['-o', os.devnull]) == 0\n"
+        )
+        executed = _executed(script, [str(LATTICES / f"{lattice}.json"), *argv])
+        assert present <= executed, present - executed
+        assert not absent & executed, absent & executed
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestBenchmarkTracer:
+    def test_probes_are_traced_with_their_counts(self, tmp_path, monkeypatch):
+        # perfbench/traced_cli.py reads the modules by name right after import and
+        # rebinds expsums.h_series_terms, rep_count and local_factor wherever they
+        # are bound: each probe of perfbench/run.py must find every target and
+        # report the counts the probe expects
+        monkeypatch.syspath_prepend(str(_PERFBENCH))
+        run = importlib.import_module("run")
+        env = {
+            "PATH": os.environ.get("PATH", ""),
+            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
+        }
+        spans = tmp_path / "spans.json"
+        for (lattice, verb, args), expected in run.PROBES:
+            proc = subprocess.run(
+                [sys.executable, str(_PERFBENCH / "traced_cli.py"), str(spans), verb,
+                 "--lattice", str(LATTICES / f"{lattice}.json"), *args],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(spans.read_text())
+            assert doc["exit"] == 0 and doc["missing"] == [], doc["missing"]
+            got = run.layer_totals([doc], [{"bytes_out": len(proc.stdout), "exit": doc["exit"]}])
+            assert {key: got[key] for key in expected} == expected, (verb, args)
 
 
 _DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

@@ -28,19 +28,13 @@ from jacobiforms.errors import (
     StabilizationFailureError,
     ValidationError,
 )
-from jacobiforms import expsums
-from jacobiforms.expsums import (
-    _ord_p,
-    H_LEAF_LIMIT,
-    H_POINT_LIMIT,
-    bad_primes,
-    good_prime_factor,
-    h_series_terms,
-    lattice_sum_fft,
-)
+from jacobiforms import expsums, repcounts
+from jacobiforms.expsums import H_LEAF_LIMIT, h_series_terms
 from jacobiforms.lattice import enumerate_supp, load_lattice_json
 from jacobiforms.numbertheory import factorize, kronecker, zeta_float
+from jacobiforms.oracles import H_POINT_LIMIT, good_prime_factor, lattice_sum_fft
 from jacobiforms.rationals import unit_phase, unit_phase_ratio
+from jacobiforms.repcounts import _ord_p, bad_primes
 
 from oracles import k_factor_fft, rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
@@ -511,7 +505,7 @@ class TestHenselNodes:
                 nodes += [(g, beta1 % p), (g, (beta1 + rng.randrange(1, p)) % p)]
             nodes += [(rng.choice(points), rng.randrange(p)) for _ in range(6)]
             for g, n in nodes:
-                got = expsums._zeros_mod_p(gram, p, g, n)
+                got = repcounts._zeros_mod_p(gram, p, g, n)
                 assert got == zeros_mod_p_walk(gram, p, g, n), (gram, p, g, n)
                 if p > 2:
                     seen["outside im G" if g not in image else "m = 0" if got[1] else "m != 0"] += 1
@@ -525,7 +519,7 @@ class TestHenselNodes:
             for g in islice(product(range(p), repeat=rank), 8):
                 for n in range(min(p, 4)):
                     nonsingular, singular = zeros_mod_p_walk(gram, p, g, n)
-                    assert expsums._zero_count_mod_p(gram, p, g, n) == nonsingular + len(singular)
+                    assert repcounts._zero_count_mod_p(gram, p, g, n) == nonsingular + len(singular)
 
     def test_rank_four_radical_counts_match_enumeration(self):
         # diag(6,6,6,6) at p = 3: G = 0 mod 3, so every zero mod 3 is singular
@@ -569,13 +563,13 @@ class TestLocalFactor:
         x0 = a1.disc_group.zero
         D = Fraction(-7)
         p = 9973
-        monkeypatch.setattr(expsums, "rep_count", lambda key: _ord_p(key.b, p) + 2)
-        expsums._stable_profile.cache_clear()
+        monkeypatch.setattr(repcounts, "rep_count", lambda key: _ord_p(key.b, p) + 2)
+        repcounts._stable_profile.cache_clear()
         try:
             with pytest.raises(StabilizationFailureError):
                 local_factor(a1, x0, D, p, 3)
         finally:
-            expsums._stable_profile.cache_clear()
+            repcounts._stable_profile.cache_clear()
 
 
 class TestDirichletSeries:
@@ -600,7 +594,7 @@ class TestDirichletSeries:
         assert partial == pytest.approx(product, rel=1e-4)
 
     def test_sieve_gives_smallest_prime_factors(self):
-        spf = expsums._spf_sieve(5000)
+        spf = repcounts._spf_sieve(5000)
         assert all(spf[n] == factorize(n)[0][0] for n in range(2, 5001))
 
     def test_domain_guard(self, a1):
