@@ -120,7 +120,9 @@ def _cmd_poincare(args):
 
 
 def _matrix_doc(rep, group):
-    return {"label": rep.label, "index": [list(c) for c in group.classes()], "matrix": rep.rows}
+    """A matrix's label, index and sparse `entries`, or its dense rows as `matrix`."""
+    key, value = ("matrix", rep.rows) if rep.entries is None else ("entries", rep.entries)
+    return {"label": rep.label, "index": [list(c) for c in group.classes()], key: value}
 
 
 # json.dumps spells the non-finite floats as JavaScript does; repr spells them otherwise
@@ -136,6 +138,14 @@ def _dumps_at(value, depth):
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+def _row_layout(depth):
+    """(head, separator, entry template, tail) of a row of {"re", "im"} objects `depth` levels deep."""
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    entry = "{" + inner + '  "re": %s,' + inner + '  "im": %s' + inner + "}"
+    return outer + "[" + inner, "," + inner, entry, outer + "]"
+
+
 def _matrix_rows(matrix, depth):
     """The rows of a matrix as json.dumps lays out lists of {"re", "im"} objects
     nested `depth` levels deep, each with its leading newline and indent.
@@ -144,18 +154,39 @@ def _matrix_rows(matrix, depth):
     matrix takes the float texts of a row: float.__repr__ of the real and
     imaginary parts, as json's encoder writes them.
     """
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    entry = "{" + inner + '  "re": %s,' + inner + '  "im": %s' + inner + "}"
-    template = outer + "[" + inner + ("," + inner).join([entry] * len(matrix[0])) + outer + "]"
+    head, sep, entry, tail = _row_layout(depth)
+    template = head + sep.join([entry] * len(matrix[0])) + tail
     for row in matrix:
         texts = list(map(float.__repr__, [part for z in row for part in (z.real, z.imag)]))
         yield template % tuple(map(_JSON_CONSTANTS.get, texts, texts))
 
 
+def _sparse_rows(entries, depth):
+    """The rows of the square matrix whose row i is 0j but at the (column, value)
+    pairs of entries[i], given by increasing column, laid out as `_matrix_rows`.
+
+    Every zero entry has the same text, so the all-zero row text is built
+    once and column j's entry starts at len(head) + j * (its width plus the
+    separator's); each row splices the texts of its listed entries into it.
+    """
+    head, sep, entry, tail = _row_layout(depth)
+    zero = entry % ("0.0", "0.0")
+    blank = head + sep.join([zero] * len(entries)) + tail
+    step = len(zero) + len(sep)
+    for pairs in entries:
+        pieces, end = [], 0
+        for j, z in pairs:
+            start = len(head) + j * step
+            texts = float.__repr__(z.real), float.__repr__(z.imag)
+            pieces += blank[end:start], entry % tuple(map(_JSON_CONSTANTS.get, texts, texts))
+            end = start + len(zero)
+        pieces.append(blank[end:])
+        yield "".join(pieces)
+
+
 def _rep_chunks(name, docs):
     """The text of json.dumps({"lattice": name, "matrices": docs}, indent=2) as chunks,
-    with the complex rows of each doc's "matrix" laid out as {"re", "im"} objects.
+    with each doc's dense "matrix" rows or sparse "entries" laid out as {"re", "im"} objects.
 
     The lattice name, labels and indices are laid out by json.dumps; each
     matrix follows row by row, so no chunk holds more than one row of it.
@@ -166,7 +197,8 @@ def _rep_chunks(name, docs):
                + '\n      "label": ' + json.dumps(doc["label"]) + ","
                + '\n      "index": ' + _dumps_at(doc["index"], 3) + ","
                + '\n      "matrix": [')
-        for j, row in enumerate(_matrix_rows(doc["matrix"], 4)):
+        rows = _sparse_rows(doc["entries"], 4) if "entries" in doc else _matrix_rows(doc["matrix"], 4)
+        for j, row in enumerate(rows):
             yield ("," if j else "") + row
         yield "\n      ]\n    }"
     yield "\n  ]\n}"

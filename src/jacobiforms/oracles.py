@@ -7,7 +7,8 @@ definitional route sums H term by term with exact rational phases
 `kloosterman_decomposition` sums it over lambda through Kloosterman sums.  The
 walk `lattice_sum_fft` rewrites H through Kloosterman sums too: it walks
 (Z/c)^rank in bounded blocks to form acc[t] = sum of e(pint(lambda)/c) over
-n1(lambda) = t mod c, and since K(m, t; c) = sum_u e((m u^-1 + t u)/c), H
+n1(lambda) = t mod c (at rank >= 2 from integer counts of the (n1, pint)
+pairs), and since K(m, t; c) = sum_u e((m u^-1 + t u)/c), H
 needs one length-c FFT of acc, read at the units; it is the one user of numpy
 here.  The series route of `expsums._h_table` is asserted against them.
 `good_prime_factor` is the closed form of a local factor at a good prime,
@@ -167,19 +168,26 @@ def _h_c(data, c):
     H = e(p0/c) sum over units u of e(m u^-1/c) A(u), A(u) = sum_t acc[t] e(t u/c);
     acc depends on the target only through G r', so one walk of (Z/c)^rank
     feeds one acc and one FFT per distinct G r', read out at the units per target.
+    At rank >= 2 the walk counts the (n1, pint) pairs in an integer c x c
+    table (c^2 <= c^rank points) and takes one product with the roots, so no
+    float sum runs over the c^rank points; rank 1 sums the roots directly.
     """
     roots = np.exp((2j * np.pi / c) * np.arange(c))
-    re = [0.0] * len(data.gps)
-    im = [0.0] * len(data.gps)
+    acc = [0] * len(data.gps)
     for n1, pints in _lambda_profile(data, c):
         for g in range(len(data.gps)):
             pint = next(pints)
-            re[g] = re[g] + np.bincount(n1, roots.real[pint], c)
-            im[g] = im[g] + np.bincount(n1, roots.imag[pint], c)
+            if data.rank == 1:
+                acc[g] = (acc[g] + np.bincount(n1, roots.real[pint], c)
+                          + 1j * np.bincount(n1, roots.imag[pint], c))
+            else:
+                acc[g] = acc[g] + np.bincount(n1 * c + pint, minlength=c * c)
             del pint  # before the next G r' builds its block
+    if data.rank > 1:
+        acc = [counts.reshape(c, c) @ roots for counts in acc]
     units = _unit_array(c)
     inv = _inverses(units, c)
-    a_hat = [np.fft.ifft(x + 1j * y, norm="forward")[units] for x, y in zip(re, im)]
+    a_hat = [np.fft.ifft(x, norm="forward")[units] for x in acc]
     return [unit_phase_ratio(p0.numerator, p0.denominator * c)
             * complex(np.dot(roots[np0 % c * inv % c], a_hat[g]))
             for g, np0, p0 in data.targets]

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacobiforms
@@ -453,7 +454,8 @@ class TestRepCommand:
     def test_gathers_never_load_numpy(self, tmp_path):
         # rho(T), rho(S), sigma_x and the averaging operator are gathers in Python
         # complexes, and the default rep prints rho(T) and rho(S) as gathered; a
-        # product of matrices (a word) executes numpy
+        # word with one dense factor scales it by rho(T)^{+-1} in Python, and only
+        # a product of two dense factors executes numpy
         env = {
             "PATH": os.environ.get("PATH", ""),
             "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
@@ -467,12 +469,15 @@ class TestRepCommand:
             "for path, args in (\n"
             "        (sys.argv[1], []), (sys.argv[2], []),\n"
             "        (sys.argv[1], ['--avg', '4', '--schrodinger', '4;1,1,0']),\n"
-            "        (sys.argv[2], ['--schrodinger', '4,12;2,1,3', '--avg', '10,10'])):\n"
+            "        (sys.argv[2], ['--schrodinger', '4,12;2,1,3', '--avg', '10,10']),\n"
+            "        (sys.argv[2], ['--word', 'T^-1,S^-1'])):\n"
             "    assert main(['rep', '--lattice', path, *args, '-o', os.devnull]) == 0, path\n"
             "lattice = jacobiforms.load_lattice_json(sys.argv[2])[1]\n"
             "[jacobiforms.rho_generator(lattice, g).rows for g in ('T', 'S')]\n"
+            "for word in (['S', 'T'], ['T', 'S'], ['S^-1', 'T^-1'], ['T', 'S', 'T'], ['T', 'T^-1']):\n"
+            "    jacobiforms.rho_word(lattice, word)\n"
             "print(loaded())\n"
-            "jacobiforms.rho_word(lattice, ['S', 'T'])\n"
+            "jacobiforms.rho_word(lattice, ['S', 'T', 'S'])\n"
             "print(loaded())\n"
         )
         paths = [str(LATTICES / "a1_scaled4.json"), _golden_lattice(tmp_path, "square20")]
@@ -513,6 +518,25 @@ def _rep_docs(draw):
     return draw(texts), docs
 
 
+@st.composite
+def _sparse_docs(draw):
+    """(label, index, entries, dense equivalent) for 1 to 3 square matrices of sparse rows:
+    each row lists a random subset of the columns (none, all, with gaps), by increasing column."""
+    parts = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    docs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 7))
+        matrix = np.zeros((n, n), dtype=complex)
+        entries = []
+        for i in range(n):
+            columns = sorted(draw(st.sets(st.integers(0, n - 1))))
+            entries.append([(j, complex(draw(parts), draw(parts))) for j in columns])
+            for j, z in entries[-1]:
+                matrix[i, j] = z
+        docs.append((draw(st.sampled_from(_EDGE_TEXT)), [[i] for i in range(n)], entries, matrix))
+    return docs
+
+
 class TestRepRendering:
     @given(_rep_docs())
     @settings(max_examples=150, deadline=None)
@@ -521,6 +545,16 @@ class TestRepRendering:
         chunks = _rep_chunks(name, [{"label": label, "index": index, "matrix": matrix}
                                     for label, index, matrix in docs])
         assert "".join(chunks) == rep_document_json(name, docs)
+
+    @given(_sparse_docs())
+    @example([("T", [[0]], [[(0, complex(-0.0, math.nan))]], np.array([[complex(-0.0, math.nan)]]))])
+    @example([("S", [[0]], [[]], np.zeros((1, 1), dtype=complex))])
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_rows_splice_to_the_dense_dict_route(self, docs):
+        chunks = _rep_chunks("sparse", [{"label": label, "index": index, "entries": entries}
+                                        for label, index, entries, _ in docs])
+        dense = [(label, index, matrix) for label, index, _, matrix in docs]
+        assert "".join(chunks) == rep_document_json("sparse", dense)
 
 
 # (gram, rep arguments) at the sizes of the benchmark: |G| = 400, irrational
@@ -589,6 +623,30 @@ class TestRepAtScale:
         assert main(["rep", "--lattice", path, *args, "-o", str(out_path)]) == 0
         assert out_path.read_bytes() == want.encode()
         assert os.listdir(tmp_path) == ["out.json"]
+
+
+# rep requests whose output bytes are pinned by sha256 in data/rep_digests.json: the
+# dict route above calls the same rho_word and averaging_matrix as the CLI, so only
+# digests recorded before a change to those can catch a change of bits.  The digest
+# of the two-dense-factor word S,T,S also rests on the BLAS kernel that numpy links.
+_DIGEST_GRAMS = {"a2_scaled6": [[12, 6], [6, 12]], "square20": [[20, 0], [0, 20]],
+                 "a1_scaled100": [[200]], "a1_scaled32": [[64]]}
+_DIGEST_WORDS = ("S,T", "T,S", "S^-1,T^-1", "T^-1,S^-1")
+_DIGEST_RUNS = ([("a2_scaled6", ["--word", w]) for w in _DIGEST_WORDS + ("S,T,S",)]
+                + [("square20", ["--word", w]) for w in _DIGEST_WORDS]
+                + [("square20", ["--schrodinger", "4,12;2,1,3"]), ("a1_scaled100", ["--avg", "100"]),
+                   ("a1_scaled32", ["--avg", "16", "--schrodinger", "16;1,2,0"]), ("a1_scaled32", [])])
+
+
+class TestRepDigests:
+    @pytest.mark.parametrize("name, args", _DIGEST_RUNS, ids=[" ".join([n, *a]) for n, a in _DIGEST_RUNS])
+    def test_output_matches_the_pinned_digest(self, name, args, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "gram": _DIGEST_GRAMS[name]}))
+        out_path = tmp_path / "out.json"
+        assert main(["rep", "--lattice", str(path), *args, "-o", str(out_path)]) == 0
+        digests = json.loads((DATA / "rep_digests.json").read_text())
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digests[" ".join([name, *args])]
 
 
 class TestVerifyCommand:

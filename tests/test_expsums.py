@@ -318,6 +318,14 @@ class TestClosedForm:
             want = lattice_sum_fft(lat, D, r, Dp, rp, c)
             assert table[0, c - 1] == pytest.approx(want, rel=1e-10, abs=1e-10), (gram, D, r, Dp, rp, c)
 
+    def test_walk_counts_pairs_before_the_float_sum(self):
+        # H_45 is exactly 0 here; the walk once summed 45^3 float roots and read 1.3e-10
+        lat = make_lattice([[6, -2, 3], [-2, 2, -3], [3, -3, 10]])
+        group = lat.disc_group
+        D, r, Dp, rp = Fraction(-53, 88), group.element((1,)), Fraction(-15, 8), group.element((11,))
+        assert expsums._h_table(lat, D, r, [(Dp, rp)], 45)[0, 44] == 0
+        assert lattice_sum_fft(lat, D, r, Dp, rp, 45) == pytest.approx(0, abs=1e-11)
+
     @pytest.mark.parametrize("path", _SHIPPED, ids=[p.stem for p in _SHIPPED])
     def test_phase_in_ints_is_unit_phase_bit_for_bit(self, path):
         # e(p0/c) with p0 = beta(r', r) as the H_c routes take it, reduced in ints
