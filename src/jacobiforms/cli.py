@@ -220,13 +220,13 @@ def _cmd_rep(args):
     name, lattice = load_lattice_json(args.lattice)
     group = lattice.disc_group
     docs = []
-    if args.word:
+    if args.word is not None:
         tokens = [t.strip() for t in args.word.split(",") if t.strip()]
         docs.append(_matrix_doc(weilrep.rho_word(lattice, tokens), group))
-    if args.schrodinger:
+    if args.schrodinger is not None:
         rep = weilrep.schrodinger_matrix(lattice, *_schrodinger_args(group, args.schrodinger))
         docs.append(_matrix_doc(rep, group))
-    if args.avg:
+    if args.avg is not None:
         docs.append(_matrix_doc(weilrep.averaging_matrix(lattice, _element(group, args.avg)), group))
     if not docs:
         for g in ("T", "S"):

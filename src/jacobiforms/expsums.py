@@ -10,14 +10,14 @@ and elsewhere a CRT product of sums mod the prime powers of c_g, by Salie's
 evaluation or over the units.  W is a sum over the units of c_b of quadratic
 Gauss sums S(U, h; p^e), one per prime power of c_b, each reduced two powers
 of p at a time onto the solutions of U G lambda = -h mod p (`_gauss_sum`, on
-the symmetric elimination of G mod p that the Hensel counts of `repcounts`
-share), once per distinct key (c_b, c_g^-1 mod c_b); its leaves are counted
-against H_LEAF_LIMIT before the first.  Within one expansion (D, r) is fixed,
-so inside `shared_targets` one table z[target, c] serves every target (D', r')
-of the expansion, and each coefficient's c-sum reads its row; a lone
-coefficient is the one-target case.  Everything here runs in Python ints and
-complexes.  The definitional route and the walk of (Z/c)^rank, against which
-the tests assert this one, are in `oracles`.
+`lattice.mod_p_node`, the node mod p that the Hensel counts of `repcounts`
+read too), once per distinct key (c_b, c_g^-1 mod c_b); its leaves are
+counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
+is fixed, so inside `shared_targets` one table z[target, c] serves every
+target (D', r') of the expansion, and each coefficient's c-sum reads its
+row; a lone coefficient is the one-target case.  Everything here runs in
+Python ints and complexes.  The definitional route and the walk of
+(Z/c)^rank, against which the tests assert this one, are in `oracles`.
 """
 
 import math
@@ -25,12 +25,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product
 from operator import mul
 
 from ._record import Frozen, Record
 from .errors import ResourceLimitError
-from .lattice import DiscElement, _check_node, _diagonalize_mod_p, _int_beta
+from .lattice import DiscElement, _int_beta, mod_p_node
 from .numbertheory import factorize, kronecker, sqrt_mod
 from .rationals import is_integral, unit_phase_ratio
 
@@ -154,81 +153,6 @@ def _roots(n):
     return [unit_phase_ratio(j, n) for j in range(n)]
 
 
-@lru_cache(maxsize=256)
-def _gauss_node(gram, p):
-    """(solve, leaf, k) for the nodes of `_gauss_sum` at a prime p.
-
-    solve(U, h) lists (lambda, beta(lambda), G lambda) for one integer lambda per
-    class mod p with U G lambda + h = 0 mod p: none, or a coset of the radical R
-    of G mod p, of p^k points.
-    leaf(U, h) = S(U, h; p), the sum of e((U beta(lambda) + h.lambda)/p) over
-    (Z/p)^rank.  At p = 2 both read one walk of (Z/2)^rank that groups lambda by
-    G lambda mod 2 and keeps beta(lambda) mod 2 (U is odd and drops out).  At
-    odd p both come from `_diagonalize_mod_p`: with lambda = sum y_i b_i,
-    G lambda = v asks b_i.v = pivot_i y_i below the pivots and b_i.v = 0 on R,
-    and the leaf is p^k times one-dimensional Gauss sums
-    sum_y e((a y^2 + t y)/p) = (a/p) g_p e(-t^2 (4a)^-1 / p), with
-    g_p = sqrt(p) at p = 1 mod 4 and i sqrt(p) at p = 3 mod 4.
-    """
-    rank = len(gram)
-    if p == 2:
-        _check_node(p, f"walks 2^rank = 2^{rank}", 2**rank, "points")
-        cosets, parity = {}, {}
-        for lam in product((0, 1), repeat=rank):
-            image, beta = tuple(sum(gij * v for gij, v in zip(row, lam)) for row in gram), _int_beta(gram, lam)
-            cosets.setdefault(tuple(v % 2 for v in image), []).append((lam, beta, image))
-            parity[lam] = beta % 2
-
-        @cache
-        def leaf2(h):
-            return sum(1 - 2 * ((b + sum(x * y for x, y in zip(h, lam))) % 2)
-                       for lam, b in parity.items())
-
-        k = rank - (len(cosets).bit_length() - 1)
-        return (lambda U, h: cosets.get(tuple([v & 1 for v in h]), ()),
-                lambda U, h: leaf2(h), k)
-
-    pivots, basis = _diagonalize_mod_p(gram, p)
-    s, radical = len(pivots), basis[len(pivots):]
-    k = len(radical)
-    _check_node(p, f"lists p^k = {p}^{k}", p**k, "points")
-    g_p = (1j if p % 4 == 3 else 1) * math.sqrt(p)
-    half = pow(2, -1, p)
-
-    def coords(h):  # b_i.h mod p, and whether h is orthogonal to R
-        t = [sum(x * y for x, y in zip(vec, h)) % p for vec in basis]
-        return t[:s], not any(t[s:])
-
-    @lru_cache(maxsize=1 << 12)
-    def solve_mod_p(U, h):
-        t, solvable = coords(h)
-        if not solvable:
-            return ()
-        ubar = pow(U, -1, p)
-        y = [-ti * ubar * pow(piv, -1, p) % p for ti, piv in zip(t, pivots)]
-        lam0 = [sum(yi * vec[j] for yi, vec in zip(y, basis)) for j in range(rank)]
-        points = (tuple(l0 + sum(z * vec[j] for z, vec in zip(zs, radical)) for j, l0 in enumerate(lam0))
-                  for zs in product(range(p), repeat=k))
-        return [(lam, _int_beta(gram, lam), [sum(gij * v for gij, v in zip(row, lam)) for row in gram])
-                for lam in points]
-
-    @lru_cache(maxsize=1 << 12)
-    def leaf_mod_p(U, h):
-        t, solvable = coords(h)
-        if not solvable:
-            return 0
-        sign, num = 1, 0
-        for ti, piv in zip(t, pivots):
-            a = U * piv * half % p
-            sign *= kronecker(a, p)
-            num -= ti * ti * pow(4 * a, -1, p)
-        return p**k * sign * g_p**s * unit_phase_ratio(num, p)
-
-    # both depend on U and h mod p only: memoized there
-    return (lambda U, h: solve_mod_p(U % p, tuple([v % p for v in h])),
-            lambda U, h: leaf_mod_p(U % p, tuple([v % p for v in h])), k)
-
-
 def _gauss_sum(gram, p, e, U, h):
     """S(U, h; p^e) = sum over lambda mod p^e of e((U beta(lambda) + h.lambda)/p^e).
 
@@ -239,18 +163,19 @@ def _gauss_sum(gram, p, e, U, h):
     grad = 0 mod p; then splitting mu once more, mod p^(e-2) and along p^(e-2),
     leaves p^rank S(U, grad/p; p^(e-2)).  So for e >= 2
       S = p^rank sum_{lambda1 mod p, grad = 0 mod p} e(Q(lambda1)/p^e) S(U, grad/p; p^(e-2)),
-    one level of `_gauss_node` per two powers of p, down to e = 0 (S = 1) or
-    the leaf at e = 1.
+    one level of `lattice.mod_p_node` per two powers of p, whose solve(U^-1 h)
+    lists the lambda1, down to e = 0 (S = 1) or its leaf at e = 1.
     """
     if e == 0:
         return 1
-    solve, leaf, _ = _gauss_node(gram, p)
+    node = mod_p_node(gram, p)
     if e == 1:
-        return leaf(U, h)
+        return node.leaf(U, h)
     q, sub = p**e, p ** (e - 2)
     roots = _roots(q)
+    ubar = pow(U, -1, p)
     total = 0j
-    for lam, beta, glam in solve(U, h):
+    for lam, beta, glam in node.solve(tuple([ubar * v % p for v in h])):
         value = U * beta + sum(map(mul, h, lam))
         total += roots[value % q] * _subsum(
             gram, p, e - 2, U % sub, tuple([(U * g + hi) // p % sub for g, hi in zip(glam, h)]))
@@ -264,7 +189,7 @@ _subsum = lru_cache(maxsize=1 << 16)(_gauss_sum)
 
 
 def _check_leaves(data, c_max, keys):
-    ks = {p: _gauss_node(data.gram, p)[2] for c_b, _ in keys for p, _ in factorize(c_b)}
+    ks = {p: mod_p_node(data.gram, p).k for c_b, _ in keys for p, _ in factorize(c_b)}
     leaves = sum(math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(c_b))
                  * sum(p ** (ks[p] * (e // 2)) for p, e in factorize(c_b))
                  for c_b, _ in keys)

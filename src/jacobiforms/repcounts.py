@@ -6,10 +6,10 @@ Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
 and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
 nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p.  Each node is
-counted in closed form at odd p, from the symmetric elimination of G mod p
-(`lattice._diagonalize_mod_p`) and the classical count of a nondegenerate
-form's values, and by a walk of (Z/2)^rank at p = 2; its singular zeros are
-listed only where they recurse, at e >= 2, and e = 1 takes the count alone.
+counted and its singular zeros listed by `lattice.mod_p_node`, the node mod p
+that the Gauss sums of `expsums` read too: in closed form at odd p, from one
+walk of (Z/2)^rank at p = 2.  Its singular zeros are listed only where they
+recurse, at e >= 2, and e = 1 takes the count alone.
 This recursion is the one route to R_{p^e}, at good and bad primes alike, and
 the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable
 profiles behind the local factors and the prime powers of the Dirichlet series
@@ -23,12 +23,12 @@ stay in the tests as oracles, and the closed form of a good prime's factor in
 import math
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product
+from operator import mul
 
 from ._record import Frozen
 from .errors import StabilizationFailureError
-from .lattice import _check_node, _diagonalize_mod_p, _int_beta
-from .numbertheory import factorize, kronecker
+from .lattice import _int_beta, mod_p_node
+from .numbertheory import factorize
 from .rationals import is_integral
 
 _STABILIZATION_CAP = 4
@@ -46,84 +46,24 @@ class RepCountKey(Frozen):
             raise ValueError("(D, x) must lie in supp(L)")
 
 
-def _form_count(coeffs, m, p):
-    """N_s(m) = #{y in (Z/p)^s : sum c_i y_i^2 = m} for nonzero c_i mod an odd prime p."""
-    s = len(coeffs)
-    if s == 0:
-        return int(m % p == 0)
-    disc = (-1) ** (s // 2) * math.prod(coeffs)
-    if s % 2 == 0:
-        return p ** (s - 1) + (p - 1 if m % p == 0 else -1) * p ** (s // 2 - 1) * kronecker(disc, p)
-    return p ** (s - 1) + p ** ((s - 1) // 2) * kronecker(disc * m, p)
-
-
-def _odd_node(gram, p, g, n):
-    """(number of zeros of Q mod an odd prime p, singular zeros) for Q(lambda) =
-    beta(lambda) + g.lambda + n, g and n reduced mod p; the singular zeros are
-    lambda0 + R, given as (lambda0, basis of R), or None when there are none.
-
-    In closed form from a symmetric elimination of G mod p with radical R of
-    dimension k.  If g is not in im G = R^perp, Q is a nonconstant linear
-    function along some v in R, so each line in that direction holds one zero
-    and none is singular: p^(rank-1).  Otherwise G lambda0 = -g and
-    Q(lambda0 + mu) = beta(mu) - m with m = -Q(lambda0); beta is the form
-    sum (pivot_i / 2) y_i^2 of rank s = rank - k plus zero on R, so there are
-    p^k N_s(m) zeros, and the singular ones, grad Q = G mu = 0, are
-    lambda0 + R when m = 0 and none otherwise.
-    """
-    rank = len(gram)
-    pivots, basis = _diagonalize_mod_p(gram, p)
-    s = len(pivots)
-    h = [sum(a * b for a, b in zip(vec, g)) % p for vec in basis]
-    if any(h[s:]):
-        return p ** (rank - 1), None
-    y = [-hi * pow(piv, -1, p) % p for hi, piv in zip(h, pivots)]
-    lam0 = [sum(yi * vec[j] for yi, vec in zip(y, basis)) % p for j in range(rank)]
-    m = -(_int_beta(gram, lam0) + sum(a * b for a, b in zip(g, lam0)) + n) % p
-    half = pow(2, -1, p)
-    total = p ** (rank - s) * _form_count([piv * half % p for piv in pivots], m, p)
-    return total, None if m else (lam0, basis[s:])
-
-
 @lru_cache(maxsize=4096)
 def _zeros_mod_p(gram, p, g, n):
-    """Zeros of Q(lambda) = beta(lambda) + g.lambda + n on (Z/p)^rank.
-
-    g and n are reduced mod p.  Returns (number of nonsingular zeros, tuple of
-    the singular ones in lexicographic order), a zero being singular when
-    grad Q = G lambda + g = 0 mod p.  At odd p from `_odd_node`; at p = 2,
-    where beta does not diagonalise, the node walks (Z/2)^rank.
-    """
-    rank = len(gram)
-    if p == 2:
-        _check_node(p, f"walks 2^rank = 2^{rank}", 2**rank, "points")
-        nonsingular, singular = 0, []
-        for lam in product((0, 1), repeat=rank):
-            if (_int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n) % 2:
-                continue
-            if any((sum(gij * v for gij, v in zip(row, lam)) + gi) % 2 for row, gi in zip(gram, g)):
-                nonsingular += 1
-            else:
-                singular.append(lam)
-        return nonsingular, tuple(singular)
-    total, coset = _odd_node(gram, p, g, n)
-    if coset is None:
-        return total, ()
-    lam0, radical = coset
-    _check_node(p, f"lists p^k = {p}^{len(radical)}", p ** len(radical), "singular zeros")
-    singular = sorted(
-        tuple((l0 + sum(t * vec[j] for t, vec in zip(ts, radical))) % p for j, l0 in enumerate(lam0))
-        for ts in product(range(p), repeat=len(radical))
-    )
-    return total - len(singular), tuple(singular)
+    """(number of nonsingular zeros, the singular ones in lexicographic order) of
+    Q(lambda) = beta(lambda) + g.lambda + n mod p, g and n reduced mod p: the
+    singular zeros, grad Q = G lambda + g = 0, are the points of solve(g) where
+    Q = 0.  At odd p, Q is constant on that coset, listed only if Q(base) = 0."""
+    node = mod_p_node(gram, p)
+    lam0 = node.base(g)
+    if lam0 is None or p > 2 and (_int_beta(gram, lam0) + sum(map(mul, g, lam0)) + n) % p:
+        return node.zeros(g, n), ()
+    singular = sorted(tuple(v % p for v in lam) for lam, beta, _ in node.solve(g)
+                      if (beta + sum(map(mul, g, lam)) + n) % p == 0)
+    return node.zeros(g, n) - len(singular), tuple(singular)
 
 
 def _zero_count_mod_p(gram, p, g, n):
-    """#{lambda mod p : Q(lambda) = 0}, singular zeros included but never listed at odd p."""
-    if p == 2:
-        nonsingular, singular = _zeros_mod_p(gram, p, g, n)
-        return nonsingular + len(singular)
-    return _odd_node(gram, p, g, n)[0]
+    """#{lambda mod p : Q(lambda) = 0}, g and n reduced mod p, listing no zero."""
+    return mod_p_node(gram, p).zeros(g, n)
 
 
 @lru_cache(maxsize=1 << 16)

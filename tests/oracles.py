@@ -5,11 +5,12 @@ number oracle goes through L-values and divisor sums only, the E8 oracle uses
 J_{k,E8} = M_{k-4}, the brute-force coset count walks a plain integer box, the
 representation-number oracle evaluates the quadratic polynomial at every point
 of (Z/b)^rank, the Hensel-node oracle does the same with the gradient on
-(Z/p)^rank in place of the closed form, the Poincare oracle sums the defining series on a (tau, z)
-grid and Fourier-inverts it, the K-factor oracle sums the d-sum mod c_g by one
-FFT over all its units in place of the CRT into Salie and Kloosterman sums
-mod prime powers, and the walk keys of the H_c table are read off the
-factorization of each c.  The Weil-representation oracles build rho(T),
+(Z/p)^rank in place of the closed form, the node oracle lists the solutions of
+G lambda + h = 0 and sums the Gauss sum S(U, h; p) over the same walk, the
+Poincare oracle sums the defining series on a (tau, z) grid and Fourier-inverts
+it, the K-factor oracle sums the d-sum mod c_g by one FFT over all its units in
+place of the CRT into Salie and Kloosterman sums mod prime powers, and the
+walk keys of the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, the averaging oracle adds the sigma_x as dense complex128
 arrays and divides by N^2, and the case-formula oracle is the order-2/3/4/6
@@ -262,6 +263,20 @@ def zeros_mod_p_walk(gram, p, g, n, chunk=1 << 16):
         nonsingular += int(np.count_nonzero(zero)) - int(np.count_nonzero(sing))
         singular.extend(tuple(v) for v in lam[:, sing].T.tolist())
     return nonsingular, tuple(singular)
+
+
+def node_walk(gram, p, U, h):
+    """({lambda mod p : G lambda + h = 0 mod p}, S(U, h; p)) by evaluating G lambda and
+    beta(lambda) at every point of (Z/p)^rank: the solutions as a set of tuples and the
+    Gauss sum of e((U beta(lambda) + h.lambda)/p) as a complex."""
+    rank = len(gram)
+    lam = np.array(np.unravel_index(np.arange(p**rank), (p,) * rank), dtype=np.int64)
+    glam = np.array(gram, dtype=np.int64) % (2 * p) @ lam % (2 * p)
+    beta = (lam * glam).sum(axis=0) % (2 * p) // 2
+    hvec = np.array(h, dtype=np.int64)
+    solved = ~((glam + hvec[:, None]) % p).any(axis=0)
+    phase = (U * beta + hvec @ lam) % p
+    return {tuple(v) for v in lam[:, solved].T.tolist()}, complex(np.exp(2j * np.pi * phase / p).sum())
 
 
 def walk_keys(det, c_max):

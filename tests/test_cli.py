@@ -444,7 +444,7 @@ class TestRepCommand:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["1", "1;a,b,c", "1;2,1", "1;2,1,3,4", "a;2,1,3", "1;2;1,3"])
+    @pytest.mark.parametrize("text", ["1", "1;a,b,c", "1;2,1", "1;2,1,3,4", "a;2,1,3", "1;2;1,3", ""])
     def test_malformed_schrodinger_names_the_form(self, a1_path, capsys, text):
         assert main(["rep", "--lattice", a1_path, "--schrodinger", text]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -491,6 +491,19 @@ class TestRepCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
         assert "'a,b,...'" in err["message"]
+
+    def test_empty_avg_exits_2(self, a1_path, capsys):
+        # an empty --avg names no class of a1, and is not read as no --avg at all
+        assert main(["rep", "--lattice", a1_path, "--avg", ""]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "expected 1 coordinates" in err["message"]
+
+    @pytest.mark.parametrize("text", [",", "", "T,U"])
+    def test_malformed_word_exits_2(self, a1_path, capsys, text):
+        # an empty word is refused, not read as no --word at all
+        assert main(["rep", "--lattice", a1_path, "--word", text]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 # floats whose text json and repr treat apart: signed zero, non-finite values,

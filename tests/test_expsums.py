@@ -30,13 +30,13 @@ from jacobiforms.errors import (
 )
 from jacobiforms import expsums, repcounts
 from jacobiforms.expsums import H_LEAF_LIMIT, h_series_terms
-from jacobiforms.lattice import enumerate_supp, load_lattice_json
+from jacobiforms.lattice import enumerate_supp, load_lattice_json, mod_p_node
 from jacobiforms.numbertheory import factorize, kronecker, zeta_float
 from jacobiforms.oracles import H_POINT_LIMIT, good_prime_factor, lattice_sum_fft
 from jacobiforms.rationals import unit_phase, unit_phase_ratio
 from jacobiforms.repcounts import _ord_p, bad_primes
 
-from oracles import k_factor_fft, rep_count_enumerate, walk_keys, zeros_mod_p_walk
+from oracles import k_factor_fft, node_walk, rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
 _SHIPPED = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
 _A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
@@ -528,6 +528,59 @@ class TestHenselNodes:
                 for n in range(min(p, 4)):
                     nonsingular, singular = zeros_mod_p_walk(gram, p, g, n)
                     assert repcounts._zero_count_mod_p(gram, p, g, n) == nonsingular + len(singular)
+
+    def test_node_solve_and_leaf_match_walk_oracle(self):
+        # the node that both recursions read: its coset solve(h), the base it
+        # starts from and the Gauss leaf S(U, h; p), against the walk of (Z/p)^rank
+        rng = random.Random(21)
+        seen = {"solvable": 0, "unsolvable": 0}
+        for gram, p in _NODE_FORMS:
+            rank = len(gram)
+            node = mod_p_node(gram, p)
+            points = [tuple(v) for v in product(range(p), repeat=rank)]
+            hs = [tuple(-sum(a * b for a, b in zip(row, lam)) % p for row in gram)
+                  for lam in rng.sample(points, min(len(points), 4))]
+            hs += [(0,) * rank] + [rng.choice(points) for _ in range(4)]
+            for h in hs:
+                U = rng.randrange(1, p)
+                solutions, leaf = node_walk(gram, p, U, h)
+                listed = node.solve(h)
+                assert {tuple(v % p for v in lam) for lam, _, _ in listed} == solutions, (gram, p, h)
+                assert len(listed) == len(solutions) in (0, p**node.k)
+                for lam, beta, glam in listed:
+                    assert beta == _int_beta(gram, lam)
+                    assert list(glam) == [sum(a * b for a, b in zip(row, lam)) for row in gram]
+                base = node.base(h)
+                assert base is None if not solutions else tuple(v % p for v in base) in solutions
+                assert abs(node.leaf(U, h) - leaf) <= 1e-9 * p**rank, (gram, p, U, h)
+                seen["solvable" if solutions else "unsolvable"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_walk_refused_before_it_starts(self, e8, monkeypatch):
+        # E8^3 is unimodular (|G| = 1) of rank 24: the one walk of (Z/2)^rank that
+        # the Hensel counts and the Gauss sums read at p = 2 is refused before its
+        # first point, from either recursion
+        lat = make_lattice([[e8.gram[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)]
+                            for i in range(24)])
+
+        def walked(gram):
+            raise AssertionError("the walk of (Z/2)^24 started")
+
+        monkeypatch.setattr("jacobiforms.lattice._walk_mod_2", walked)
+        with pytest.raises(ResourceLimitError, match=r"walks 2\^rank = 2\^24"):
+            rep_count(RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-1), b=2))
+        with pytest.raises(ResourceLimitError, match=r"walks 2\^rank = 2\^24"):
+            expsums._gauss_sum(lat.gram, 2, 1, 1, (0,) * 24)
+
+    def test_leaf_lists_no_point(self):
+        # diag(118, ..., 118) = 0 mod 59, so the radical is all of (Z/59)^4 and its
+        # 59^4 points are over the limit: a Gauss sum mod 59 reads the leaf and
+        # lists nothing, one mod 59^2 lists the coset and is refused
+        gram = tuple(tuple(118 * (i == j) for j in range(4)) for i in range(4))
+        assert expsums._gauss_sum(gram, 59, 1, 3, (0, 0, 0, 0)) == 59**4
+        assert expsums._gauss_sum(gram, 59, 1, 3, (1, 0, 0, 0)) == 0
+        with pytest.raises(ResourceLimitError, match=r"p\^k = 59\^4 = 12117361 singular zeros"):
+            expsums._gauss_sum(gram, 59, 2, 3, (0, 0, 0, 0))
 
     def test_rank_four_radical_counts_match_enumeration(self):
         # diag(6,6,6,6) at p = 3: G = 0 mod 3, so every zero mod 3 is singular
