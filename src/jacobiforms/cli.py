@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: info, eisenstein, poincare, rep, verify.  Exit codes: 0 success,
-1 verification failure, 2 validation error, 3 computation-domain error.
+1 verification failure, 2 validation error, 3 computation-domain error, 141
+(128 + SIGPIPE, as a shell reports a process killed by it) when the reader of
+stdout closed it first, as `| head` does: no JSON error is written then.
 Output files are written atomically (temp file + rename); domain errors emit
 machine-readable JSON on stderr.  The series and representation modules are
 bound lazily (see `_lazy`), so each command executes only the modules it reads.
@@ -12,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from math import copysign
 
 from . import eisenstein, poincare, weilrep
 from .errors import ComputationDomainError, ValidationError
@@ -22,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_coords(text):
@@ -146,19 +150,35 @@ def _row_layout(depth):
     return outer + "[" + inner, "," + inner, entry, outer + "]"
 
 
+class _EntryTexts(dict):
+    """Memo of entry texts: (z, sign of z.real, sign of z.imag) -> the entry
+    template filled with float.__repr__ of z's parts, as json writes them."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, key):
+        texts = float.__repr__(key[0].real), float.__repr__(key[0].imag)
+        text = self[key] = self.entry % tuple(map(_JSON_CONSTANTS.get, texts, texts))
+        return text
+
+
 def _matrix_rows(matrix, depth):
     """The rows of a matrix as json.dumps lays out lists of {"re", "im"} objects
     nested `depth` levels deep, each with its leading newline and indent.
 
-    The matrix is a sequence of rows of complex numbers.  One template per
-    matrix takes the float texts of a row: float.__repr__ of the real and
-    imaginary parts, as json's encoder writes them.
+    The matrix is a sequence of rows of complex numbers.  Each entry's text
+    takes float.__repr__ of its real and imaginary parts, as json's encoder
+    writes them, and is rendered once per distinct entry: rho(S) and the word
+    products take few distinct values.  The memo key carries the sign of
+    each part, so that 0.0 and -0.0 keep their own texts; an entry with a NaN
+    part equals no other and is rendered where it stands.
     """
     head, sep, entry, tail = _row_layout(depth)
-    template = head + sep.join([entry] * len(matrix[0])) + tail
+    texts = _EntryTexts(entry)
     for row in matrix:
-        texts = list(map(float.__repr__, [part for z in row for part in (z.real, z.imag)]))
-        yield template % tuple(map(_JSON_CONSTANTS.get, texts, texts))
+        yield head + sep.join([texts[z, copysign(1.0, z.real), copysign(1.0, z.imag)] for z in row]) + tail
 
 
 def _sparse_rows(entries, depth):
@@ -296,7 +316,16 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is reported here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; pointing the descriptor at os.devnull lets the
+        # flush at exit write what is left to nowhere instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ComputationDomainError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

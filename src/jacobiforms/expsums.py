@@ -10,7 +10,7 @@ and elsewhere a CRT product of sums mod the prime powers of c_g, by Salie's
 evaluation or over the units.  W is a sum over the units of c_b of quadratic
 Gauss sums S(U, h; p^e), one per prime power of c_b, each reduced two powers
 of p at a time onto the solutions of U G lambda = -h mod p (`_gauss_sum`, on
-`lattice.mod_p_node`, the node mod p that the Hensel counts of `repcounts`
+`modp.mod_p_node`, the node mod p that the Hensel counts of `repcounts`
 read too), once per distinct key (c_b, c_g^-1 mod c_b); its leaves are
 counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
 is fixed, so inside `shared_targets` one table z[target, c] serves every
@@ -29,7 +29,8 @@ from operator import mul
 
 from ._record import Frozen, Record
 from .errors import ResourceLimitError
-from .lattice import DiscElement, _int_beta, mod_p_node
+from .lattice import DiscElement
+from .modp import _int_beta, mod_p_node
 from .numbertheory import factorize, kronecker, sqrt_mod
 from .rationals import is_integral, unit_phase_ratio
 
@@ -163,7 +164,7 @@ def _gauss_sum(gram, p, e, U, h):
     grad = 0 mod p; then splitting mu once more, mod p^(e-2) and along p^(e-2),
     leaves p^rank S(U, grad/p; p^(e-2)).  So for e >= 2
       S = p^rank sum_{lambda1 mod p, grad = 0 mod p} e(Q(lambda1)/p^e) S(U, grad/p; p^(e-2)),
-    one level of `lattice.mod_p_node` per two powers of p, whose solve(U^-1 h)
+    one level of `modp.mod_p_node` per two powers of p, whose solve(U^-1 h)
     lists the lambda1, down to e = 0 (S = 1) or its leaf at e = 1.
     """
     if e == 0:

@@ -6,15 +6,17 @@ Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
 and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
 nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p.  Each node is
-counted and its singular zeros listed by `lattice.mod_p_node`, the node mod p
+counted and its singular zeros listed by `modp.mod_p_node`, the node mod p
 that the Gauss sums of `expsums` read too: in closed form at odd p, from one
 walk of (Z/2)^rank at p = 2.  Its singular zeros are listed only where they
 recurse, at e >= 2, and e = 1 takes the count alone.
 This recursion is the one route to R_{p^e}, at good and bad primes alike, and
 the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable
 profiles behind the local factors and the prime powers of the Dirichlet series
-all read through it.  A node that would list more than
-`lattice.NODE_POINT_LIMIT` points raises ResourceLimitError before allocating.
+all read through it, by the one count(p, e) of each (x, D)
+(`_prime_power_counts`), which derives G x and beta(x) - D once.  A node that
+would list more than `modp.NODE_POINT_LIMIT` points raises ResourceLimitError
+before allocating.
 The brute-force count over (Z/b)^rank and the walk of (Z/p)^rank at every node
 stay in the tests as oracles, and the closed form of a good prime's factor in
 `oracles`.  Everything here runs in Python ints.
@@ -27,7 +29,7 @@ from operator import mul
 
 from ._record import Frozen
 from .errors import StabilizationFailureError
-from .lattice import _int_beta, mod_p_node
+from .modp import _int_beta, mod_p_node
 from .numbertheory import factorize
 from .rationals import is_integral
 
@@ -96,8 +98,12 @@ def _hensel_count(gram, p, g, n, e):
     return total
 
 
+@lru_cache(maxsize=4096)
 def _prime_power_counts(lattice, x, D):
-    """(p, e) -> R_{p^e} for Q(lambda) = beta(lambda + x) - D, by `_hensel_count`."""
+    """(p, e) -> R_{p^e} for Q(lambda) = beta(lambda + x) - D, by `_hensel_count`.
+
+    The integer data G x and beta(x) - D are derived once per (lattice, x, D).
+    """
     # Q(lambda) = beta(lambda) + (G x).lambda + beta(x) - D
     gx = tuple(int(v) for v in lattice.gram_times(x.rep))
     n = int(lattice.beta(x.rep) - D)
@@ -135,19 +141,23 @@ def _stable_profile(lattice, x, D, p):
     """(w_p, [R_{p^0}, ..., R_{p^{w_p}}]) with the stabilization check enforced.
 
     w_p starts at max(1, 1 + 2 ord_p(2 * Dtilde)) and is raised until
-    R_{p^{w+1}} = p^{rank-1} R_{p^w}, by at most 4 steps.
+    R_{p^{w+1}} = p^{rank-1} R_{p^w}, by at most 4 steps.  Every R_{p^l} is
+    read through the one `_prime_power_counts` closure of (x, D).
     """
+    if not is_integral(x.beta_mod1 - D):
+        raise ValueError("(D, x) must lie in supp(L)")
     dt = _d_tilde(x, D)
     w = max(1, 1 + 2 * _ord_p(2 * dt, p))
     cap = w + _STABILIZATION_CAP
-    counts = [rep_count(RepCountKey(lattice, x, Fraction(D), p**l)) for l in range(w + 2)]
+    count = _prime_power_counts(lattice, x, Fraction(D))
+    counts = [count(p, l) for l in range(w + 2)]
     while counts[w + 1] != p ** (lattice.rank - 1) * counts[w]:
         w += 1
         if w > cap:
             raise StabilizationFailureError(
                 f"representation numbers at p={p} fail to stabilize by w={cap}"
             )
-        counts.append(rep_count(RepCountKey(lattice, x, Fraction(D), p ** (w + 1))))
+        counts.append(count(p, w + 1))
     return w, tuple(counts[: w + 1])
 
 

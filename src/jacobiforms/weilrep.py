@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 from ._lazy import np
 from ._record import Frozen
 from .errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
-from .numbertheory import divisors, moebius
 from .rationals import is_integral, unit_phase
 
 _GENERATOR_MATRICES = {
@@ -251,7 +250,9 @@ def nontrivial_from_trivial(lattice, k, x, D, y):
     phi(N) G_x(D, y) = sum_{d | N} mu(d) [beta(dx, y) in Z] sum_{lam mod N/d} G_0(D, y + lam dx)
     (see the module docstring); other orders raise UnsupportedOrderError.
     """
-    from .eisenstein import trivial_coefficient_exact  # here: no `rep` request runs eisenstein
+    # here: no `rep` request runs eisenstein or numbertheory
+    from .eisenstein import trivial_coefficient_exact
+    from .numbertheory import divisors, moebius
 
     _check_relation(k, x)
     order = x.order

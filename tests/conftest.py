@@ -1,6 +1,12 @@
+import sys
+
 import pytest
 
-from jacobiforms import make_lattice
+# the suite imports the package from its sources: write no bytecode next to
+# them, where a later run in the same checkout would read it
+sys.dont_write_bytecode = True
+
+from jacobiforms import make_lattice  # noqa: E402
 
 
 @pytest.fixture(scope="session")

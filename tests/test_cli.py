@@ -18,6 +18,7 @@ from jacobiforms.cli import _rep_chunks, main
 from jacobiforms.rationals import parse_rational
 from jacobiforms.weilrep import averaging_matrix, rho_word, schrodinger_matrix
 
+from childenv import child_env
 from oracles import rep_document_json, walk_keys
 
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
@@ -51,10 +52,7 @@ def _executed(script, args):
     LazyLoader subclass of ModuleType, and becomes a plain module when it
     executes.
     """
-    env = {
-        "PATH": os.environ.get("PATH", ""),
-        "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-    }
+    env = child_env()
     script += "import types\nprint(*[m for m, v in sys.modules.items() if type(v) is types.ModuleType])\n"
     proc = subprocess.run([sys.executable, "-c", script, *args],
                           capture_output=True, text=True, timeout=300, env=env)
@@ -177,10 +175,7 @@ class TestEisensteinCommand:
 
     def test_default_exact_runs_on_shipped_lattices(self):
         # a user's environment: the package location and PATH, no tuning variables
-        env = {
-            "PATH": os.environ.get("PATH", ""),
-            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        }
+        env = child_env()
         paths = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
         assert paths
         for path in paths:
@@ -456,10 +451,7 @@ class TestRepCommand:
         # complexes, and the default rep prints rho(T) and rho(S) as gathered; a
         # word with one dense factor scales it by rho(T)^{+-1} in Python, and only
         # a product of two dense factors executes numpy
-        env = {
-            "PATH": os.environ.get("PATH", ""),
-            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        }
+        env = child_env()
         script = (
             "import os, sys\n"
             "import jacobiforms\n"
@@ -550,6 +542,26 @@ def _sparse_docs(draw):
     return docs
 
 
+@st.composite
+def _repeating_docs(draw):
+    """(label, index, rows) for 1 to 3 matrices of Python complexes drawn from a small
+    pool, so that entries repeat, as the same object and as equal copies, and
+    0.0 and -0.0 stand in either part of otherwise equal entries."""
+    parts = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+    docs = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = []
+        for re, im in draw(st.lists(st.tuples(parts, parts), min_size=1, max_size=4)):
+            pool += [complex(re, im), complex(-re, im), complex(re, -im)]
+        rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                              min_size=rows * cols, max_size=rows * cols))
+        flat = [complex(pool[i].real, pool[i].imag) if copy else pool[i] for i, copy in picks]
+        docs.append((draw(st.sampled_from(_EDGE_TEXT)), [[i] for i in range(rows)],
+                     [flat[i * cols:(i + 1) * cols] for i in range(rows)]))
+    return docs
+
+
 class TestRepRendering:
     @given(_rep_docs())
     @settings(max_examples=150, deadline=None)
@@ -558,6 +570,18 @@ class TestRepRendering:
         chunks = _rep_chunks(name, [{"label": label, "index": index, "matrix": matrix}
                                     for label, index, matrix in docs])
         assert "".join(chunks) == rep_document_json(name, docs)
+
+    @given(_repeating_docs())
+    @example([("S", [[0], [1]], [[complex(0.0, 1.0), complex(-0.0, 1.0)],
+                                  [complex(1.0, -0.0), complex(1.0, 0.0)]])])
+    @example([("S", [[0]], [[complex(math.nan, 0.0), complex(math.nan, -0.0), complex(-math.inf, math.nan)]])])
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_entries_render_as_the_dict_route(self, docs):
+        # each distinct entry is rendered once per matrix: an entry that equals
+        # another in value but not in the sign of a zero part keeps its own text
+        chunks = _rep_chunks("dense", [{"label": label, "index": index, "matrix": rows}
+                                       for label, index, rows in docs])
+        assert "".join(chunks) == rep_document_json("dense", docs)
 
     @given(_sparse_docs())
     @example([("T", [[0]], [[(0, complex(-0.0, math.nan))]], np.array([[complex(-0.0, math.nan)]]))])
@@ -612,6 +636,9 @@ class _WriteRecorder:
     def write(self, text):
         self.chunks.append(text)
         return len(text)
+
+    def flush(self):
+        pass
 
 
 class TestRepAtScale:
@@ -671,13 +698,60 @@ class TestVerifyCommand:
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "jacobiforms", "verify", "poincare"],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=child_env(),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "passed, 0 failed" in proc.stdout
 
 
+# argv with each --lattice name taken from lattices/, and the code main returns for it
+_ENTRY_RUNS = [
+    (["rep", "--lattice", "a1_scaled4", "--avg", "4", "--schrodinger", "4;1,1,0"], 0),
+    (["rep", "--lattice", "a1", "--avg", "a"], 2),
+    (["poincare", "--lattice", "square2", "-k", "4", "-D=-1", "-r", "0,0", "--c-max", "10"], 3),
+]
+
+
+def _shipped(argv):
+    return [str(LATTICES / f"{a}.json") if flag == "--lattice" else a
+            for flag, a in zip([None, *argv], argv)]
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code", _ENTRY_RUNS, ids=[str(code) for _, code in _ENTRY_RUNS])
+    def test_module_exits_with_the_code_and_bytes_of_main(self, argv, code, capsys):
+        # `python -m jacobiforms` freezes the collector before exit: that must
+        # change neither the exit code nor a byte of the output
+        argv = _shipped(argv)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "jacobiforms", *argv],
+                              capture_output=True, timeout=300, env=child_env())
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()
+
+    @pytest.mark.parametrize("gram, argv", [([[72]], ["rep", "--schrodinger", "12;1,2,0"]),
+                                            ([[2]], ["info"])], ids=["rep", "info"])
+    def test_closed_stdout_exits_141_without_an_error(self, gram, argv, tmp_path):
+        # the reader of stdout is gone before the first write, as `| head -c 10`
+        # leaves a long output: exit 128 + SIGPIPE, as a shell reports it, with
+        # nothing on stderr, whether the pipe breaks in a write (the 0.3 MB of
+        # the |G| = 72 matrix) or in the last flush (the few lines of `info`)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"name": "lattice", "gram": gram}))
+        proc = subprocess.Popen([sys.executable, "-m", "jacobiforms", *argv, "--lattice", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 141
+        assert err == b""
+
+
 _SUMS = {"jacobiforms.expsums", "jacobiforms.repcounts", "jacobiforms.oracles"}
+# read by the series modules only: `info` and `rep` never execute them
+_SERIES_ONLY = {"jacobiforms.numbertheory", "jacobiforms.modp"}
 # request -> (lattice, argv, modules that must execute, modules that must not)
 _MODULE_SETS = {
     "eisenstein-exact": ("a2", ["eisenstein", "-k", "8", "--mode", "exact"],
@@ -688,12 +762,15 @@ _MODULE_SETS = {
                                   "--c-max", "100"],
                            {"jacobiforms.eisenstein", "jacobiforms.expsums"},
                            {"jacobiforms.repcounts", "jacobiforms.oracles"}),
+    "info": ("square2", ["info"], {"jacobiforms.lattice"},
+             {"jacobiforms.weilrep", "jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS,
+              *_SERIES_ONLY, "numpy"}),
     "rep-default": ("a2", ["rep"], {"jacobiforms.weilrep"},
-                    {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS}),
+                    {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS, *_SERIES_ONLY}),
     "rep-schrodinger": ("a1_scaled4", ["rep", "--schrodinger", "4;1,1,0"], {"jacobiforms.weilrep"},
-                        {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS}),
+                        {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS, *_SERIES_ONLY}),
     "rep-avg": ("a1_scaled4", ["rep", "--avg", "4"], {"jacobiforms.weilrep"},
-                {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS}),
+                {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS, *_SERIES_ONLY}),
     "poincare-a1": ("a1", ["poincare", "-k", "10", "-D=-3/4", "-r", "1", "--n-max", "2",
                            "--c-max", "400"],
                     {"jacobiforms.poincare", "jacobiforms.expsums"}, {"mpmath", "numpy"}),
@@ -705,14 +782,15 @@ class TestModulesExecuted:
     def test_request_executes_only_its_modules(self, name):
         # every submodule is bound lazily, so a request executes the modules its
         # command reads and no other: an exact expansion never the H_c sums, a
-        # numeric one never the counts, `rep` neither, and a half-integer Bessel
-        # order (a1) never mpmath
+        # numeric one never the counts, `rep` neither, `info` and `rep` neither
+        # numbertheory nor the node mod p, and a half-integer Bessel order (a1)
+        # never mpmath
         lattice, argv, present, absent = _MODULE_SETS[name]
         script = (
             "import os, sys\n"
             "from jacobiforms.cli import main\n"
             "argv = sys.argv[2:3] + ['--lattice', sys.argv[1]] + sys.argv[3:]\n"
-            "assert main(argv + ['-o', os.devnull]) == 0\n"
+            "assert main(argv + ([] if argv[0] == 'info' else ['-o', os.devnull])) == 0\n"
         )
         executed = _executed(script, [str(LATTICES / f"{lattice}.json"), *argv])
         assert present <= executed, present - executed
@@ -730,10 +808,7 @@ class TestBenchmarkTracer:
         # report the counts the probe expects
         monkeypatch.syspath_prepend(str(_PERFBENCH))
         run = importlib.import_module("run")
-        env = {
-            "PATH": os.environ.get("PATH", ""),
-            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        }
+        env = child_env()
         spans = tmp_path / "spans.json"
         for (lattice, verb, args), expected in run.PROBES:
             proc = subprocess.run(
@@ -754,10 +829,7 @@ _DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 class TestDemos:
     @pytest.mark.parametrize("demo", _DEMOS, ids=[p.name for p in _DEMOS])
     def test_demo_runs(self, demo, tmp_path):
-        env = {
-            "PATH": os.environ.get("PATH", ""),
-            "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent),
-        }
+        env = child_env()
         proc = subprocess.run(
             [sys.executable, str(demo)],
             capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,

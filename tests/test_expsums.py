@@ -30,11 +30,12 @@ from jacobiforms.errors import (
 )
 from jacobiforms import expsums, repcounts
 from jacobiforms.expsums import H_LEAF_LIMIT, h_series_terms
-from jacobiforms.lattice import enumerate_supp, load_lattice_json, mod_p_node
+from jacobiforms.lattice import enumerate_supp, load_lattice_json
+from jacobiforms.modp import mod_p_node
 from jacobiforms.numbertheory import factorize, kronecker, zeta_float
 from jacobiforms.oracles import H_POINT_LIMIT, good_prime_factor, lattice_sum_fft
 from jacobiforms.rationals import unit_phase, unit_phase_ratio
-from jacobiforms.repcounts import _ord_p, bad_primes
+from jacobiforms.repcounts import bad_primes
 
 from oracles import k_factor_fft, node_walk, rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
@@ -566,7 +567,7 @@ class TestHenselNodes:
         def walked(gram):
             raise AssertionError("the walk of (Z/2)^24 started")
 
-        monkeypatch.setattr("jacobiforms.lattice._walk_mod_2", walked)
+        monkeypatch.setattr("jacobiforms.modp._walk_mod_2", walked)
         with pytest.raises(ResourceLimitError, match=r"walks 2\^rank = 2\^24"):
             rep_count(RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-1), b=2))
         with pytest.raises(ResourceLimitError, match=r"walks 2\^rank = 2\^24"):
@@ -624,7 +625,7 @@ class TestLocalFactor:
         x0 = a1.disc_group.zero
         D = Fraction(-7)
         p = 9973
-        monkeypatch.setattr(repcounts, "rep_count", lambda key: _ord_p(key.b, p) + 2)
+        monkeypatch.setattr(repcounts, "_prime_power_counts", lambda lattice, x, D: lambda q, l: l + 2)
         repcounts._stable_profile.cache_clear()
         try:
             with pytest.raises(StabilizationFailureError):

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import jacobiforms
 from jacobiforms import (
     QuadChar,
     bernoulli,
@@ -26,6 +24,7 @@ from jacobiforms import (
 from jacobiforms.errors import NotADiscriminantError, NotFundamentalError
 from jacobiforms.numbertheory import is_fundamental_discriminant, sqrt_mod, zeta_float
 
+from childenv import child_env
 from oracles import dirichlet_L_by_bernoulli_poly
 
 
@@ -193,8 +192,7 @@ class TestZetaFloat:
         proc = subprocess.run(
             [sys.executable, "-c", code, str(root / "lattices" / "a1.json")],
             capture_output=True, text=True, timeout=60,
-            env={"PATH": os.environ.get("PATH", ""),
-                 "PYTHONPATH": str(Path(jacobiforms.__file__).resolve().parent.parent)},
+            env=child_env(),
         )
         assert proc.stdout.strip() == "False", proc.stderr
 
