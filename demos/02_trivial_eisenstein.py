@@ -42,3 +42,14 @@ print("\nE_4 coefficients for the hexagonal lattice (gram [[2,1],[1,2]]):")
 for n in (1, 2):
     val = trivial_coefficient_exact(a2, 4, Fraction(-n), g2.zero)
     print(f"  C(-{n}, 0) = {val}")
+
+# An even unimodular lattice of rank 24: J_{k,E8^3} = M_{k-12} through the theta
+# decomposition, so at k = 16 the coefficients are those of E_4.
+e8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, -1],
+      [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
+e8x3 = make_lattice([[e8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)] for i in range(24)])
+print("\nE8^3 (rank 24) at k = 16, where J_{16,E8^3} = M_4: the coefficients of E_4")
+spec = EisensteinSpec(lattice=e8x3, k=16, r=discriminant_group(e8x3).zero)
+for idx, val in eisenstein_expansion(spec, 3, "exact").sorted_items():
+    print(f"  q-exponent {idx.qexp!s:>4}: {val}")

@@ -36,7 +36,7 @@ from .errors import (
     OutOfRangeError,
     TailTooLargeError,
 )
-from .lattice import FourierExpansion, FourierIndex, coset_points, enumerate_supp
+from .lattice import FourierExpansion, FourierIndex, coset_points, enumerate_supp, isotropy_set
 from .numbertheory import (
     QuadChar,
     bernoulli,
@@ -98,14 +98,11 @@ def theta_coefficients(lattice, x, n_max):
 def singular_term(spec, n_max):
     """D = 0 part of the Eisenstein expansion: (delta(r,x) + (-1)^k delta(-r,x)) / 2."""
     n_max = Fraction(n_max)
-    group = spec.lattice.disc_group
     sign = (-1) ** spec.k
-    neg_r = group.neg(spec.r)
+    neg_r = spec.lattice.disc_group.neg(spec.r)
     entries = {}
     if n_max >= 0:
-        for x in group:
-            if x.beta_mod1 != 0:
-                continue
+        for x in isotropy_set(spec.lattice):
             val = Fraction(int(x == spec.r) + sign * int(x == neg_r), 2)
             if val:
                 entries[FourierIndex(D=Fraction(0), x=x)] = val

@@ -7,9 +7,9 @@ and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
 nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p.  Each node is
 counted and its singular zeros listed by `modp.mod_p_node`, the node mod p
-that the Gauss sums of `expsums` read too: in closed form at odd p, from one
-walk of (Z/2)^rank at p = 2.  Its singular zeros are listed only where they
-recurse, at e >= 2, and e = 1 takes the count alone.
+that the Gauss sums of `expsums` read too, in closed form at every p (by the
+Arf invariant of beta mod 2 at p = 2).  Its singular zeros are listed only
+where they recurse, at e >= 2, and e = 1 takes the count alone.
 This recursion is the one route to R_{p^e}, at good and bad primes alike, and
 the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable
 profiles behind the local factors and the prime powers of the Dirichlet series

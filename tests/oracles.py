@@ -1,10 +1,10 @@
 """Independent oracles used by the tests.
 
 Nothing here reuses the coefficient pipelines it checks: the Cohen-style class
-number oracle goes through L-values and divisor sums only, the E8 oracle uses
-J_{k,E8} = M_{k-4}, the brute-force coset count walks a plain integer box, the
-representation-number oracle evaluates the quadratic polynomial at every point
-of (Z/b)^rank, the Hensel-node oracle does the same with the gradient on
+number oracle goes through L-values and divisor sums only, the even unimodular
+oracle uses J_{k,L} = M_{k-rank/2}, the brute-force coset count walks a plain
+integer box, the representation-number oracle evaluates the quadratic
+polynomial at every point of (Z/b)^rank, the Hensel-node oracle does the same with the gradient on
 (Z/p)^rank in place of the closed form, the node oracle lists the solutions of
 G lambda + h = 0 and sums the Gauss sum S(U, h; p) over the same walk, the
 Poincare oracle sums the defining series on a (tau, z) grid and Fourier-inverts
@@ -114,14 +114,16 @@ def eichler_zagier_coefficient(k, n, r):
     return cohen_h(k - 1, 4 * n - r * r) / dirichlet_L_nonpositive(2 * k - 3, QuadChar(1))
 
 
-def e8_trivial_coefficient(k, D):
-    """G_0(D, 0) of the trivial Eisenstein series of index E8, for integral D < 0.
+def unimodular_trivial_coefficient(rank, k, D):
+    """G_0(D, 0) of the trivial Eisenstein series of index an even unimodular lattice
+    of the given rank (E8, E8^2, E8^3, ...), for integral D < 0.
 
-    E8 is unimodular, so J_{k,E8} = M_{k-4} through the theta decomposition and
-    the coefficient is that of the normalized Eisenstein series E_{k-4}:
-    -2(k-4)/B_{k-4} * sigma_{k-5}(-D).
+    Such a lattice has |L#/L| = 1, so J_{k,L} = M_kappa, kappa = k - rank/2, through
+    the theta decomposition and the coefficient is that of the normalized
+    Eisenstein series E_kappa: -2 kappa/B_kappa * sigma_{kappa-1}(-D).
     """
-    return -2 * (k - 4) / bernoulli(k - 4) * _sigma(k - 5, -int(D))
+    kappa = k - rank // 2
+    return -2 * kappa / bernoulli(kappa) * _sigma(kappa - 1, -int(D))
 
 
 def brute_coset_counts(gram, shift, bound):

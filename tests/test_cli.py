@@ -236,6 +236,18 @@ class TestEisensteinCommand:
         assert err["error"] == "TailTooLargeError"
         assert "tail estimate inf at k=12, rank 16" in err["message"]
 
+    def test_rank_24_exact_runs(self, tmp_path, capsys):
+        # E8^3 is unimodular of rank 24: J_{16,E8^3} = M_4, so the exact series is E_4.
+        # Its nodes at p = 2 read the Arf invariant of beta mod 2, not 2^24 points
+        e8 = GOLDEN_GRAMS["E8"]
+        gram = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)] for i in range(24)]
+        path = tmp_path / "E8x3.json"
+        path.write_text(json.dumps({"name": "E8x3", "gram": gram}))
+        code = main(["eisenstein", "--lattice", str(path), "-k", "16", "--mode", "exact", "--n-max", "3"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [parse_rational(e["value"]) for e in doc["entries"]] == [1, 240, 2160, 6720]
+
     def test_malformed_class_names_the_form(self, a1_path, capsys):
         assert main(["eisenstein", "--lattice", a1_path, "-k", "6", "-r", "x"]) == 2
         err = json.loads(capsys.readouterr().err)

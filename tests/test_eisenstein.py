@@ -7,6 +7,7 @@ from jacobiforms import (
     EisensteinSpec,
     eisenstein_coefficient_numeric,
     eisenstein_expansion,
+    make_lattice,
     singular_term,
     theta_coefficients,
     trivial_coefficient_exact,
@@ -24,8 +25,8 @@ from jacobiforms.rationals import parse_rational
 
 from oracles import (
     brute_coset_counts,
-    e8_trivial_coefficient,
     eichler_zagier_coefficient,
+    unimodular_trivial_coefficient,
     walk_keys,
 )
 
@@ -73,8 +74,6 @@ class TestSingularTerm:
         assert entries == {FourierIndex(Fraction(0), x4): Fraction(1)}
 
     def test_order_three_half_weights(self):
-        from jacobiforms import make_lattice
-
         lat = make_lattice([[18]])
         group = lat.disc_group
         x6 = group.element((6,))
@@ -104,12 +103,18 @@ class TestTrivialExact:
                 ) == eichler_zagier_coefficient(k, n, 1)
 
     def test_matches_e8_oracle(self, e8):
-        # J_{k,E8} = M_{k-4}: the theta series of E8 at k = 8
-        assert [e8_trivial_coefficient(8, -n) for n in (1, 2, 3, 4)] == [240, 2160, 6720, 17520]
-        x0 = e8.disc_group.zero
-        for k in (8, 10, 12):
-            for D in (-1, -2, -3, -4):
-                assert trivial_coefficient_exact(e8, k, Fraction(D), x0) == e8_trivial_coefficient(k, D)
+        # J_{k,L} = M_{k-rank/2} for L = E8, E8^2, E8^3: the theta series of E8 at k = 8.
+        # E8^3 has rank 24, so its nodes at p = 2 take the Arf invariant of beta mod 2
+        assert [unimodular_trivial_coefficient(8, 8, -n) for n in (1, 2, 3, 4)] == [240, 2160, 6720, 17520]
+        for copies, weights in ((1, (8, 10, 12)), (2, (12, 14)), (3, (16, 18))):
+            n = 8 * copies
+            lat = make_lattice([[e8.gram[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(n)]
+                                for i in range(n)])
+            x0 = lat.disc_group.zero
+            for k in weights:
+                for D in (-1, -2, -3, -4):
+                    assert trivial_coefficient_exact(lat, k, Fraction(D), x0) == \
+                        unimodular_trivial_coefficient(n, k, D), (n, k, D)
 
     def test_odd_weight_zero(self, a1, square2):
         assert trivial_coefficient_exact(a1, 5, Fraction(-1), a1.disc_group.zero) == 0
@@ -147,8 +152,6 @@ class TestTrivialSeries:
 
     def test_scaled_even_rank_fix(self):
         # Delta = -16 = (-4) * 2^2 exercises the non-fundamental even-rank branch
-        from jacobiforms import make_lattice
-
         lat = make_lattice([[2, 0], [0, 8]])
         x0 = lat.disc_group.zero
         for k, D in ((6, Fraction(-1)), (8, Fraction(-2))):

@@ -557,21 +557,50 @@ class TestHenselNodes:
                 seen["solvable" if solutions else "unsolvable"] += 1
         assert min(seen.values()) >= 10, seen
 
-    def test_walk_refused_before_it_starts(self, e8, monkeypatch):
-        # E8^3 is unimodular (|G| = 1) of rank 24: the one walk of (Z/2)^rank that
-        # the Hensel counts and the Gauss sums read at p = 2 is refused before its
-        # first point, from either recursion
+    def test_node_at_two_matches_walk_on_random_forms(self):
+        # the node at p = 2 from the pairs and the radical of G mod 2: k, the coset
+        # solve(h) reduced and in lexicographic order, its base, the Arf-invariant
+        # leaf and the zero count, against the walk of (Z/2)^rank on random even
+        # forms of rank 1-8
+        rng = random.Random(22)
+        seen = {"leaf 0, h in im G": 0, "Arf 0": 0, "Arf 1": 0, "k = 0": 0, "k >= 2": 0}
+        for _ in range(300):
+            rank = rng.randint(1, 8)
+            g = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                g[i][i] = 2 * rng.randint(-3, 3)
+                for j in range(i + 1, rank):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            gram = tuple(map(tuple, g))
+            node = mod_p_node(gram, 2)
+            assert 2**node.k == len(node_walk(gram, 2, 1, (0,) * rank)[0]), gram
+            if node.k != 1:
+                seen["k = 0" if node.k == 0 else "k >= 2"] += 1
+            points = list(product(range(2), repeat=rank))
+            for h in rng.sample(points, min(len(points), 4)):
+                solutions, walked = node_walk(gram, 2, 1, h)
+                assert [lam for lam, _, _ in node.solve(h)] == sorted(solutions), (gram, h)
+                assert (node.base(h) is None) == (not solutions)
+                leaf = node.leaf(1, h)
+                assert type(leaf) is int and leaf == round(walked.real), (gram, h)
+                for n in (0, 1):
+                    nonsingular, singular = zeros_mod_p_walk(gram, 2, h, n)
+                    assert repcounts._zeros_mod_p(gram, 2, h, n) == (nonsingular, singular)
+                    assert node.zeros(h, n) == nonsingular + len(singular)
+                if solutions:
+                    seen["leaf 0, h in im G" if leaf == 0 else "Arf 0" if leaf > 0 else "Arf 1"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_rank_24_node_runs(self, e8):
+        # E8^3 is unimodular of rank 24: G mod 2 has no radical, 12 pairs and Arf
+        # invariant 0, so S(1, 0; 2) = 2^12 and beta takes the value 1 mod 2 at
+        # (2^24 - 2^12) / 2 points, from either recursion
         lat = make_lattice([[e8.gram[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)]
                             for i in range(24)])
-
-        def walked(gram):
-            raise AssertionError("the walk of (Z/2)^24 started")
-
-        monkeypatch.setattr("jacobiforms.modp._walk_mod_2", walked)
-        with pytest.raises(ResourceLimitError, match=r"walks 2\^rank = 2\^24"):
-            rep_count(RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-1), b=2))
-        with pytest.raises(ResourceLimitError, match=r"walks 2\^rank = 2\^24"):
-            expsums._gauss_sum(lat.gram, 2, 1, 1, (0,) * 24)
+        assert mod_p_node(lat.gram, 2).k == 0
+        assert expsums._gauss_sum(lat.gram, 2, 1, 1, (0,) * 24) == 4096
+        key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-1), b=2)
+        assert rep_count(key) == (2**24 - 2**12) // 2
 
     def test_leaf_lists_no_point(self):
         # diag(118, ..., 118) = 0 mod 59, so the radical is all of (Z/59)^4 and its
