@@ -2,8 +2,8 @@
 
 A request runs a small part of the package: `info` and `rep` never reach the
 Eisenstein and Poincare modules, an exact Eisenstein request never reaches the
-H_c sums and a numeric one never the representation counts, and only a
-`rep --word` product of two dense factors and `verify` do array work.  `lazy_import` registers a module
+H_c sums and a numeric one never the representation counts, and only
+`verify` does array work.  `lazy_import` registers a module
 through the stdlib `importlib.util.LazyLoader` recipe: binding it runs
 nothing, and its first attribute read, such as `np.array` or
 `eisenstein.eisenstein_expansion`, executes it.  numpy is bound as

@@ -32,7 +32,7 @@ from .errors import ResourceLimitError
 from .lattice import DiscElement
 from .modp import _int_beta, mod_p_node
 from .numbertheory import factorize, kronecker, sqrt_mod
-from .rationals import is_integral, unit_phase_ratio
+from .rationals import is_integral, phase_table, unit_phase_ratio
 
 
 def __getattr__(name):
@@ -148,12 +148,6 @@ def _split(c, bad):
 H_LEAF_LIMIT = 10**7
 
 
-@lru_cache(maxsize=256)
-def _roots(n):
-    """[e(j/n) for j = 0..n-1], each as `unit_phase_ratio` gives it."""
-    return [unit_phase_ratio(j, n) for j in range(n)]
-
-
 def _gauss_sum(gram, p, e, U, h):
     """S(U, h; p^e) = sum over lambda mod p^e of e((U beta(lambda) + h.lambda)/p^e).
 
@@ -173,7 +167,7 @@ def _gauss_sum(gram, p, e, U, h):
     if e == 1:
         return node.leaf(U, h)
     q, sub = p**e, p ** (e - 2)
-    roots = _roots(q)
+    roots = phase_table(q)
     ubar = pow(U, -1, p)
     total = 0j
     for lam, beta, glam in node.solve(tuple([ubar * v % p for v in h])):
@@ -217,7 +211,7 @@ def _bad_part(data, c_b, a):
     factors = [(p, e, p**e, pow(c_b // p**e, -1, p**e)) for p, e in factorize(c_b)]
     # per G r' and prime power q: (p, e, q, s_q, a s_q G r')
     terms = [[(p, e, q, s, [a * s * y for y in gp]) for p, e, q, s in factors] for gp in data.gps]
-    roots = _roots(c_b)
+    roots = phase_table(c_b)
     out = [0j] * len(data.targets)
     for u in _units(c_b):
         U = u * a * a % c_b
@@ -269,7 +263,7 @@ def _prime_power_sum(p, e, x, t, odd):
     non-square, and at p | x 1 at e = 1 (y = 0) and 0 at e >= 2 (the roots
     fill whole cosets of p^(e - v/2) Z, p^v || x t).  The other cases, a
     Kloosterman sum at odd e and even rank and p | gcd(x, t), are summed over
-    the phi(q) units with the phases of `_roots`.
+    the phi(q) units with the phases of `phase_table`.
     """
     q = p**e
     if (odd or e % 2 == 0) and (t % p or x % p):
@@ -280,7 +274,7 @@ def _prime_power_sum(p, e, x, t, odd):
             return scale if e == 1 else 0
         y = sqrt_mod(x * t, p, e)
         return 0 if y is None else scale * (unit_phase_ratio(2 * y, q) + unit_phase_ratio(-2 * y, q))
-    roots = _roots(q)
+    roots = phase_table(q)
     return sum((kronecker(d, p) ** e if odd else 1) * roots[(x * d + t * pow(d, -1, q)) % q]
                for d in range(1, q) if d % p)
 

@@ -7,6 +7,7 @@ coefficient formulas stay exact until the final complex/float rendering.
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -62,6 +63,12 @@ def unit_phase_ratio(num, den):
     if den == 4:
         return (1j) if num == 1 else (-1j)
     return cmath.exp(1j * TWO_PI * (num / den))
+
+
+@lru_cache(maxsize=256)
+def phase_table(n):
+    """(e(0/n), ..., e((n-1)/n)) as `unit_phase_ratio` gives them: the Weil and H_c phases."""
+    return tuple(unit_phase_ratio(j, n) for j in range(n))
 
 
 def floor_plus_sqrt(a, t):

@@ -28,6 +28,7 @@ from .weilrep import (
     conjugation_check,
     nontrivial_from_trivial,
     rho_generator,
+    rho_word,
     schrodinger_matrix,
 )
 
@@ -163,6 +164,16 @@ def _check_conjugation():
                     assert conjugation_check(lat, x, *triple, g) <= 1e-10
 
 
+def _check_word_relations():
+    # (ST)^3 = S^2, also as rho(STST) rho(ST); rho(S)^4 = (-1)^rank I; S^8 = I
+    for lat in _lattices():
+        mat = {w: rho_word(lat, w).matrix for w in ("SS", "ST", "STST", "STSTST", "SSSS", "S" * 8)}
+        eye = np.eye(lat.det)
+        for got, want in ((mat["STSTST"], mat["SS"]), (mat["STST"] @ mat["ST"], mat["SS"]),
+                          (mat["SSSS"], (-1) ** lat.rank * eye), (mat["S" * 8], eye)):
+            assert np.max(np.abs(got - want)) <= 1e-12, lat
+
+
 def _check_averaging():
     lat = make_lattice([[8]])
     x4 = lat.disc_group.element((4,))
@@ -204,6 +215,7 @@ SUITES = {
     "weil": [
         ("unitarity", _check_unitarity),
         ("conjugation identity", _check_conjugation),
+        ("word relations", _check_word_relations),
         ("averaging relations", _check_averaging),
     ],
 }

@@ -2,17 +2,13 @@
 operator, and the relation expressing non-trivial Eisenstein coefficients
 through trivial ones.
 
-Every matrix is read off the integer model of the discriminant form (see
-`DiscriminantGroup`): each phase e(q/N), N the level, is gathered from one
-table of `unit_phase(q/N)`, at N beta(x) for rho(T), at -N beta(x, y) mod N
-for rho(S) and along the permutation y -> y - lam x for sigma_x.  The gathers
-run in Python ints and the entries are Python complexes.  A `RepMatrix` holds
-rho(T), sigma_x and the averaging operator as sparse rows, the (column, value)
-pairs of their possibly nonzero entries, and rho(S) and word products as
-dense rows.  A word multiplies by the diagonal rho(T)^{+-1} as a row or column
-scaling, so only a product of two dense factors (`rho_word`) or the complex128
-`RepMatrix.matrix` loads numpy.  Unitarity and the conjugation identity hold
-to ~1e-15.
+Every matrix is a gather, in Python ints over the integer model of the
+discriminant form (see `DiscriminantGroup`), from the one table
+`rationals.phase_table(N)` of e(q/N), N the level: rho(T) at N beta(x), rho(S)
+at -N beta(x, y) mod N, sigma_x along y -> y - lam x, and a word from its
+column at e_0 (`rho_word`).  The entries are Python complexes; only the
+complex128 `RepMatrix.matrix` loads numpy.  Unitarity and the conjugation
+identity hold to ~1e-15.
 
 The relation.  For isotropic x of order N, even weight and each class y, the
 averaging identity reads S(x) := sum_{lam mod N} G_{lam x}(D, y)
@@ -24,17 +20,16 @@ the divisors of N gives the unit-orbit sum sum_{u in (Z/N)^*} G_{ux}(D, y)
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from operator import mul
 
 from ._lazy import np
 from ._record import Frozen
 from .errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
-from .rationals import is_integral, unit_phase
+from .rationals import is_integral, phase_table, unit_phase
 
-_GENERATOR_MATRICES = {
-    "T": (1, 1, 0, 1),
-    "S": (0, -1, 1, 0),
-}
+_GENERATOR_MATRICES = {"T": (1, 1, 0, 1), "S": (0, -1, 1, 0)}
+_LETTERS = {**_GENERATOR_MATRICES, "T^-1": (1, -1, 0, 1), "S^-1": (0, 1, -1, 0)}
 
 
 class RepMatrix:
@@ -43,10 +38,9 @@ class RepMatrix:
     A sparse matrix gives `entries`: for each row, the (column, value) pairs
     of the entries that may be nonzero, by increasing column; every other
     entry is exactly 0j.  rho(T) and sigma_x have one pair per row, the
-    averaging operator at most N_x.  A dense matrix (rho(S), a word product)
-    gives `rows`, the list of each row's values.  For a sparse matrix `rows`
-    is built on first use; `matrix`, the complex128 array, is built on first
-    use for either.
+    averaging operator at most N_x.  A dense matrix (rho(S), a word with c != 0)
+    gives `rows`, the list of each row's values.  `rows` is built on first use
+    for a sparse matrix, and `matrix`, the complex128 array, for either.
     """
 
     def __init__(self, label, rows=None, entries=None):
@@ -80,83 +74,75 @@ class RepMatrix:
         return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(n))))
 
 
-def _diagonal(values):
-    return [[(i, z)] for i, z in enumerate(values)]
-
-
-@lru_cache(maxsize=64)
-def _phase_table(level):
-    """e(q/N) for q = 0..N-1 as Python complexes, with the exact values of `unit_phase`."""
-    return tuple(unit_phase(Fraction(q, level)) for q in range(level))
+def _s_phases(lattice, sign=1):
+    """rho(S)^sign at N beta(x, y) = q for q mod N: e(-sign rank/8) det^(-1/2) e(-sign q/N)."""
+    level, table = lattice.level, phase_table(lattice.level)
+    scalar = unit_phase(Fraction(-sign * lattice.rank, 8)) / math.sqrt(lattice.det)
+    return [scalar * table[-sign * q % level] for q in range(level)]
 
 
 def rho_generator(lattice, g):
-    """Weil representation of the standard generators.
+    """Weil representation of the standard generators, gathered from `phase_table`.
 
-    rho(T) e_x = e(beta(x)) e_x;
-    rho(S) e_x = i^(-rank/2) det^(-1/2) sum_y e(-beta(x, y)) e_y,
-    with the principal branch i^(-rank/2) = e(-rank/8).  Both are gathers from
-    a table of e(q/N) at N beta(x) and at -N beta(x, y) mod N; rho(T) is
-    sparse, rho(S) dense.
+    rho(T) e_x = e(beta(x)) e_x, sparse; rho(S) e_x = i^(-rank/2) det^(-1/2)
+    sum_y e(-beta(x, y)) e_y, dense, with i^(-rank/2) = e(-rank/8).
     """
     group = lattice.disc_group
-    level = lattice.level
-    table = _phase_table(level)
+    table = phase_table(lattice.level)
     if g == "T":
-        return RepMatrix("T", entries=_diagonal(table[q] for q in group.beta_numerators()))
+        return RepMatrix("T", entries=[[(i, table[q])] for i, q in enumerate(group.beta_numerators())])
     if g == "S":
-        scalar = unit_phase(Fraction(-lattice.rank, 8)) / math.sqrt(lattice.det)
-        table = [scalar * z for z in table]
-        return RepMatrix("S", rows=[[table[-q % level] for q in row]
-                                    for row in group.pairing_matrix()])
+        phases = _s_phases(lattice)
+        return RepMatrix("S", rows=[[phases[q] for q in row] for row in group.pairing_matrix()])
     raise ValueError(f"unknown generator {g!r}")
 
 
-def _letter(lattice, token):
-    """(diagonal values, None) of T^{+-1}, or (None, rows) of S^{+-1}."""
-    if token not in ("T", "S", "T^-1", "S^-1"):
-        raise ValueError(f"unknown token {token!r}; expected T, S, T^-1 or S^-1")
-    gen = rho_generator(lattice, token[0])
-    if token == "T":
-        return [pairs[0][1] for pairs in gen.entries], None
-    if token == "T^-1":
-        return [pairs[0][1].conjugate() for pairs in gen.entries], None
-    if token == "S":
-        return None, gen.rows
-    return None, [[z.conjugate() for z in column] for column in zip(*gen.rows)]
-
-
 def rho_word(lattice, word):
-    """Ordered product of generator matrices; inverses via conjugate transpose.
+    """Ordered product rho(A_1) ... rho(A_k) of the letters' matrices, read off one column.
 
-    The product starts from the first letter's matrix, so a one-letter word is
-    that letter's matrix bit for bit.  rho(T)^{+-1} is diagonal: a product
-    with it scales the other factor's rows or columns in Python complexes,
-    each entry plus 0j, so that a zero part reads +0.0 as a BLAS product
-    writes it (bit for bit in OpenBLAS's full blocks; its edge columns use
-    fused multiply-adds and may differ in the last bit).  Only a product of
-    two dense factors runs numpy's matmul.
+    With W = (a b; c d) = A_1 ... A_k, v = rho(W) e_0 is e_0 with the letters
+    applied right to left: rho(T)^{+-1} scales v_x by e(+-beta(x)) and rho(S)^{+-1}
+    (symmetric, so its inverse is its conjugate) is one product, a constant
+    vector on e_0.  The identity rho(A) sigma_x(h^A) rho(A)^{-1} = sigma_x(h) of
+    `conjugation_check` composes over words; at x = delta, h = (-d, b, 0) it takes
+    h^W = (-1, 0, 0), and sigma_delta(-1, 0, 0) e_0 = e_delta, so
+        rho(W)_{z, delta} = e(b beta(delta, z) - b d beta(delta)) v_{z - d delta}.
+    At c = 0, v = v_0 e_0 and rho(W) e_delta = v_0 e(b d beta(delta)) e_{d delta} is
+    held as sparse rows.  A one-letter word T or S is `rho_generator`'s matrix.
     """
     word = tuple(word)
-    if not word:
-        raise ValueError("word must be non-empty")
-    diag = rows = None  # the product so far: its diagonal, or its dense rows
-    for token in word:
-        d, dense = _letter(lattice, token)
-        if d is not None and rows is not None:
-            rows = [[z * t + 0j for z, t in zip(row, d)] for row in rows]
-        elif d is not None:
-            diag = d if diag is None else [a * t + 0j for a, t in zip(diag, d)]
-        elif rows is not None:
-            rows = (np.array(rows) @ np.array(dense)).tolist()
-        elif diag is not None:
-            rows = [[t * z + 0j for z in row] for t, row in zip(diag, dense)]
-        else:
-            rows = dense
-    label = "".join(word)
-    if rows is None:
-        return RepMatrix(label, entries=_diagonal(diag))
-    return RepMatrix(label, rows=rows)
+    if not word or not set(word) <= _LETTERS.keys():
+        raise ValueError(f"expected a non-empty word over T, S, T^-1 and S^-1, got {word!r}")
+    if word in (("T",), ("S",)):
+        return rho_generator(lattice, word[0])
+    group, level, table = lattice.disc_group, lattice.level, phase_table(lattice.level)
+    betas = group.beta_numerators()
+    pairing = group.pairing_matrix() if any(token[0] == "S" for token in word) else None
+    # W and v = rho(W) e_0 for the letters read so far; v is None while it is e_0
+    (a, b, c, d), v = (1, 0, 0, 1), None
+    for token in reversed(word):
+        e, f, g, h = _LETTERS[token]
+        a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
+        sign = -1 if token.endswith("^-1") else 1
+        if token[0] == "S":
+            phases = _s_phases(lattice, sign)
+            v = ([phases[0]] * len(betas) if v is None
+                 else [sum(map(mul, map(phases.__getitem__, row), v)) for row in pairing])
+        elif v is not None:
+            v = [z * table[sign * q % level] for z, q in zip(v, betas)]
+    if c == 0:  # d = +-1; -y for the i-th class y is the (n - 1 - i)-th class plus (1, ..., 1)
+        v0 = 1 if v is None else v[0]
+        sources = range(len(betas)) if d == 1 else group.translation([1] * len(group.orders))[::-1]
+        return RepMatrix("".join(word), entries=[[(j, v0 * table[b * d * q % level])]
+                                                 for j, q in zip(sources, betas)])
+    stepped = [table[b * k % level] for k in range(level)]  # e(b k/N)
+    columns = []
+    for coords, row, q in zip(group.classes(), pairing, betas):
+        shift = level - d * q % level
+        phases = stepped[shift:] + stepped[:shift]  # e(b (p - d q)/N) at p
+        values = map(v.__getitem__, group.translation([-d * x for x in coords])) if d else v
+        columns.append(list(map(mul, map(phases.__getitem__, row), values)))
+    return RepMatrix("".join(word), rows=[list(row) for row in zip(*columns)])
 
 
 def schrodinger_matrix(lattice, x, lam, mu, t):
@@ -166,7 +152,7 @@ def schrodinger_matrix(lattice, x, lam, mu, t):
     """
     group = lattice.disc_group
     level = lattice.level
-    table = _phase_table(level)
+    table = phase_table(level)
     twist = (t - lam * mu) % level * int(level * x.beta_mod1)
     values = [table[(mu * q + twist) % level] for q in group.pairings(x)]
     sources = group.translation([lam * c for c in x.coords])

@@ -12,10 +12,11 @@ it, the K-factor oracle sums the d-sum mod c_g by one FFT over all its units in
 place of the CRT into Salie and Kloosterman sums mod prime powers, and the
 walk keys of the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
-representatives, the averaging oracle adds the sigma_x as dense complex128
+representatives, the word oracle multiplies the rho(T) and rho(S) matrices
+in numpy, the averaging oracle adds the sigma_x as dense complex128
 arrays and divides by N^2, and the case-formula oracle is the order-2/3/4/6
 case analysis of the averaging identity, each in place of the integer
-discriminant form, the sparse sum and the Moebius relation.  The L-value oracle sums one Bernoulli
+discriminant form, the gather from one column, the sparse sum and the Moebius relation.  The L-value oracle sums one Bernoulli
 polynomial per residue in Fractions, in place of the integer power sums.  The
 rep-document oracle lays a matrix out the way the CLI once built it, as
 {"re", "im"} dicts through json.dumps, in place of the streamed row renderer.
@@ -33,6 +34,7 @@ from jacobiforms import (
     QuadChar,
     dirichlet_L_nonpositive,
     moebius,
+    rho_generator,
     schrodinger_matrix,
     trivial_coefficient_exact,
 )
@@ -387,6 +389,17 @@ def rho_generator_loop(lattice, g):
         for i, y in enumerate(group):
             mat[i, j] = scalar * unit_phase(-_pairing_mod1(lattice, x, y))
     return mat
+
+
+def rho_word_dense(lattice, word):
+    """rho of a word as the numpy product of the `rho_generator` matrices, left to
+    right, with a letter's inverse taken as the conjugate transpose (rho is unitary)."""
+    product = None
+    for token in word:
+        mat = rho_generator(lattice, token[0]).matrix
+        mat = mat.conj().T if token.endswith("^-1") else mat
+        product = mat if product is None else product @ mat
+    return product
 
 
 def schrodinger_loop(lattice, x, lam, mu, t):

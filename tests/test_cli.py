@@ -459,10 +459,9 @@ class TestRepCommand:
         assert "'x-coords;lam,mu,t'" in err["message"]
 
     def test_gathers_never_load_numpy(self, tmp_path):
-        # rho(T), rho(S), sigma_x and the averaging operator are gathers in Python
-        # complexes, and the default rep prints rho(T) and rho(S) as gathered; a
-        # word with one dense factor scales it by rho(T)^{+-1} in Python, and only
-        # a product of two dense factors executes numpy
+        # rho(T), rho(S), sigma_x, the averaging operator and every word are
+        # gathers in Python complexes, and the default rep prints rho(T) and
+        # rho(S) as gathered: no rep request executes numpy
         env = child_env()
         script = (
             "import os, sys\n"
@@ -488,7 +487,7 @@ class TestRepCommand:
         proc = subprocess.run([sys.executable, "-c", script, *paths],
                               capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\nTrue\n"
+        assert proc.stdout == "False\nFalse\n"
 
     def test_malformed_avg_names_the_form(self, a1_path, capsys):
         assert main(["rep", "--lattice", a1_path, "--avg", "a"]) == 2
@@ -679,8 +678,7 @@ class TestRepAtScale:
 
 # rep requests whose output bytes are pinned by sha256 in data/rep_digests.json: the
 # dict route above calls the same rho_word and averaging_matrix as the CLI, so only
-# digests recorded before a change to those can catch a change of bits.  The digest
-# of the two-dense-factor word S,T,S also rests on the BLAS kernel that numpy links.
+# digests recorded before a change to those can catch a change of bits.
 _DIGEST_GRAMS = {"a2_scaled6": [[12, 6], [6, 12]], "square20": [[20, 0], [0, 20]],
                  "a1_scaled100": [[200]], "a1_scaled32": [[64]]}
 _DIGEST_WORDS = ("S,T", "T,S", "S^-1,T^-1", "T^-1,S^-1")
@@ -783,6 +781,8 @@ _MODULE_SETS = {
                         {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS, *_SERIES_ONLY}),
     "rep-avg": ("a1_scaled4", ["rep", "--avg", "4"], {"jacobiforms.weilrep"},
                 {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS, *_SERIES_ONLY}),
+    "rep-word": ("a2", ["rep", "--word", "S,T,S"], {"jacobiforms.weilrep"},
+                 {"jacobiforms.eisenstein", "jacobiforms.poincare", *_SUMS, *_SERIES_ONLY, "numpy"}),
     "poincare-a1": ("a1", ["poincare", "-k", "10", "-D=-3/4", "-r", "1", "--n-max", "2",
                            "--c-max", "400"],
                     {"jacobiforms.poincare", "jacobiforms.expsums"}, {"mpmath", "numpy"}),

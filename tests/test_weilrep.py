@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jacobiforms import (
     EisensteinSpec,
@@ -17,11 +19,17 @@ from jacobiforms import (
     schrodinger_matrix,
     trivial_coefficient_exact,
 )
-from jacobiforms.errors import NotIsotropicError, OddWeightError, UnsupportedOrderError
+from jacobiforms.errors import NotIsotropicError, OddWeightError, UnsupportedOrderError, ValidationError
 from jacobiforms.lattice import enumerate_supp, isotropy_set
-from jacobiforms.rationals import unit_phase
+from jacobiforms.rationals import unit_phase, unit_phase_ratio
 
-from oracles import averaging_dense, nontrivial_case_formulas, rho_generator_loop, schrodinger_loop
+from oracles import (
+    averaging_dense,
+    nontrivial_case_formulas,
+    rho_generator_loop,
+    rho_word_dense,
+    schrodinger_loop,
+)
 
 BASIS_TRIPLES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -86,10 +94,39 @@ class TestMatchesLoopOracles:
             assert np.array_equal(_bits(got), _bits(averaging_dense(lat, x))), (lat, x)
 
 
+@st.composite
+def even_forms(draw):
+    """An even positive-definite Gram matrix of rank 1-4 with det = |L#/L| <= 400."""
+    rank = draw(st.integers(1, 4))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * draw(st.integers(1, (200, 10, 3, 2)[rank - 1]))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-2, 2))
+    try:
+        lattice = make_lattice(gram)
+    except ValidationError:
+        assume(False)
+    assume(lattice.det <= 400)
+    return lattice
+
+
 class TestRhoWord:
+    @given(even_forms(), st.lists(st.sampled_from(["T", "S", "T^-1", "S^-1"]), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_product(self, lattice, word):
+        got = rho_word(lattice, word).matrix
+        assert np.max(np.abs(got - rho_word_dense(lattice, word))) <= 1e-12
+
+    def test_c_zero_words_are_monomial(self, model_lattices):
+        # W = +-(1 b; 0 1): rho(W) e_delta = v_0 e(b d beta(delta)) e_{d delta}, one entry per row
+        for lat in model_lattices:
+            for word in (["S", "S"], ["T", "T"], ["T^-1"], ["T", "S", "S", "T^-1", "T^-1"], ["S"] * 4):
+                rep = rho_word(lat, word)
+                assert rep.entries is not None and all(len(pairs) == 1 for pairs in rep.entries)
+                assert np.max(np.abs(rep.matrix - rho_word_dense(lat, word))) <= 1e-12, (lat, word)
+
     def test_one_letter_word_is_the_gathered_generator(self, model_lattices):
-        # the product starts from the first letter's matrix: no identity product
-        # whose BLAS kernel could set the sign of a zero part
         for lat in model_lattices:
             for g in ("T", "S"):
                 got = rho_word(lat, [g]).matrix
@@ -217,23 +254,23 @@ class TestAveraging:
 
     def test_phase_table_built_once(self, monkeypatch):
         # the N^2 x N^2 sigma calls share one table of e(q/N)
-        from jacobiforms import weilrep
+        from jacobiforms import rationals
 
         lat = make_lattice([[72]])
         x12 = lat.disc_group.element((12,))
         assert x12.order == 6
         calls = []
 
-        def counting_phase(q):
-            calls.append(q)
-            return unit_phase(q)
+        def counting_phase(num, den):
+            calls.append((num, den))
+            return unit_phase_ratio(num, den)
 
-        monkeypatch.setattr(weilrep, "unit_phase", counting_phase)
-        weilrep._phase_table.cache_clear()
+        monkeypatch.setattr(rationals, "unit_phase_ratio", counting_phase)
+        rationals.phase_table.cache_clear()
         try:
             averaging_matrix(lat, x12)
         finally:
-            weilrep._phase_table.cache_clear()
+            rationals.phase_table.cache_clear()
         assert 0 < len(calls) <= lat.level
 
 
