@@ -3,8 +3,9 @@ truncated series for everything else, singular terms and full expansions.
 
 The exact route evaluates the closed formula for the trivial series with the
 primitive quadratic character throughout the bad-prime product (see the test
-suite for the dual-route pins: the truncated Dirichlet series of the same
-coefficient, the index-one reduction, and the numeric c-sum all agree).
+suite for the dual-route pins: the Dirichlet series of the same coefficient,
+truncated with its tail estimated, the index-one reduction, and the numeric
+c-sum all agree).
 
 The numeric route is the guarded c-sum `_series_coefficient`, shared with the
 Poincare series: prefactor * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r)).
@@ -179,11 +180,16 @@ def trivial_coefficient_exact(lattice, k, D, x):
 
 
 def trivial_coefficient_series(lattice, k, D, x, B):
-    """G_0(D, x) by the truncated representation-number Dirichlet series.
+    """G_0(D, x) by the representation-number Dirichlet series, truncated at B
+    with its tail estimated.
 
     (2 pi)^(k - rank/2) i^k (-D)^(k - rank/2 - 1)
-    / (2 det^(1/2) Gamma(k - rank/2) zeta(k - rank)) * sum_{b <= B} 2 R_b / b^(k-1).
-    Independent of the closed-formula route; float result.
+    / (2 det^(1/2) Gamma(k - rank/2) zeta(k - rank)) * sum_b 2 R_b / b^(k-1).
+    The terms b <= B are summed; R_b / b^(rank-1) has a mean, so the tail b > B
+    is taken as M zeta(k - rank, B + 1) (Hurwitz zeta), M the mean of
+    R_b / b^(rank-1) over B/2 < b <= B.  Only the R_b, b <= B, are read, never
+    the local factors, so the route stays independent of the closed formula;
+    float result.
     """
     D = _check_supp(lattice, D, x)
     if k % 2 == 1:
@@ -199,8 +205,12 @@ def trivial_coefficient_series(lattice, k, D, x, B):
         * float(-D) ** (k - rank / 2 - 1)
         / (2 * math.sqrt(det) * gamma_val * zeta_float(k - rank))
     )
-    partial = repcounts.dirichlet_series_partial(lattice, x, D, float(k - 1), B)
-    return pref * 2 * partial
+    counts = repcounts.representation_numbers(lattice, x, D, B)
+    partial = math.fsum(rb * float(b) ** (1 - k) for b, rb in enumerate(counts, start=1))
+    half = len(counts) // 2
+    mean = math.fsum(rb / float(b) ** (rank - 1)
+                     for b, rb in enumerate(counts[half:], start=half + 1)) / (len(counts) - half)
+    return pref * 2 * (partial + mean * zeta_float(k - rank, len(counts) + 1))
 
 
 def _float_or_refuse(k, what, build):

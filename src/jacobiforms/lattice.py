@@ -2,14 +2,16 @@
 bookkeeping.
 
 An `EvenLattice` is a validated integer Gram matrix together with its cached
-invariants (rank, determinant, level, discriminant Delta).  One Bareiss pass
-gives the determinant and the leading principal minors; the level is read off
-G^{-1}.  The discriminant group L#/L is built on first use and put into
-canonical cyclic coordinates once, via the Smith normal form of the Gram
-matrix.  It is kept as the generators' pairing matrix and norms mod the level,
-in Python ints (see `DiscriminantGroup`), from which elements, pairings and
-indices are computed without numpy, and so are the per-class data behind the
-Weil matrices and the isotropy set.  A `DiscElement` (equality is coordinate
+invariants (rank, determinant, level, discriminant Delta).  They come from one
+Smith normal form U G V = diag(d) of the Gram matrix: the determinant is the
+product of the d_i, and the level is read off the pairings of the cyclic
+generators of L#/L, the columns of V over d_i.  A swap-free Bareiss pass gives
+the leading principal minors up to the first non-positive one.  L#/L is built
+on first use from the same Smith data, in canonical cyclic coordinates, and
+kept as the generators' pairing matrix and norms mod the level, in Python ints
+(see `DiscriminantGroup`), from which elements, pairings and indices are
+computed without numpy, and so are the per-class data behind the Weil
+matrices and the isotropy set.  A `DiscElement` (equality is coordinate
 equality) is built only when asked for.  The node mod p of G that the Gauss
 sums and the Hensel counts read is in `modp`; nothing here needs
 `numbertheory` but `lattice_character`, which imports it where it runs.
@@ -21,6 +23,7 @@ import numbers
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from ._lazy import np
 from ._record import Frozen, Record
@@ -40,37 +43,27 @@ from .rationals import (
     is_integral,
 )
 
-_MAX_FLOAT_DIGITS = ".17g"
-
-
 # -- integer linear algebra ----------------------------------------------------
 
-def _bareiss(mat):
-    """Leading principal minors and determinant of an integer matrix, in one pass.
+def _leading_minors(mat):
+    """Leading principal minors of an integer matrix, up to the first non-positive one.
 
-    Bareiss's fraction-free elimination: without row swaps its k-th pivot is
-    the k-th leading principal minor.  A zero pivot is recorded as a minor and
-    then swapped away, so the pass still ends with the determinant; the minors
-    after it are unknown and are not returned.
+    Bareiss's fraction-free elimination without row swaps: its k-th pivot is
+    the k-th leading principal minor.  The pass stops at the first pivot <= 0,
+    the one a positive-definiteness check reports.
     """
     a = [list(row) for row in mat]
     n = len(a)
-    minors, swapped = [], False
-    sign, prev = 1, 1
+    minors, prev = [], 1
     for k in range(n):
-        if not swapped:
-            minors.append(a[k][k])
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return minors, 0
-            a[k], a[swap] = a[swap], a[k]
-            sign, swapped = -sign, True
+        minors.append(a[k][k])
+        if a[k][k] <= 0:
+            break
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return minors, sign * prev
+    return minors
 
 
 def _matmul(a, b):
@@ -142,29 +135,17 @@ def smith_normal_form(mat):
     return [a[i][i] for i in range(n)], u, v
 
 
-def _inverse(mat):
-    """Exact inverse of an invertible integer matrix, as Fractions (Gauss-Jordan)."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
-
-
 # -- domain types ---------------------------------------------------------------
 
 class EvenLattice(Frozen):
-    """Validated even positive-definite lattice with cached invariants."""
+    """Validated even positive-definite lattice with cached invariants.
+
+    Not compared: `smith` is (d, U, V) with U G V = diag(d), and
+    `generator_pairings` the beta(g_i, g_j) of g_i = V e_i / d_i, d_i > 1.
+    """
 
     _fields = ("gram", "rank", "det", "level", "delta")
+    _extra = ("smith", "generator_pairings")
 
     def beta(self, r):
         """Quadratic form beta(r) = r^t G r / 2 as an exact rational."""
@@ -218,7 +199,7 @@ class FourierIndex(Frozen):
 
 
 class DiscriminantGroup:
-    """L#/L as integer data fixed once from the Smith form of the Gram matrix.
+    """L#/L as integer data fixed once from the lattice's Smith form.
 
     With N the level and g_1..g_s the cyclic generators of orders `orders`:
     `gram_mod` is A = N beta(g_i, g_j) mod N and `q` is q_i = N beta(g_i) mod N,
@@ -234,7 +215,7 @@ class DiscriminantGroup:
 
     def __init__(self, lattice):
         self.lattice = lattice
-        diag, u, v = smith_normal_form(lattice.gram)
+        diag, u, v = lattice.smith
         # internal consistency: U G V = diag(d)
         n = lattice.rank
         assert _matmul(_matmul(u, lattice.gram), v) == [
@@ -245,10 +226,9 @@ class DiscriminantGroup:
         self._generators = [tuple(frac1(Fraction(row[pos], diag[pos])) for row in v)
                             for pos in self._positions]
         self._u = u
-        level, gens = lattice.level, self._generators
-        self.gram_mod = tuple(tuple(int(level * lattice.pairing(a, b)) % level for b in gens)
-                              for a in gens)
-        self.q = tuple(int(level * lattice.beta(a)) % level for a in gens)
+        level, pairings = lattice.level, lattice.generator_pairings
+        self.gram_mod = tuple(tuple(int(level * b) % level for b in row) for row in pairings)
+        self.q = tuple(int(level * row[i] / 2) % level for i, row in enumerate(pairings))
         self._elements = {}
 
     def _beta_numerator(self, c):
@@ -383,7 +363,10 @@ def make_lattice(gram):
     """Validate a Gram matrix and build an EvenLattice.
 
     Checks, in order: squareness and integrality, symmetry, even diagonal,
-    non-degeneracy, positive definiteness via exact leading principal minors.
+    non-degeneracy (a zero Smith invariant d_i), positive definiteness via the
+    exact leading principal minors.  The one Smith form U G V = diag(d) then
+    gives det = prod d_i and the pairings of the generators of L#/L, which
+    give the level and are kept for `DiscriminantGroup`.
     """
     rows = [list(row) for row in gram]
     n = len(rows)
@@ -407,31 +390,33 @@ def make_lattice(gram):
     for i in range(n):
         if mat[i][i] % 2:
             raise OddDiagonalError(f"diagonal entry {i} is odd")
-    minors, det = _bareiss(mat)
-    if det == 0:
+    diag, u, v = smith_normal_form(mat)
+    if 0 in diag:
         raise DegenerateError("Gram matrix is singular")
-    for k, minor in enumerate(minors, start=1):
+    for k, minor in enumerate(_leading_minors(mat), start=1):
         if minor <= 0:
             raise NotPositiveDefiniteError(k, minor)
-    if n % 2 == 0:
-        delta = (-1) ** (n // 2) * det
-    else:
-        delta = (-1) ** (n // 2) * 2 * det
-    assert delta % 4 in (0, 1)
-    if n % 2 == 1:
-        assert delta % 4 == 0
-    # level: the least N with N G^{-1} integral and of even diagonal
-    ginv = _inverse(mat)
-    level = math.lcm(*(
-        (ginv[i][j] / 2 if i == j else ginv[i][j]).denominator
-        for i in range(n) for j in range(n)
-    ))
+    det = math.prod(diag)
+    delta = (-1) ** (n // 2) * (1 + n % 2) * det
+    assert delta % 4 in ((0, 1) if n % 2 == 0 else (0,))
+    # the generators g_i = v_i / d_i of L#/L (v_i column i of V, d_i > 1) pair
+    # to beta(g_i, g_j) = v_i^t G v_j / (d_i d_j)
+    cols = [(d, [row[i] for row in v]) for i, d in enumerate(diag) if d > 1]
+    g_cols = [[sum(map(mul, row, col)) for row in mat] for _, col in cols]
+    pairings = tuple(tuple(Fraction(sum(map(mul, col, g_col)), d * e)
+                           for (e, _), g_col in zip(cols, g_cols)) for d, col in cols)
+    # the level, the least N with N beta(x) integral on L#/L: beta(x) is a sum of
+    # c_i^2 beta(g_i) and c_i c_j beta(g_i, g_j), i < j
+    level = math.lcm(*(b.denominator for row in pairings for b in row),
+                     *((row[i] / 2).denominator for i, row in enumerate(pairings)))
     return EvenLattice(
         gram=tuple(tuple(row) for row in mat),
         rank=n,
         det=det,
         level=level,
         delta=delta,
+        smith=(diag, u, v),
+        generator_pairings=pairings,
     )
 
 
@@ -561,8 +546,7 @@ class FourierExpansion(Record):
             if isinstance(val, Fraction):
                 return format_rational(val)
             val = complex(val)
-            return {"re": float(format(val.real, _MAX_FLOAT_DIGITS)),
-                    "im": float(format(val.imag, _MAX_FLOAT_DIGITS))}
+            return {"re": val.real, "im": val.imag}
 
         doc = {
             "lattice": self.lattice_name or "",

@@ -270,12 +270,13 @@ def gamma_half(two_s):
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), Fraction(1, 2)
 
 
-def zeta_float(s):
-    """Riemann zeta for real s >= 2 as a float (mpmath)."""
+def zeta_float(s, a=1):
+    """Hurwitz zeta sum_{n >= 0} (n + a)^(-s) for real s >= 2 as a float (mpmath);
+    a = 1 is Riemann's."""
     if s < 2:
         raise ValueError("zeta_float expects s >= 2")
     import mpmath
-    return float(mpmath.zeta(s))
+    return float(mpmath.zeta(s, a))
 
 
 def _bessel_series_float(alpha, x):

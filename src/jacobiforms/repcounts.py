@@ -189,21 +189,15 @@ def _spf_sieve(limit):
     return spf
 
 
-def dirichlet_series_partial(lattice, x, D, s, B):
-    """Truncated Dirichlet series sum_{b <= B} R_b / b^s (float).
-
-    R_b is assembled multiplicatively from the prime-power counts of
-    `rep_count` (CRT), each taken once per call.
-    """
-    if s <= lattice.rank + 0.5:
-        raise ValueError(f"s = {s} is too close to the abscissa rank = {lattice.rank}")
+def representation_numbers(lattice, x, D, B):
+    """[R_1, ..., R_B], each assembled multiplicatively (CRT) from the prime-power
+    counts of `rep_count`, each taken once per call."""
     B = int(B)
     if B < 1:
         raise ValueError("B must be positive")
     spf = _spf_sieve(max(B, 2))
     prime_power = cache(_prime_power_counts(lattice, x, Fraction(D)))
-
-    total = 1.0  # b = 1 term
+    counts = [1]  # b = 1: Q vanishes mod 1
     for b in range(2, B + 1):
         rb = 1
         n = b
@@ -216,6 +210,17 @@ def dirichlet_series_partial(lattice, x, D, s, B):
             rb *= prime_power(p, e)
             if rb == 0:
                 break
+        counts.append(rb)
+    return counts
+
+
+def dirichlet_series_partial(lattice, x, D, s, B):
+    """Truncated Dirichlet series sum_{b <= B} R_b / b^s (float), R_b from
+    `representation_numbers`."""
+    if s <= lattice.rank + 0.5:
+        raise ValueError(f"s = {s} is too close to the abscissa rank = {lattice.rank}")
+    total = 0.0
+    for b, rb in enumerate(representation_numbers(lattice, x, D, B), start=1):
         if rb:
             total += rb * float(b) ** (-s)
     return total

@@ -8,7 +8,9 @@ polynomial at every point of (Z/b)^rank, the Hensel-node oracle does the same wi
 (Z/p)^rank in place of the closed form, the node oracle lists the solutions of
 G lambda + h = 0 and sums the Gauss sum S(U, h; p) over the same walk, the
 Poincare oracle sums the defining series on a (tau, z) grid and Fourier-inverts
-it, the K-factor oracle sums the d-sum mod c_g by one FFT over all its units in
+it, the lattice-invariants oracle reads det off Bareiss with row swaps and
+the level off a Gauss-Jordan inverse in Fractions in place of the Smith form,
+the K-factor oracle sums the d-sum mod c_g by one FFT over all its units in
 place of the CRT into Salie and Kloosterman sums mod prime powers, and the
 walk keys of the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
@@ -38,6 +40,7 @@ from jacobiforms import (
     schrodinger_matrix,
     trivial_coefficient_exact,
 )
+from jacobiforms.errors import DegenerateError, NotPositiveDefiniteError
 from jacobiforms.expsums import _unit_sum
 from jacobiforms.numbertheory import bernoulli, factorize, kronecker
 from jacobiforms.oracles import _inverses, _unit_array
@@ -152,6 +155,55 @@ def _max_inv_diag_den(gram):
     arr = np.array(gram, dtype=float)
     inv = np.linalg.inv(arr)
     return max(1, int(np.ceil(np.max(np.diag(inv)))))
+
+
+def lattice_invariants_oracle(gram):
+    """(det, level, delta) of a symmetric even-diagonal integer Gram matrix, by
+    Bareiss with row swaps and a Gauss-Jordan inverse in Fractions.
+
+    Raises DegenerateError on det = 0, else NotPositiveDefiniteError at the
+    first non-positive leading minor, as `make_lattice` does.  Without swaps
+    the k-th Bareiss pivot is the k-th leading minor; a zero pivot is recorded,
+    then swapped away so the pass still ends with det.  The level is the least
+    N with N G^{-1} integral and of even diagonal.
+    """
+    a = [list(row) for row in gram]
+    n = len(a)
+    minors, swapped, sign, prev = [], False, 1, 1
+    for k in range(n):
+        if not swapped:
+            minors.append(a[k][k])
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                raise DegenerateError("Gram matrix is singular")
+            a[k], a[swap] = a[swap], a[k]
+            sign, swapped = -sign, True
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    det = sign * prev
+    if det == 0:
+        raise DegenerateError("Gram matrix is singular")
+    for k, minor in enumerate(minors, start=1):
+        if minor <= 0:
+            raise NotPositiveDefiniteError(k, minor)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(gram)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    level = math.lcm(*((aug[i][n + j] / (2 if i == j else 1)).denominator
+                       for i in range(n) for j in range(n)))
+    delta = (-1) ** (n // 2) * (2 if n % 2 else 1) * det
+    return det, level, delta
 
 
 def poincare_series_oracle(k, D, r_rep, coeff_D, coeff_r, c_max=40, d_factor=40,

@@ -19,6 +19,7 @@ from jacobiforms import (
 )
 from jacobiforms.errors import (
     DegenerateError,
+    ValidationError,
     NonIntegralArgumentError,
     NotInDualLatticeError,
     NotPositiveDefiniteError,
@@ -27,7 +28,36 @@ from jacobiforms.errors import (
 )
 from jacobiforms.rationals import frac1
 
-from oracles import brute_coset_counts
+from oracles import brute_coset_counts, lattice_invariants_oracle
+
+
+@st.composite
+def even_symmetric_matrices(draw):
+    """Symmetric integer matrices of even diagonal, rank 1-8: any entries (mostly
+    indefinite), diagonally dominant (positive definite), or 2 A^t A with A of
+    n - 1 rows (singular)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("any", "dominant", "singular")))
+    if kind == "singular":
+        a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n - 1)]
+        return [[2 * sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-2, 4))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    if kind == "dominant":
+        for i in range(n):
+            off = sum(abs(x) for j, x in enumerate(g[i]) if j != i)
+            g[i][i] = 2 * (off // 2 + 1 + draw(st.integers(0, 2)))
+    return g
+
+
+def _e8_cubed():
+    e8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, -1],
+          [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+          [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
+    return [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)] for i in range(24)]
 
 
 class TestMakeLattice:
@@ -88,8 +118,35 @@ class TestMakeLattice:
         lat = make_lattice([[1 + (i == j) for j in range(10)] for i in range(10)])
         assert (lat.rank, lat.det) == (10, 11)
 
+    @given(even_symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_invariants_match_oracle(self, gram):
+        try:
+            want = lattice_invariants_oracle(gram)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                make_lattice(gram)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            assert (getattr(err.value, "minor_index", None), getattr(err.value, "minor_value", None)) \
+                == (getattr(exc, "minor_index", None), getattr(exc, "minor_value", None))
+            return
+        lat = make_lattice(gram)
+        assert (lat.det, lat.level, lat.delta) == want
+
+    @pytest.mark.parametrize("gram, det, level, orders", [
+        # beta(g_i) alone gives 15: the level 30 needs the cross pairing beta(g_1, g_2)
+        ([[8, -2], [-2, 8]], 60, 30, (2, 30)),
+        (_e8_cubed(), 1, 1, ()),
+        ([[118 * (i == j) for j in range(4)] for i in range(4)], 118**4, 236, (118,) * 4),
+    ])
+    def test_invariants_pinned(self, gram, det, level, orders):
+        lat = make_lattice(gram)
+        assert (lat.det, lat.level, lat.disc_group.orders) == (det, level, orders)
+        assert lattice_invariants_oracle(gram) == (det, level, lat.delta)
+
     def test_level_is_lcm_of_beta_denominators(self, test_lattices, a3, d4, e8):
-        extra = [make_lattice([[200]]), make_lattice([[20, 0], [0, 20]])]
+        extra = [make_lattice([[200]]), make_lattice([[20, 0], [0, 20]]),
+                 make_lattice([[8, -2], [-2, 8]])]
         for lat in [*test_lattices, a3, d4, e8, *extra]:
             want = math.lcm(*(x.beta_mod1.denominator for x in discriminant_group(lat)))
             assert lat.level == want, lat
