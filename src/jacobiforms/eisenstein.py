@@ -141,7 +141,6 @@ def trivial_coefficient_exact(lattice, k, D, x):
     if k % 2 == 1:
         return Fraction(0)
     rank, det = lattice.rank, lattice.det
-    dt = int(D * x.order**2)
     bad = repcounts.bad_primes(lattice, x, D)
     if rank % 2 == 0:
         f1, d1 = fundamental_decomposition(lattice.delta)

@@ -15,7 +15,10 @@ read too), once per distinct key (c_b, c_g^-1 mod c_b); its leaves are
 counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
 is fixed, so inside `shared_targets` one table z[target, c] serves every
 target (D', r') of the expansion, and each coefficient's c-sum reads its
-row; a lone coefficient is the one-target case.  Everything here runs in
+row, found by a dict; a lone coefficient is the one-target case.  The pair
+(D, r) and every target are checked and reduced to beta(r) - D and G r by
+`lattice.support_data`, the test the counts of `repcounts` use too, and
+beta(r', r) is read as r'.(G r).  Everything here runs in
 Python ints and complexes.  The definitional route and the walk of
 (Z/c)^rank, against which the tests assert this one, are in `oracles`.
 """
@@ -29,10 +32,10 @@ from operator import mul
 
 from ._record import Frozen, Record
 from .errors import ResourceLimitError
-from .lattice import DiscElement
+from .lattice import support_data
 from .modp import _int_beta, mod_p_node
 from .numbertheory import factorize, kronecker, sqrt_mod
-from .rationals import is_integral, phase_table, unit_phase_ratio
+from .rationals import phase_table, unit_phase_ratio
 
 
 def __getattr__(name):
@@ -46,21 +49,12 @@ def __getattr__(name):
 
 # -- shared precomputation -------------------------------------------------------
 
-def _as_dual_vector(lattice, r):
-    if isinstance(r, DiscElement):
-        return r.rep
-    vec = tuple(Fraction(v) for v in r)
-    gr = lattice.gram_times(vec)
-    if not all(is_integral(v) for v in gr):
-        raise ValueError(f"{r} is not in the dual lattice")
-    return vec
-
-
 class _SumData(Frozen):
     """Integer data of the exponents of H_{L,c}(D, r, D', r') for one (D, r) and
     a list of targets (D', r'): gram, rank, n0 = beta(r) - D, gx = G r
     (integral), gps = the distinct G r' (integral) among the targets, and per
-    target (index of its G r' in gps, beta(r') - D', beta(r', r))."""
+    target (index of its G r' in gps, beta(r') - D', beta(r', r)).  `_sum_data`
+    builds it, each pair checked and reduced by `lattice.support_data`."""
 
     _fields = ("gram", "rank", "n0", "gx", "gps", "targets")
 
@@ -74,30 +68,14 @@ class _SumData(Frozen):
 
 
 def _sum_data(lattice, D, r, targets):
-    D = Fraction(D)
-    rv = _as_dual_vector(lattice, r)
-    beta_r = lattice.beta(rv)
-    gps, rows = [], []
+    _, n0, gx = support_data(lattice, D, r)
+    gps, rows = {}, []
     for Dp, rp in targets:
-        Dp = Fraction(Dp)
-        rpv = _as_dual_vector(lattice, rp)
-        beta_rp = lattice.beta(rpv)
-        if D > 0 or Dp > 0:
-            raise ValueError("support pairs need D <= 0")
-        if not is_integral(beta_r - D) or not is_integral(beta_rp - Dp):
-            raise ValueError("(D, r) and (D', r') must lie in supp(L): D = beta(r) mod Z")
-        gp = tuple(int(v) for v in lattice.gram_times(rpv))
-        if gp not in gps:
-            gps.append(gp)
-        rows.append((gps.index(gp), int(beta_rp - Dp), lattice.pairing(rpv, rv)))
-    return _SumData(
-        gram=lattice.gram,
-        rank=lattice.rank,
-        n0=int(beta_r - D),
-        gx=tuple(int(v) for v in lattice.gram_times(rv)),
-        gps=tuple(gps),
-        targets=tuple(rows),
-    )
+        rpv, m, gp = support_data(lattice, Dp, rp)
+        # beta(r', r) = r' . (G r)
+        rows.append((gps.setdefault(gp, len(gps)), m, sum(map(mul, rpv, gx), Fraction(0))))
+    return _SumData(gram=lattice.gram, rank=lattice.rank, n0=n0, gx=gx, gps=tuple(gps),
+                    targets=tuple(rows))
 
 
 def _units(c):
@@ -107,9 +85,10 @@ def _units(c):
 # -- the series table -----------------------------------------------------------
 
 class _Shared(Record):
-    """The targets of one expansion and, once built, their table and its (lattice, D, r, c_max)."""
+    """The targets of one expansion, the row of each, and once built their table
+    and its (lattice, D, r, c_max)."""
 
-    _fields = ("targets", "key", "table")
+    _fields = ("targets", "rows", "key", "table")
     _defaults = {"key": None, "table": None}
 
 
@@ -121,7 +100,8 @@ def shared_targets(targets):
     """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
     from one table z[target, c] for all of them, built at the first term with
     one Gauss-sum recursion per key (c_b, a') of `_h_table` and dropped on exit."""
-    token = _SHARED.set(_Shared(tuple(targets)))
+    targets = tuple(targets)
+    token = _SHARED.set(_Shared(targets, {t: i for i, t in enumerate(targets)}))
     try:
         yield
     finally:
@@ -394,13 +374,14 @@ def h_series_terms(lattice, D, r, Dp, rp, k, c_max):
     is checked against the leaf limit before its first recursion.
     """
     shared = _SHARED.get()
-    if shared is None or (Dp, rp) not in shared.targets:
+    row = None if shared is None else shared.rows.get((Dp, rp))
+    if row is None:
         row, table = 0, _h_table(lattice, D, r, [(Dp, rp)], c_max)
     else:
         key = (lattice, D, r, c_max)
         if shared.key != key:
             shared.key, shared.table = key, _h_table(lattice, D, r, shared.targets, c_max)
-        row, table = shared.targets.index((Dp, rp)), shared.table
+        table = shared.table
     sign = (-1) ** k
     for c, h in enumerate(table.row(row), 1):
         yield c, h + sign * h.conjugate()

@@ -12,8 +12,10 @@ kept as the generators' pairing matrix and norms mod the level, in Python ints
 (see `DiscriminantGroup`), from which elements, pairings and indices are
 computed without numpy, and so are the per-class data behind the Weil
 matrices and the isotropy set.  A `DiscElement` (equality is coordinate
-equality) is built only when asked for.  The node mod p of G that the Gauss
-sums and the Hensel counts read is in `modp`; nothing here needs
+equality) is built only when asked for.  `support_data` tests a support
+pair (D, r) and reduces it to the integers beta(r) - D and G r, for the
+Hensel counts of `repcounts` and the sums of `expsums` alike; the node mod p
+of G that both read is in `modp`.  Nothing here needs
 `numbertheory` but `lattice_character`, which imports it where it runs.
 """
 
@@ -25,7 +27,6 @@ from functools import cached_property
 from itertools import product
 from operator import mul
 
-from ._lazy import np
 from ._record import Frozen, Record
 from .errors import (
     DegenerateError,
@@ -209,8 +210,7 @@ class DiscriminantGroup:
     asked for, and then kept.  Classes are listed in lexicographic order of
     their coordinates (`classes`); `beta_numerators`, `pairings`,
     `pairing_matrix` and `translation` give per-class data in that order, as
-    Python ints.  `coords` is the same order as a |G| x s numpy array C of all
-    coordinate vectors, built on first use.
+    Python ints.
     """
 
     def __init__(self, lattice):
@@ -237,11 +237,6 @@ class DiscriminantGroup:
         s = len(q)
         return sum(c[i] * ((q[i] * c[i] + sum(a[i][j] * c[j] for j in range(i + 1, s))) % level)
                    for i in range(s)) % level
-
-    @cached_property
-    def coords(self):
-        s = len(self.orders)
-        return np.indices(self.orders, dtype=np.int64).reshape(s, len(self)).T
 
     def _build_element(self, coords):
         rep = tuple(
@@ -310,7 +305,7 @@ class DiscriminantGroup:
         return self._elements[coords]
 
     def index(self, x):
-        """Row of C holding x: its coordinates read in mixed radix."""
+        """Position of x in `classes`: its coordinates read in mixed radix."""
         row = 0
         for c, d in zip(x.coords, self.orders):
             row = row * d + c
@@ -431,6 +426,25 @@ def beta_values(lattice, r):
     if not lattice.in_dual(r):
         raise NotInDualLatticeError(f"{r} is not in the dual lattice")
     return lattice.beta(r), lambda s: lattice.pairing(r, s)
+
+
+def support_data(lattice, D, r):
+    """(r, beta(r) - D, G r) of a support pair (D, r), the last two as exact ints.
+
+    r is a `DiscElement`, read through its representative, or a dual vector.
+    Raises NotInDualLatticeError unless r lies in L#, and ValueError unless
+    D <= 0 and D = beta(r) mod Z: this is the one test of (D, r) in supp(L)
+    behind the counts of `repcounts` and the sums of `expsums`.
+    """
+    rv = r.rep if isinstance(r, DiscElement) else tuple(Fraction(v) for v in r)
+    gr = lattice.gram_times(rv)
+    if not all(is_integral(v) for v in gr):
+        raise NotInDualLatticeError(f"{r} is not in the dual lattice")
+    D = Fraction(D)
+    n = sum(map(mul, rv, gr)) / 2 - D
+    if D > 0 or not is_integral(n):
+        raise ValueError(f"(D={D}, r={r}) is not in supp(L): need D <= 0 and D = beta(r) mod Z")
+    return rv, int(n), tuple(int(v) for v in gr)
 
 
 def isotropy_set(lattice):

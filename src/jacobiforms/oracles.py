@@ -20,10 +20,11 @@ from functools import lru_cache
 from itertools import product
 
 from ._lazy import np
-from .errors import NotIsotropicError, ResourceLimitError
-from .expsums import _as_dual_vector, _sum_data, _units
+from .errors import NotInDualLatticeError, NotIsotropicError, ResourceLimitError
+from .expsums import _sum_data, _units
+from .lattice import support_data
 from .numbertheory import bernoulli, bernoulli_poly, kronecker
-from .rationals import is_integral, unit_phase, unit_phase_ratio
+from .rationals import unit_phase, unit_phase_ratio
 from .repcounts import _d_tilde
 
 _CHUNK = 1 << 16  # points per block when a walk over (Z/n)^rank is chunked
@@ -77,10 +78,13 @@ def poincare_lattice_sum(lattice, D, r, Dp, rp, c):
 
 def eisenstein_lattice_sum(lattice, r, Dp, rp, c):
     """H_{L,c}(r, D', r') for isotropic r; equals the Poincare sum at D = 0."""
-    rv = _as_dual_vector(lattice, r)
-    if not is_integral(lattice.beta(rv)):
-        raise NotIsotropicError(f"beta({r}) is not integral")
-    return poincare_lattice_sum(lattice, Fraction(0), rv, Dp, rp, c)
+    try:
+        support_data(lattice, 0, r)
+    except NotInDualLatticeError:
+        raise
+    except ValueError as exc:  # at D = 0, (D, r) is in supp(L) exactly when r is isotropic
+        raise NotIsotropicError(f"beta({r}) is not integral") from exc
+    return poincare_lattice_sum(lattice, Fraction(0), r, Dp, rp, c)
 
 
 def kloosterman_decomposition(lattice, D, r, Dp, rp, c):

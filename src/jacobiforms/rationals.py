@@ -74,24 +74,15 @@ def phase_table(n):
 def floor_plus_sqrt(a, t):
     """floor(a + sqrt(t)) for rationals a and t >= 0, computed exactly.
 
-    A float estimate seeds the answer and exact comparisons fix it up; the
-    loops move by at most a couple of steps.
+    With a = p/q, floor(a + sqrt(t)) = floor((p + floor(q sqrt(t))) / q), and
+    floor(q sqrt(t)) = isqrt(floor(t q^2)): integer arithmetic at every size.
     """
     a = Fraction(a)
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be non-negative")
-    n = math.floor(float(a) + math.sqrt(float(t)))
-
-    def le(k):  # k <= a + sqrt(t)
-        diff = k - a
-        return diff <= 0 or diff * diff <= t
-
-    while not le(n):
-        n -= 1
-    while le(n + 1):
-        n += 1
-    return n
+    p, q = a.numerator, a.denominator
+    return (p + math.isqrt(t.numerator * q * q // t.denominator)) // q
 
 
 def ceil_minus_sqrt(a, t):

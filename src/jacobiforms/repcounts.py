@@ -12,11 +12,13 @@ Arf invariant of beta mod 2 at p = 2).  Its singular zeros are listed only
 where they recurse, at e >= 2, and e = 1 takes the count alone.
 This recursion is the one route to R_{p^e}, at good and bad primes alike, and
 the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable
-profiles behind the local factors and the prime powers of the Dirichlet series
-all read through it, by the one count(p, e) of each (x, D)
-(`_prime_power_counts`), which derives G x and beta(x) - D once.  A node that
-would list more than `modp.NODE_POINT_LIMIT` points raises ResourceLimitError
-before allocating.
+profiles behind the local factors and the R_b of the Dirichlet series
+(`representation_numbers`, over `factorize` as `rep_count`) all read through
+it, by the one count(p, e) of each (x, D) (`_prime_power_counts`).  That
+closure takes G x and beta(x) - D from `lattice.support_data`, the one test
+that (D, x) lies in supp(L), so every count route refuses the same pairs.  A
+node that would list more than `modp.NODE_POINT_LIMIT` points raises
+ResourceLimitError before allocating.
 The brute-force count over (Z/b)^rank and the walk of (Z/p)^rank at every node
 stay in the tests as oracles, and the closed form of a good prime's factor in
 `oracles`.  Everything here runs in Python ints.
@@ -24,11 +26,12 @@ stay in the tests as oracles, and the closed form of a good prime's factor in
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from ._record import Frozen
 from .errors import StabilizationFailureError
+from .lattice import support_data
 from .modp import _int_beta, mod_p_node
 from .numbertheory import factorize
 from .rationals import is_integral
@@ -44,8 +47,7 @@ class RepCountKey(Frozen):
     def __post_init__(self):
         if self.b < 1:
             raise ValueError("modulus b must be positive")
-        if self.D > 0 or not is_integral(self.x.beta_mod1 - self.D):
-            raise ValueError("(D, x) must lie in supp(L)")
+        support_data(self.lattice, self.D, self.x)
 
 
 @lru_cache(maxsize=4096)
@@ -63,11 +65,6 @@ def _zeros_mod_p(gram, p, g, n):
     return node.zeros(g, n) - len(singular), tuple(singular)
 
 
-def _zero_count_mod_p(gram, p, g, n):
-    """#{lambda mod p : Q(lambda) = 0}, g and n reduced mod p, listing no zero."""
-    return mod_p_node(gram, p).zeros(g, n)
-
-
 @lru_cache(maxsize=1 << 16)
 def _hensel_count(gram, p, g, n, e):
     """#{lambda mod p^e : beta(lambda) + g.lambda + n = 0 mod p^e}, g and n reduced mod p^e.
@@ -82,7 +79,7 @@ def _hensel_count(gram, p, g, n, e):
     if e == 0:
         return 1
     if e == 1:
-        return _zero_count_mod_p(gram, p, tuple(v % p for v in g), n % p)
+        return mod_p_node(gram, p).zeros(tuple(v % p for v in g), n % p)
     rank = len(gram)
     nonsingular, singular = _zeros_mod_p(gram, p, tuple(v % p for v in g), n % p)
     total = nonsingular * p ** ((e - 1) * (rank - 1))
@@ -102,11 +99,11 @@ def _hensel_count(gram, p, g, n, e):
 def _prime_power_counts(lattice, x, D):
     """(p, e) -> R_{p^e} for Q(lambda) = beta(lambda + x) - D, by `_hensel_count`.
 
-    The integer data G x and beta(x) - D are derived once per (lattice, x, D).
+    The integer data G x and beta(x) - D come once per (lattice, x, D) from
+    `support_data`, which raises ValueError unless (D, x) lies in supp(L).
     """
     # Q(lambda) = beta(lambda) + (G x).lambda + beta(x) - D
-    gx = tuple(int(v) for v in lattice.gram_times(x.rep))
-    n = int(lattice.beta(x.rep) - D)
+    _, n, gx = support_data(lattice, D, x)
 
     def count(p, e):
         q = p**e
@@ -127,29 +124,18 @@ def _d_tilde(x, D):
     return int(dt)
 
 
-def _ord_p(n, p):
-    n = abs(int(n))
-    e = 0
-    while n and n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 @lru_cache(maxsize=4096)
 def _stable_profile(lattice, x, D, p):
     """(w_p, [R_{p^0}, ..., R_{p^{w_p}}]) with the stabilization check enforced.
 
     w_p starts at max(1, 1 + 2 ord_p(2 * Dtilde)) and is raised until
     R_{p^{w+1}} = p^{rank-1} R_{p^w}, by at most 4 steps.  Every R_{p^l} is
-    read through the one `_prime_power_counts` closure of (x, D).
+    read through the one `_prime_power_counts` closure of (x, D), which checks
+    that (D, x) lies in supp(L).
     """
-    if not is_integral(x.beta_mod1 - D):
-        raise ValueError("(D, x) must lie in supp(L)")
-    dt = _d_tilde(x, D)
-    w = max(1, 1 + 2 * _ord_p(2 * dt, p))
-    cap = w + _STABILIZATION_CAP
     count = _prime_power_counts(lattice, x, Fraction(D))
+    w = max(1, 1 + 2 * dict(factorize(abs(2 * _d_tilde(x, D)))).get(p, 0))
+    cap = w + _STABILIZATION_CAP
     counts = [count(p, l) for l in range(w + 2)]
     while counts[w + 1] != p ** (lattice.rank - 1) * counts[w]:
         w += 1
@@ -178,40 +164,14 @@ def local_factor(lattice, x, D, p, s):
     return total
 
 
-@lru_cache(maxsize=64)
-def _spf_sieve(limit):
-    """Smallest prime factor of each 2 <= n <= limit, as a list indexed by n."""
-    spf = list(range(limit + 1))
-    root = math.isqrt(limit)
-    small = [p for p in range(2, root + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    for p in reversed(small):  # a smaller prime overwrites a larger one
-        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
-    return spf
-
-
 def representation_numbers(lattice, x, D, B):
-    """[R_1, ..., R_B], each assembled multiplicatively (CRT) from the prime-power
-    counts of `rep_count`, each taken once per call."""
+    """[R_1, ..., R_B], each the CRT product of the prime-power counts, as `rep_count`
+    takes it; raises ValueError unless (D, x) lies in supp(L)."""
     B = int(B)
     if B < 1:
         raise ValueError("B must be positive")
-    spf = _spf_sieve(max(B, 2))
-    prime_power = cache(_prime_power_counts(lattice, x, Fraction(D)))
-    counts = [1]  # b = 1: Q vanishes mod 1
-    for b in range(2, B + 1):
-        rb = 1
-        n = b
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            rb *= prime_power(p, e)
-            if rb == 0:
-                break
-        counts.append(rb)
-    return counts
+    count = _prime_power_counts(lattice, x, Fraction(D))
+    return [math.prod(count(p, e) for p, e in factorize(b)) for b in range(1, B + 1)]
 
 
 def dirichlet_series_partial(lattice, x, D, s, B):

@@ -628,7 +628,7 @@ def _rep_oracle_docs(gram, args):
         reps.append(schrodinger_matrix(lattice, x, *(int(v) for v in triple.split(","))))
     if "--avg" in opts:
         reps.append(averaging_matrix(lattice, group.element((int(opts["--avg"]),))))
-    return [(rep.label, group.coords.tolist(), rep.matrix) for rep in reps]
+    return [(rep.label, [list(c) for c in group.classes()], rep.matrix) for rep in reps]
 
 
 @pytest.fixture(scope="module", params=sorted(_REP_RUNS))

@@ -528,7 +528,7 @@ class TestHenselNodes:
             for g in islice(product(range(p), repeat=rank), 8):
                 for n in range(min(p, 4)):
                     nonsingular, singular = zeros_mod_p_walk(gram, p, g, n)
-                    assert repcounts._zero_count_mod_p(gram, p, g, n) == nonsingular + len(singular)
+                    assert mod_p_node(gram, p).zeros(g, n) == nonsingular + len(singular)
 
     def test_node_solve_and_leaf_match_walk_oracle(self):
         # the node that both recursions read: its coset solve(h), the base it
@@ -684,10 +684,57 @@ class TestDirichletSeries:
             product *= float(local_factor(a1, x0, D, p, s))
         assert partial == pytest.approx(product, rel=1e-4)
 
-    def test_sieve_gives_smallest_prime_factors(self):
-        spf = repcounts._spf_sieve(5000)
-        assert all(spf[n] == factorize(n)[0][0] for n in range(2, 5001))
-
     def test_domain_guard(self, a1):
         with pytest.raises(ValueError):
             dirichlet_series_partial(a1, a1.disc_group.zero, Fraction(-1), 1.2, 100)
+
+
+class TestSupportPairs:
+    """`lattice.support_data` is the one test of (D, r) in supp(L) behind every
+    count and every c-sum: each route refuses the same pairs."""
+
+    @staticmethod
+    def _off_support(lat):
+        x0 = lat.disc_group.zero
+        return [(Fraction(-1, 2), x0), (Fraction(1), x0)]  # D != beta(x) mod 1; D > 0
+
+    def test_counts_refuse_pairs_off_support(self, a1):
+        for D, x in self._off_support(a1):
+            with pytest.raises(ValueError, match="supp"):
+                RepCountKey(lattice=a1, x=x, D=D, b=3)
+            with pytest.raises(ValueError, match="supp|D < 0"):
+                local_factor(a1, x, D, 2, 3)
+            with pytest.raises(ValueError, match="supp"):
+                repcounts.representation_numbers(a1, x, D, 10)
+            with pytest.raises(ValueError, match="supp"):
+                dirichlet_series_partial(a1, x, D, 3.0, 100)
+
+    def test_sums_refuse_pairs_off_support(self, a1):
+        good = (Fraction(-1), a1.disc_group.zero)
+        for bad in self._off_support(a1):
+            for pair, target in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="supp"):
+                    poincare_lattice_sum(a1, *pair, *target, 3)
+                with pytest.raises(ValueError, match="supp"):
+                    expsums._h_table(a1, *pair, [target], 5)
+
+    def test_representation_numbers_match_rep_count_and_enumeration(self, a1, a1_scaled4, a2, a3):
+        bs = range(1, 61)
+        for lat in (a1, a1_scaled4, a2, a3):
+            for x in lat.disc_group:
+                for D in (x.beta_mod1 - 1, x.beta_mod1 - 6):
+                    counts = repcounts.representation_numbers(lat, x, D, len(bs))
+                    assert counts == [rep_count(RepCountKey(lattice=lat, x=x, D=D, b=b)) for b in bs]
+                    assert counts == [rep_count_enumerate(lat, x, D, b) for b in bs], (lat, x, D)
+
+    def test_sum_data_indexes_each_g_r_once(self, a1_scaled4):
+        # x1 at two D' and as its dual vector share G r' = (1,); x3 has G r' = (3,)
+        group = a1_scaled4.disc_group
+        x1, x3 = group.element((1,)), group.element((3,))
+        targets = [(x1.beta_mod1 - 1, x1), (x3.beta_mod1 - 1, x3), (x1.beta_mod1 - 2, x1),
+                   (x1.beta_mod1 - 1, x1.rep)]
+        data = expsums._sum_data(a1_scaled4, x1.beta_mod1 - 1, x1, targets)
+        assert data.gps == ((1,), (3,))
+        assert [(g, m) for g, m, _ in data.targets] == [(0, 1), (1, 1), (0, 2), (0, 1)]
+        # beta(r', r) = 8 r' r with r = 1/8
+        assert [p0 for _, _, p0 in data.targets] == [Fraction(1, 8), Fraction(3, 8), Fraction(1, 8), Fraction(1, 8)]

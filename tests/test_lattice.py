@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -26,8 +28,10 @@ from jacobiforms.errors import (
     NotSymmetricError,
     OddDiagonalError,
 )
-from jacobiforms.rationals import frac1
+from jacobiforms.lattice import support_data
+from jacobiforms.rationals import floor_plus_sqrt, frac1
 
+from childenv import child_env
 from oracles import brute_coset_counts, lattice_invariants_oracle
 
 
@@ -208,7 +212,7 @@ class TestDiscriminantGroup:
         for lat in model_lattices:
             group = discriminant_group(lat)
             elements = list(group)
-            assert [x.coords for x in elements] == [tuple(c) for c in group.coords.tolist()]
+            assert [x.coords for x in elements] == list(group.classes())
             for x in elements:
                 assert x.beta_mod1 == frac1(lat.beta(x.rep)), (lat, x)
             for x in elements[:: max(1, len(group) // 12)]:
@@ -328,6 +332,44 @@ class TestCosetPoints:
                 assert len(coset_points(lat, x, bound)) == len(
                     coset_points(lat, group.neg(x), bound)
                 )
+
+
+    def test_floor_plus_sqrt_exact(self):
+        # perfect-square boundaries from either side, and t = 0
+        assert floor_plus_sqrt(Fraction(-3, 2), Fraction(9, 4)) == 0
+        assert floor_plus_sqrt(Fraction(-3, 2) - Fraction(1, 10**30), Fraction(9, 4)) == -1
+        assert floor_plus_sqrt(Fraction(7, 3), 0) == 2
+        assert floor_plus_sqrt(Fraction(-7, 3), 0) == -3
+        assert floor_plus_sqrt(0, 2) == 1
+
+    def test_floor_plus_sqrt_past_float_precision(self):
+        # a = 10^30 + 1/3 is past float precision; a child process bounds the time
+        script = ("from fractions import Fraction\n"
+                  "from jacobiforms.rationals import floor_plus_sqrt\n"
+                  "print(floor_plus_sqrt(10**30 + Fraction(1, 3), 2))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=10, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 10**30 + 1
+
+
+class TestSupportData:
+    def test_reduces_pair_to_integers(self, a1, a2):
+        half = a1.disc_group.element((1,))
+        assert support_data(a1, Fraction(-3, 4), half) == ((Fraction(1, 2),), 1, (1,))
+        assert support_data(a1, Fraction(-3, 4), (Fraction(-1, 2),)) == ((Fraction(-1, 2),), 1, (-1,))
+        for x in a2.disc_group:
+            rv, n, gx = support_data(a2, x.beta_mod1 - 2, x)
+            assert rv == x.rep and n == a2.beta(x.rep) - x.beta_mod1 + 2
+            assert gx == a2.gram_times(x.rep)
+
+    def test_refuses_pairs_off_support(self, a1):
+        half = a1.disc_group.element((1,))
+        with pytest.raises(NotInDualLatticeError):
+            support_data(a1, 0, (Fraction(1, 3),))
+        for D in (Fraction(-1), Fraction(5, 4), Fraction(1, 4)):  # wrong class mod 1, D > 0
+            with pytest.raises(ValueError, match="not in supp"):
+                support_data(a1, D, half)
 
 
 class TestLatticeJson:
