@@ -13,10 +13,12 @@ Eisenstein weighs by c^(-k), the D -> 0 limit of the Poincare Bessel weight.
 Every expansion, exact or numeric, is assembled by `_series_expansion`; a
 numeric one hands its support down to `expsums.shared_targets`: the H_c of
 every coefficient come from one table for the whole expansion, while each
-coefficient keeps its own c-sum.  At D = 0 the table is a Ramanujan sum or its
-Jacobi twist in closed form on the part of c prime to 2 det, and quadratic
-Gauss sums by recursion once per distinct key on the rest, so a numeric
-Eisenstein request runs in Python ints and complexes and never loads numpy.
+coefficient keeps its own c-sum.  H_c is a product of one local factor per
+prime power q of c.  At D = 0 the factor is a Ramanujan sum or its twist by
+(d/p) in closed form where q is prime to 2 det, and quadratic Gauss sums by
+recursion once per distinct key (q, (c/q)^-1 mod q) at the primes of 2 det,
+so a numeric Eisenstein request runs in Python ints and complexes and never
+loads numpy.
 A prefactor that leaves the float range is refused while it is built, and an
 infinite tail bound as soon as it is known, both before the first H_c.
 `repcounts` and `expsums` are bound lazily (see `_lazy`): an exact request

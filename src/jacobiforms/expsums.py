@@ -1,33 +1,35 @@
 """Exponential sums: the Poincare/Eisenstein lattice sums H_c for a whole
-expansion, from Kloosterman, Salie, Ramanujan and quadratic Gauss sums.
+expansion, as one product of local factors, one per prime power of c.
 
-The series route, `_h_table`, splits c = c_g c_b by CRT, c_b made of the
-primes of 2 det and c_g prime to it: H_c = e(beta(r', r)/c) K W.  K is a
-Kloosterman sum (even rank) or Salie sum (odd rank) mod c_g in closed form
-from the Weil representation; where D = 0 mod c_g, as at every Eisenstein
-coefficient, its d-sum is a Ramanujan sum or its twist by the Jacobi symbol,
-and elsewhere a CRT product of sums mod the prime powers of c_g, by Salie's
-evaluation or over the units.  W is a sum over the units of c_b of quadratic
-Gauss sums S(U, h; p^e), one per prime power of c_b, each reduced two powers
-of p at a time onto the solutions of U G lambda = -h mod p (`_gauss_sum`, on
-`modp.mod_p_node`, the node mod p that the Hensel counts of `repcounts`
-read too), once per distinct key (c_b, c_g^-1 mod c_b); its leaves are
-counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
-is fixed, so inside `shared_targets` one table z[target, c] serves every
-target (D', r') of the expansion, and each coefficient's c-sum reads its
-row, found by a dict; a lone coefficient is the one-target case.  The pair
-(D, r) and every target are checked and reduced to beta(r) - D and G r by
+CRT on (d, lambda) splits the series route, `_h_table`, into
+  H_c = e(beta(r', r)/c) prod_{q = p^e || c} F_q(b_q),   b_q = (c/q)^-1 mod q,
+  F_q(b) = sum_{V in (Z/q)*} e((V n0 + m b^2 V^-1)/q) S(V, V G r + b G r'; q),
+with n0 = beta(r) - D, m = beta(r') - D' and S(U, h; q) the quadratic Gauss
+sum of U beta(lambda) + h.lambda over lambda mod q.  At p prime to 2 det the
+square completes, and F_q is a Gauss-sum constant and a phase times a Salie
+sum (odd rank) or Kloosterman sum (even rank) mod q: a Ramanujan sum or its
+twist by (d/p) where D or D' is 0 mod q, as at every Eisenstein coefficient
+(`_good_part`, `_prime_power_sum`).  At p | 2 det, F_q is summed over the
+units of q, each Gauss sum reduced two powers of p at a time onto the
+solutions of U G lambda = -h mod p (`_gauss_sum`, on `modp.mod_p_node`, the
+node mod p that the Hensel counts of `repcounts` read too), once per
+distinct key (q, b) (`_bad_part`); its leaves are counted against
+H_LEAF_LIMIT before the first.  Within one expansion (D, r) is fixed, so
+inside `shared_targets` one table z[target, c] serves every target (D', r')
+of the expansion, and each coefficient's c-sum reads its row, found by a
+dict; a lone coefficient is the one-target case.  The pair (D, r) and every
+target are checked and reduced to beta(r) - D and G r by
 `lattice.support_data`, the test the counts of `repcounts` use too, and
-beta(r', r) is read as r'.(G r).  Everything here runs in
-Python ints and complexes.  The definitional route and the walk of
-(Z/c)^rank, against which the tests assert this one, are in `oracles`.
+beta(r', r) is read as r'.(G r).  Everything here runs in Python ints and
+complexes.  The definitional route and the walk of (Z/c)^rank, against
+which the tests assert this one, are in `oracles`.
 """
 
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from ._record import Frozen, Record
@@ -52,11 +54,13 @@ def __getattr__(name):
 class _SumData(Frozen):
     """Integer data of the exponents of H_{L,c}(D, r, D', r') for one (D, r) and
     a list of targets (D', r'): gram, rank, n0 = beta(r) - D, gx = G r
-    (integral), gps = the distinct G r' (integral) among the targets, and per
-    target (index of its G r' in gps, beta(r') - D', beta(r', r)).  `_sum_data`
-    builds it, each pair checked and reduced by `lattice.support_data`."""
+    (integral), gps = the distinct G r' (integral) among the targets, per
+    target (index of its G r' in gps, beta(r') - D', beta(r', r)), and, for the
+    closed form at primes not dividing 2 det, den = N, the common denominator
+    of D, the D' and the beta(r', r), nd = N D and per target (N D', N beta(r', r)).
+    `_sum_data` builds it, each pair checked and reduced by `lattice.support_data`."""
 
-    _fields = ("gram", "rank", "n0", "gx", "gps", "targets")
+    _fields = ("gram", "rank", "n0", "gx", "gps", "targets", "den", "nd", "scaled")
 
     def n1(self, lam):
         """beta(lambda + r) - D for an integer vector lambda."""
@@ -74,8 +78,11 @@ def _sum_data(lattice, D, r, targets):
         rpv, m, gp = support_data(lattice, Dp, rp)
         # beta(r', r) = r' . (G r)
         rows.append((gps.setdefault(gp, len(gps)), m, sum(map(mul, rpv, gx), Fraction(0))))
+    dps = [Fraction(Dp) for Dp, _ in targets]
+    den = math.lcm(*(v.denominator for v in [Fraction(D), *dps, *(p0 for _, _, p0 in rows)]))
     return _SumData(gram=lattice.gram, rank=lattice.rank, n0=n0, gx=gx, gps=tuple(gps),
-                    targets=tuple(rows))
+                    targets=tuple(rows), den=den, nd=int(D * den),
+                    scaled=tuple((int(Dp * den), int(p0 * den)) for Dp, (_, _, p0) in zip(dps, rows)))
 
 
 def _units(c):
@@ -99,7 +106,7 @@ _SHARED = ContextVar("expsums_shared_targets", default=None)
 def shared_targets(targets):
     """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
     from one table z[target, c] for all of them, built at the first term with
-    one Gauss-sum recursion per key (c_b, a') of `_h_table` and dropped on exit."""
+    one Gauss-sum recursion per key (q, b) of `_h_table` and dropped on exit."""
     targets = tuple(targets)
     token = _SHARED.set(_Shared(targets, {t: i for i, t in enumerate(targets)}))
     try:
@@ -108,23 +115,14 @@ def shared_targets(targets):
         _SHARED.reset(token)
 
 
-def _split(c, bad):
-    """(c_g, c_b): c = c_g c_b with c_b made of the primes dividing `bad`, c_g prime to it."""
-    c_b, g = 1, math.gcd(c, bad)
-    while g > 1:
-        c, c_b = c // g, c_b * g
-        g = math.gcd(c, g)
-    return c, c_b
-
-
 # The recursion of `_gauss_sum` ends in at most p^(k floor(e/2)) leaves at a
-# prime power p^e, k the dimension of the radical of G mod p.  `_h_table` runs
-# it per key (c_b, a), unit of c_b and prime power of c_b for each distinct
-# G r', and refuses a table whose leaves per G r' would exceed H_LEAF_LIMIT
-# before its first recursion, naming the count.  It is a constant, not a
-# setting.  At c_max = 1000 the bound is 1.4e3 leaves on E8 (k = 0), 1.4e4 on
-# A3 (k = 1), 1.7e5 on D4 (k = 2), 2.4e6 on A1^3 (k = 3) and 2.2e12 on 2 E8
-# (k = 8); the memo of the subsums keeps the work well below it.
+# prime power q = p^e, k the dimension of the radical of G mod p.  `_h_table`
+# runs it per key (q, b) with p | 2 det, unit of q and distinct G r', and
+# refuses a table whose leaves per G r' would exceed H_LEAF_LIMIT before its
+# first recursion, naming the count.  It is a constant, not a setting.  At
+# c_max = 1000 the bound is 1.4e3 leaves on E8 (k = 0), 1.4e4 on A3 (k = 1),
+# 1.7e5 on D4 (k = 2), 2.4e6 on A1^3 (k = 3) and 2.2e12 on 2 E8 (k = 8); the
+# memo of the subsums keeps the work well below it.
 H_LEAF_LIMIT = 10**7
 
 
@@ -164,94 +162,75 @@ _subsum = lru_cache(maxsize=1 << 16)(_gauss_sum)
 
 
 def _check_leaves(data, c_max, keys):
-    ks = {p: mod_p_node(data.gram, p).k for c_b, _ in keys for p, _ in factorize(c_b)}
-    leaves = sum(math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(c_b))
-                 * sum(p ** (ks[p] * (e // 2)) for p, e in factorize(c_b))
-                 for c_b, _ in keys)
+    leaves = 0
+    for q, _ in keys:
+        (p, e), = factorize(q)
+        leaves += (q - q // p) * p ** (mod_p_node(data.gram, p).k * (e // 2))
     if leaves > H_LEAF_LIMIT:
         raise ResourceLimitError(
-            f"H_c for c <= {c_max} sums (Z/c_b)^{data.rank} as Gauss sums per key "
-            f"(c_b, c_g^-1 mod c_b) and unit of c_b: {len(keys)} keys, {leaves} leaves "
-            f"per G r', over the limit of {H_LEAF_LIMIT}")
+            f"H_c for c <= {c_max} sums (Z/q)^{data.rank} as Gauss sums per key "
+            f"(q, (c/q)^-1 mod q), q = p^e || c with p | 2 det, and unit of q: {len(keys)} keys, "
+            f"{leaves} leaves per G r', over the limit of {H_LEAF_LIMIT}")
 
 
-def _bad_part(data, c_b, a):
-    """W at every target of data, for the key (c_b, a) with a = c_g^-1 mod c_b.
+def _bad_part(data, q, b):
+    """F_q(b) at every target of data, at a prime power q = p^e with p | 2 det.
 
-    After CRT on (d, lambda), the part of H_c at c_b is
-    W = sum over d in (Z/c_b)* and lambda mod c_b of
-    e((d^-1 a^2 n1(lambda) + d m + a pint(lambda)) / c_b), m = beta(r') - D'.
-    With u = d^-1, U = u a^2 and h = U G r + a G r' the exponent is
-    U beta(lambda) + h.lambda + U n0 + m u^-1, and the sum over lambda mod c_b
-    splits by CRT again (1/c_b = sum_q s_q/q mod 1, s_q = (c_b/q)^-1 mod q):
-      W = sum_u e((U n0 + m u^-1)/c_b) prod_{q = p^e || c_b} S(U s_q, h s_q; q).
+    F_q(b) = sum over d in (Z/q)* and lambda mod q of
+    e(b (n1(lambda) d^-1 + m d + pint(lambda)) / q), m = beta(r') - D'.
+    With u = d^-1, V = u b^2 and h = V G r + b G r' the exponent is
+    V beta(lambda) + h.lambda + V n0 + m u^-1, so
+      F_q(b) = sum_u e((V n0 + m u^-1)/q) S(V, h; q).
     The Gauss sums depend on the target only through G r', so they are formed
     once per unit and distinct G r'.
     """
-    factors = [(p, e, p**e, pow(c_b // p**e, -1, p**e)) for p, e in factorize(c_b)]
-    # per G r' and prime power q: (p, e, q, s_q, a s_q G r')
-    terms = [[(p, e, q, s, [a * s * y for y in gp]) for p, e, q, s in factors] for gp in data.gps]
-    roots = phase_table(c_b)
+    (p, e), = factorize(q)
+    bgps = [[b * y for y in gp] for gp in data.gps]
+    roots = phase_table(q)
     out = [0j] * len(data.targets)
-    for u in _units(c_b):
-        U = u * a * a % c_b
-        ubar = pow(u, -1, c_b)
-        sums = []
-        for gp_terms in terms:
-            z = 1
-            for p, e, q, s, agp in gp_terms:
-                us = U * s
-                z *= _gauss_sum(data.gram, p, e, us % q, tuple([(us * x + y) % q for x, y in zip(data.gx, agp)]))
-            sums.append(z)
-        phase = U * data.n0
+    for u in _units(q):
+        V = u * b * b % q
+        ubar = pow(u, -1, q)
+        sums = [_gauss_sum(data.gram, p, e, V, tuple([(V * x + y) % q for x, y in zip(data.gx, bgp)]))
+                for bgp in bgps]
+        phase = V * data.n0
         for i, (g, m, _) in enumerate(data.targets):
-            out[i] += roots[(phase + m * ubar) % c_b] * sums[g]
+            out[i] += roots[(phase + m * ubar) % q] * sums[g]
     return out
-
-
-def _unit_sum(m, factors, x, odd):
-    """sum_{d in (Z/m)*} chi(d) e(x d/m), chi = 1 (odd False) or the Jacobi symbol (d/m).
-
-    By CRT it is prod_{q = p^e || m} ((m/q)/p)^e G_q(x), G_q the sum mod q.  At
-    chi = 1, and at even e, G_q is the Ramanujan sum c_q(x): phi(q) if q | x,
-    -p^(e-1) if p^(e-1) || x, else 0.  At odd e with chi the Jacobi symbol,
-    G_q = 0 unless p^(e-1) | x, and then p^(e-1) ((x/p^(e-1))/p) g_p, with
-    g_p = sqrt(p) or i sqrt(p) as p = 1 or 3 mod 4.
-    """
-    value = 1
-    for p, e in factors:
-        q, low = p**e, p ** (e - 1)
-        if x % low:
-            return 0
-        if odd and e % 2:
-            value *= kronecker(m // q, p) * low * kronecker(x // low, p) * math.sqrt(p)
-            value *= 1j if p % 4 == 3 else 1
-        else:
-            value *= q - low if x % q == 0 else -low
-    return value
 
 
 def _prime_power_sum(p, e, x, t, odd):
     """S_q(x, t) = sum_{d in (Z/q)*} chi(d) e((x d + t d^-1)/q) at q = p^e, chi = (d/p)^e (odd) or 1.
 
-    Where chi is the Jacobi symbol (d/q), at odd rank or even e, and p does not
-    divide t, Salie's evaluation (Iwaniec, Topics in Classical Automorphic
-    Forms, ch. 4) gives S_q = eps_q sqrt(q) (t/q) sum_{y^2 = x t mod q} e(2y/q),
-    eps_q = 1 or i as q = 1 or 3 mod 4; d -> d^-1 keeps (d/q) and swaps x and
-    t, so p | t with p not dividing x is the same sum.  The y-sum is
-    e(2y/q) + e(-2y/q) over the roots +-y of a square unit x t, 0 at a
-    non-square, and at p | x 1 at e = 1 (y = 0) and 0 at e >= 2 (the roots
-    fill whole cosets of p^(e - v/2) Z, p^v || x t).  The other cases, a
-    Kloosterman sum at odd e and even rank and p | gcd(x, t), are summed over
-    the phi(q) units with the phases of `phase_table`.
+    Where x or t is 0 mod q, d -> d^-1 leaves sum_d chi(d) e(y d/q), y the
+    other argument: at chi = 1 the Ramanujan sum c_q(y), phi(q) if q | y,
+    -p^(e-1) if p^(e-1) || y, else 0; at chi = (d/p), odd e, 0 unless
+    p^(e-1) | y, and then p^(e-1) ((y/p^(e-1))/p) g_p, with g_p = sqrt(p) or
+    i sqrt(p) as p = 1 or 3 mod 4.  Elsewhere, where chi is the Jacobi symbol
+    (d/q), at odd rank or even e, and p does not divide t, Salie's evaluation
+    (Iwaniec, Topics in Classical Automorphic Forms, ch. 4) gives
+    S_q = eps_q sqrt(q) (t/q) sum_{y^2 = x t mod q} e(2y/q), eps_q = 1 or i as
+    q = 1 or 3 mod 4; d -> d^-1 keeps (d/q) and swaps x and t, so p | t with p
+    not dividing x is the same sum.  The y-sum is e(2y/q) + e(-2y/q) over the
+    roots +-y of a square unit x t, 0 at a non-square, and 0 at p | x (then
+    e >= 2, and the roots fill whole cosets of p^(e - v/2) Z, p^v || x t).  The
+    other cases, a Kloosterman sum at odd e and even rank and p | gcd(x, t),
+    are summed over the phi(q) units with the phases of `phase_table`.
     """
     q = p**e
+    if x % q == 0 or t % q == 0:
+        y, low = (x + t) % q, p ** (e - 1)  # the other argument, or 0 if both are
+        if y % low:
+            return 0
+        if odd and e % 2:
+            return low * kronecker(y // low, p) * math.sqrt(p) * (1j if p % 4 == 3 else 1)
+        return q - low if y == 0 else -low
     if (odd or e % 2 == 0) and (t % p or x % p):
         if t % p == 0:
             x, t = t, x
-        scale = (1 if q % 4 == 1 else 1j) * math.sqrt(q) * kronecker(t, p) ** e
         if x % p == 0:
-            return scale if e == 1 else 0
+            return 0
+        scale = (1 if q % 4 == 1 else 1j) * math.sqrt(q) * kronecker(t, p) ** e
         y = sqrt_mod(x * t, p, e)
         return 0 if y is None else scale * (unit_phase_ratio(2 * y, q) + unit_phase_ratio(-2 * y, q))
     roots = phase_table(q)
@@ -259,54 +238,35 @@ def _prime_power_sum(p, e, x, t, odd):
                for d in range(1, q) if d % p)
 
 
-def _closed_form(lattice, D, data, dps):
-    """at(m)(c_b): the factor K of H_c, c = m c_b, from the part m prime to 2 det, per target.
+# S_q with neither argument 0 mod q recurs across c and across targets that
+# share D', so it is memoized; where one is 0 its closed form costs less than a
+# lookup, and at D = 0, as at every Eisenstein c, nothing is stored.
+_prime_power_memo = lru_cache(maxsize=1 << 14)(_prime_power_sum)
 
-    With a = c_b^-1 mod m and n = rank, the Weil representation gives
-      K = eps_m^n m^(n/2) (det/m) (2/m)^n
-          sum_{d in (Z/m)*} ((a d)/m)^n e(-a (D d^-1 + D' d + beta(r', r)) / m),
-    eps_m = 1 for m = 1 mod 4, else i: a Kloosterman sum at even rank and a
-    Salie sum at odd rank.  (Complete the square in lambda: L/mL = L#/mL# at
-    m prime to det, and the Gauss sum of beta mod m is the product of the
-    one-dimensional ones over a diagonalization.)  D, D' and beta(r', r) are
-    held as N times integers, N their common denominator, which is prime to
-    m.  Where D = 0 mod m, as at every Eisenstein c, the d-sum is a Ramanujan
-    sum or its twist by the Jacobi symbol, in closed form (`_unit_sum`).
-    Elsewhere the d-sum F_t(x) = sum_d (d/m)^n e((x d + t d^-1)/m), at
-    x = -a N D' and t = -a N D mod m, splits by CRT into
-    prod_{q = p^e || m} S_q(w_q x, w_q t), w_q = (m/q)^-1 mod q, each
-    `_prime_power_sum` memoized on (q, x mod q, t mod q) for this call only.
+
+def _good_part(data, det, p, e, b):
+    """F_q(b) at every target of data, at a prime power q = p^e prime to 2 det.
+
+    Here L/qL = L#/qL#, so lambda -> lambda - r - b V^-1 r' completes the square:
+    S(V, V G r + b G r'; q) = (V/q)^n g_q e(-V beta(r + b V^-1 r')/q), n the
+    rank, with g_q = eps_q^n q^(n/2) (det/q) (2/q)^n the Gauss sum of beta
+    mod q (the product of the one-dimensional ones over a diagonalization),
+    eps_q = 1 or i as q = 1 or 3 mod 4.  As beta(r) - n0 = D and beta(r') - m = D',
+      F_q(b) = g_q e(-b beta(r, r')/q) S_q(-D, -b^2 D'),
+    S_q the sum of `_prime_power_sum`, with D, D' and beta(r, r') read mod q
+    through their common denominator N, which is prime to q.
     """
-    rank, det, n_targets = lattice.rank, lattice.det, len(dps)
-    p0s = [p0 for _, _, p0 in data.targets]
-    big_n = math.lcm(*(q.denominator for q in [Fraction(D), *dps, *p0s]))
-    nd = int(D * big_n)
-    ndp = [int(q * big_n) for q in dps]
-    np0 = [int(q * big_n) for q in p0s]
-    local = cache(lambda p, e, x, t: _prime_power_sum(p, e, x, t, rank % 2))
-
-    def at(m):
-        if m == 1:
-            return lambda c_b: [1 + 0j] * n_targets
-        factors = factorize(m)
-        eps = (1, 1j, -1, -1j)[rank % 4] if m % 4 == 3 else 1
-        scale = eps * kronecker(det, m) * kronecker(2, m) ** rank * m ** (rank / 2)
-        parts = [(p, e, p**e, pow(m // p**e, -1, p**e)) for p, e in factors]
-
-        def k(c_b):
-            s = m - pow(c_b * big_n, -1, m)  # -a / N mod m
-            t = s * nd % m
-            sign = kronecker(c_b, m) if rank % 2 else 1
-            if t == 0:
-                return [(sign * scale) * unit_phase_ratio(s * v, m) * _unit_sum(m, factors, s * w % m, rank % 2)
-                        for v, w in zip(np0, ndp)]
-            return [(sign * scale) * unit_phase_ratio(s * v, m)
-                    * math.prod(local(p, e, w * s * x % q, w * t % q) for p, e, q, w in parts)
-                    for v, x in zip(np0, ndp)]
-
-        return k
-
-    return at
+    rank, q = data.rank, p**e
+    eps = (1, 1j, -1, -1j)[rank % 4] if q % 4 == 3 else 1
+    scale = eps * kronecker(det << rank, q) * q ** (rank / 2)  # (det/q) (2/q)^n = (2^n det/q)
+    ninv = pow(data.den, -1, q)
+    x = -data.nd * ninv % q  # -D mod q
+    out = []
+    for ndp, np0 in data.scaled:
+        t = -b * b * ndp * ninv % q
+        z = (_prime_power_memo if x and t else _prime_power_sum)(p, e, x, t, rank % 2)
+        out.append(scale * unit_phase_ratio(-b * np0 * ninv, q) * z)
+    return out
 
 
 class _HTable:
@@ -335,33 +295,29 @@ class _HTable:
 def _h_table(lattice, D, r, targets, c_max):
     """table[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first recursion.
 
-    Split c = c_g c_b with c_b | (2 det)^oo and c_g prime to 2 det.  By CRT on
-    (d, lambda), H_c = e(beta(r', r)/c) K W: K is `_closed_form` at m = c_g,
-    and W is `_bad_part` at the key (c_b, a), a = c_g^-1 mod c_b, formed once
-    per key in order of first c and never where c_b = 1 (W = 1 there).  The
-    leaf limit counts the Gauss-sum recursions of the distinct keys.  The
-    closed form runs grouped by c_g, so its set-up mod c_g is done once.
+    H_c = e(beta(r', r)/c) prod_{q = p^e || c} F_q(b_q), b_q = (c/q)^-1 mod q,
+    since 1/c = sum_q b_q/q mod 1.  At p | 2 det, F_q is `_bad_part`, formed
+    once per key (q, b) in order of first c, after the leaf limit has counted
+    the Gauss-sum recursions of every key; elsewhere it is `_good_part`, per c.
     """
     data = _sum_data(lattice, D, r, targets)
-    split = [_split(c, 2 * lattice.det) for c in range(1, c_max + 1)]
-    keys = dict.fromkeys((c_b, pow(c_g, -1, c_b)) for c_g, c_b in split if c_b > 1)
+    bad = 2 * lattice.det
+    local = [[(p, e, p**e, pow(c // p**e, -1, p**e)) for p, e in factorize(c)]
+             for c in range(1, c_max + 1)]
+    keys = dict.fromkeys((q, b) for factors in local for p, _, q, b in factors if bad % p == 0)
     _check_leaves(data, c_max, keys)
-    for c_b, a in keys:
-        keys[c_b, a] = _bad_part(data, c_b, a)
-    closed_form = _closed_form(lattice, D, data, [Fraction(Dp) for Dp, _ in targets])
+    for q, b in keys:
+        keys[q, b] = _bad_part(data, q, b)
     p0s = [(p0.numerator, p0.denominator) for _, _, p0 in data.targets]
     distinct_p0s = set(p0s)
     table = _HTable(len(targets), c_max)
-    by_m = {}
-    for c_g, c_b in split:
-        by_m.setdefault(c_g, []).append(c_b)
-    for c_g, c_bs in by_m.items():
-        k = closed_form(c_g)
-        for c_b in c_bs:
-            c = c_g * c_b
-            phases = {p0: unit_phase_ratio(p0[0], p0[1] * c) for p0 in distinct_p0s}
-            hs = [phases[p0] * z for z, p0 in zip(k(c_b), p0s)]
-            table.put(c, [h * w for h, w in zip(hs, keys[c_b, pow(c_g, -1, c_b)])] if c_b > 1 else hs)
+    for c, factors in enumerate(local, 1):
+        phases = {p0: unit_phase_ratio(p0[0], p0[1] * c) for p0 in distinct_p0s}
+        hs = [phases[p0] for p0 in p0s]
+        for p, e, q, b in factors:
+            parts = keys[q, b] if bad % p == 0 else _good_part(data, lattice.det, p, e, b)
+            hs = list(map(mul, hs, parts))
+        table.put(c, hs)
     return table
 
 

@@ -4,11 +4,11 @@ expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
 
 The c-sum, its guards and the expansion loop are Eisenstein's
 (`_series_coefficient`, `_series_expansion`, which shares one H_c table across
-the expansion: a Kloosterman or Salie sum on the part of c prime to 2 det,
-since D != 0 a CRT product of sums mod its prime powers, and Gauss sums by
-recursion per key (c_b, c_g^-1 mod c_b) on the rest, all in Python ints and
-complexes, so no Poincare request loads numpy); this module supplies the
-prefactor, the Bessel weight (memoized per argument) and the tail bound.
+the expansion: one local factor per prime power q of c, since D != 0 a
+Kloosterman or Salie sum mod q where q is prime to 2 det, and Gauss sums by
+recursion per key (q, (c/q)^-1 mod q) at the primes of 2 det, all in Python
+ints and complexes, so no Poincare request loads numpy); this module supplies
+the prefactor, the Bessel weight (memoized per argument) and the tail bound.
 """
 
 import math

@@ -120,11 +120,11 @@ def rep_count(key):
 
 def _d_tilde(x, D):
     dt = Fraction(D) * x.order**2
-    assert is_integral(dt)
+    if not is_integral(dt):
+        raise ValueError(f"(D={D}, x={x}) is not in supp(L): D ord(x)^2 = {dt} is not an integer")
     return int(dt)
 
 
-@lru_cache(maxsize=4096)
 def _stable_profile(lattice, x, D, p):
     """(w_p, [R_{p^0}, ..., R_{p^{w_p}}]) with the stabilization check enforced.
 

@@ -10,9 +10,9 @@ G lambda + h = 0 and sums the Gauss sum S(U, h; p) over the same walk, the
 Poincare oracle sums the defining series on a (tau, z) grid and Fourier-inverts
 it, the lattice-invariants oracle reads det off Bareiss with row swaps and
 the level off a Gauss-Jordan inverse in Fractions in place of the Smith form,
-the K-factor oracle sums the d-sum mod c_g by one FFT over all its units in
-place of the CRT into Salie and Kloosterman sums mod prime powers, and the
-walk keys of the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
+the local-factor oracle sums F_q(b) of H_c over the units V and lambda mod q
+in place of the closed form and the Gauss-sum recursion, and the walk keys of
+the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, the word oracle multiplies the rho(T) and rho(S) matrices
 in numpy, the averaging oracle adds the sigma_x as dense complex128
@@ -27,7 +27,6 @@ rep-document oracle lays a matrix out the way the CLI once built it, as
 import json
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,10 +40,8 @@ from jacobiforms import (
     trivial_coefficient_exact,
 )
 from jacobiforms.errors import DegenerateError, NotPositiveDefiniteError
-from jacobiforms.expsums import _unit_sum
-from jacobiforms.numbertheory import bernoulli, factorize, kronecker
-from jacobiforms.oracles import _inverses, _unit_array
-from jacobiforms.rationals import frac1, is_integral, unit_phase, unit_phase_ratio
+from jacobiforms.numbertheory import bernoulli, factorize
+from jacobiforms.rationals import frac1, is_integral, unit_phase
 
 
 def dirichlet_L_by_bernoulli_poly(n, chi):
@@ -336,87 +333,35 @@ def node_walk(gram, p, U, h):
 
 
 def walk_keys(det, c_max):
-    """The keys (c_b, (c / c_b)^-1 mod c_b) with c_b > 1 of the c <= c_max, in order of
-    first appearance; c_b is the part of c made of the primes dividing 2 det, read
-    off the factorization of c."""
-    bad = {p for p, _ in factorize(2 * det)}
+    """The keys (q, (c/q)^-1 mod q) of the c <= c_max, q = p^e || c with p | 2 det,
+    in order of first appearance and, within one c, of ascending p; read off the
+    factorization of each c."""
     keys = {}
     for c in range(1, c_max + 1):
-        c_b = math.prod(p**e for p, e in factorize(c) if p in bad)
-        if c_b > 1:
-            keys.setdefault((c_b, pow(c // c_b, -1, c_b)), None)
+        for p, e in factorize(c):
+            if 2 * det % p == 0:
+                keys.setdefault((p**e, pow(c // p**e, -1, p**e)), None)
     return list(keys)
 
 
-@lru_cache(maxsize=256)
-def _legendre_table(p):
-    """[(u/p) for u = 0..p-1] at an odd prime p, with -1 at u = 0, which no unit meets."""
-    table = -np.ones(p, dtype=np.int64)
-    table[np.arange(1, p) ** 2 % p] = 1
-    return table
-
-
-def _jacobi_symbols(units, m):
-    """The Jacobi symbol (u/m) at every unit u of an odd m."""
-    out = np.ones(len(units), dtype=np.int64)
-    for p, e in factorize(m):
-        if e % 2:
-            out *= _legendre_table(p)[units % p]
-    return out
-
-
-def k_factor_fft(lattice, D, data, dps):
-    """at(m)(c_b): the factor K of H_c at m = c_g, as `expsums._closed_form` gives it, per target.
-
-    Where D = 0 mod m it is the same Ramanujan-sum closed form.  Elsewhere only
-    D' varies the d-phase across targets, so one length-m FFT of
-    d -> ((a d)/m)^n e(-a D d^-1 / m) is read at -a D' for every target; it
-    depends on c_b only through -a D mod m.  No CRT into prime powers and no
-    Salie evaluation: the d-sum runs over every unit of m at once.
-    """
-    rank, det, n_targets = lattice.rank, lattice.det, len(dps)
-    p0s = [p0 for _, _, p0 in data.targets]
-    big_n = math.lcm(*(q.denominator for q in [Fraction(D), *dps, *p0s]))
-    nd = int(D * big_n)
-    ndp = [int(q * big_n) for q in dps]
-    np0 = [int(q * big_n) for q in p0s]
-    target_arrays = cache(lambda: (np.array(ndp, dtype=np.int64), np.array(np0, dtype=np.int64)))
-
-    def at(m):
-        if m == 1:
-            return lambda c_b: [1 + 0j] * n_targets
-        factors = factorize(m)
-        eps = (1, 1j, -1, -1j)[rank % 4] if m % 4 == 3 else 1
-        scale = eps * kronecker(det, m) * kronecker(2, m) ** rank * m ** (rank / 2)
-        ffts = {}
-
-        @cache
-        def arrays():  # the units mod m, their inverses, the m-th roots of unity, chi(units)
-            units = _unit_array(m)
-            chi = _jacobi_symbols(units, m) if rank % 2 else 1
-            return units, _inverses(units, m), np.exp((2j * np.pi / m) * np.arange(m)), chi
-
-        def fft(t):  # [x] -> sum_d (d/m)^n e((x d + t d^-1)/m)
-            if t not in ffts:
-                units, inv, roots, chi = arrays()
-                f = np.zeros(m, dtype=complex)
-                f[units] = roots[t * inv % m] * chi
-                ffts[t] = np.fft.ifft(f, norm="forward")
-            return ffts[t]
-
-        def k(c_b):
-            s = m - pow(c_b * big_n, -1, m)  # -a / N mod m
-            t = s * nd % m
-            sign = kronecker(c_b, m) if rank % 2 else 1
-            if t == 0:
-                return [(sign * scale) * unit_phase_ratio(s * v, m) * _unit_sum(m, factors, s * w % m, rank % 2)
-                        for v, w in zip(np0, ndp)]
-            ndp_array, np0_array = target_arrays()
-            return ((sign * scale) * arrays()[2][s * np0_array % m] * fft(t)[s * ndp_array % m]).tolist()
-
-        return k
-
-    return at
+def local_factor_sum(lattice, D, r, Dp, rp, q, b):
+    """F_q(b) = sum_{V in (Z/q)*} e((V n0 + m b^2 V^-1)/q) sum_{lambda mod q}
+    e((V beta(lambda) + (V G r + b G r').lambda)/q), n0 = beta(r) - D and
+    m = beta(r') - D': the double sum, with every exponent counted mod q over
+    (V, lambda) before the counts meet the exact q-th roots of unity."""
+    gx, gp = (tuple(int(v) for v in lattice.gram_times(x.rep)) for x in (r, rp))
+    n0, m = int(lattice.beta(r.rep) - D), int(lattice.beta(rp.rep) - Dp)
+    points = [(lam, sum(g * a * c for row, a in zip(lattice.gram, lam) for g, c in zip(row, lam)) // 2)
+              for lam in product(range(q), repeat=lattice.rank)]
+    counts = [0] * q
+    for V in range(1, q):
+        if math.gcd(V, q) > 1:
+            continue
+        base = V * n0 + m * b * b * pow(V, -1, q)
+        h = [V * x + b * y for x, y in zip(gx, gp)]
+        for lam, beta in points:
+            counts[(base + V * beta + sum(hi * v for hi, v in zip(h, lam))) % q] += 1
+    return sum(n * unit_phase(Fraction(j, q)) for j, n in enumerate(counts) if n)
 
 
 def _beta_mod1(lattice, x):

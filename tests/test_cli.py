@@ -222,7 +222,7 @@ class TestEisensteinCommand:
         # on E8 + E8 the a-priori tail is infinite for every k <= rank + 1 = 17:
         # refused before the first term, not after summing the whole c-sum
         monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
-        monkeypatch.setattr(expsums, "_closed_form", _no_h_c)
+        monkeypatch.setattr(expsums, "_good_part", _no_h_c)
         e8 = GOLDEN_GRAMS["E8"]
         gram = [row + [0] * 8 for row in e8] + [[0] * 8 + row for row in e8]
         path = tmp_path / "E8x2.json"
@@ -255,7 +255,7 @@ class TestEisensteinCommand:
         assert "'a,b,...'" in err["message"]
 
     def test_over_limit_c_sum_exits_3(self, tmp_path, capsys, monkeypatch):
-        # 2 E8 is 0 mod 2, so at c_b = 2^j each of the phi(c_b) units takes
+        # 2 E8 is 0 mod 2, so at q = 2^j each of the phi(q) units takes
         # 2^(8 floor(j/2)) Gauss-sum leaves: refused before the first recursion.
         # k = 10 > rank + 1 keeps the tail finite, which would be refused first
         monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
@@ -268,7 +268,7 @@ class TestEisensteinCommand:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceLimitError"
-        leaves = sum(c_b // 2 * 2 ** (8 * ((c_b.bit_length() - 1) // 2)) for c_b, _ in walk_keys(2**8, 1000))
+        leaves = sum(q // 2 * 2 ** (8 * ((q.bit_length() - 1) // 2)) for q, _ in walk_keys(2**8, 1000))
         assert f" {leaves} leaves" in err["message"]
 
     def test_numeric_output_matches_golden_bytes(self, tmp_path):

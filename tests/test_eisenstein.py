@@ -306,17 +306,17 @@ class TestSharedWalk:
             assert expansion.entries[idx] == lone, idx
 
     def test_expansion_walks_once_per_c(self, a1_scaled4, monkeypatch):
-        # one Gauss-sum recursion per key (c_b, c_g^-1 mod c_b) for all 16
+        # one Gauss-sum recursion per key (q, (c/q)^-1 mod q) for all 16
         # coefficients, and none at a c prime to 2 det = 16: the odd c are all closed form
         walks = []
         bad_part = expsums._bad_part
 
-        def counted(data, c_b, a):
-            walks.append(c_b)
-            return bad_part(data, c_b, a)
+        def counted(data, q, b):
+            walks.append(q)
+            return bad_part(data, q, b)
 
         monkeypatch.setattr(expsums, "_bad_part", counted)
         spec = EisensteinSpec(lattice=a1_scaled4, k=10, r=a1_scaled4.disc_group.element((4,)))
         expansion = eisenstein_expansion(spec, 2, "numeric", c_max=40)
         assert sum(idx.D < 0 for idx in expansion.entries) == 16
-        assert walks == [c_b for c_b, _ in walk_keys(8, 40)] == [2, 4, 8, 4, 16, 8, 32, 8]
+        assert walks == [q for q, _ in walk_keys(8, 40)] == [2, 4, 8, 4, 16, 8, 32, 8]

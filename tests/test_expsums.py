@@ -37,7 +37,7 @@ from jacobiforms.oracles import H_POINT_LIMIT, good_prime_factor, lattice_sum_ff
 from jacobiforms.rationals import unit_phase, unit_phase_ratio
 from jacobiforms.repcounts import bad_primes
 
-from oracles import k_factor_fft, node_walk, rep_count_enumerate, walk_keys, zeros_mod_p_walk
+from oracles import local_factor_sum, node_walk, rep_count_enumerate, walk_keys, zeros_mod_p_walk
 
 _SHIPPED = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
 _A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
@@ -226,17 +226,17 @@ class TestSeriesGuard:
         class FirstRecursion(Exception):
             pass
 
-        def no_terms(data, c_b, a):
+        def no_terms(data, q, b):
             raise FirstRecursion
 
         monkeypatch.setattr(expsums, "_bad_part", no_terms)
-        # at c_b = 2^j the recursion branches into the 2^k points of the radical of
-        # G mod 2 at each of floor(j/2) levels, for each of the phi(c_b) units: 2 E8
+        # at q = 2^j the recursion branches into the 2^k points of the radical of
+        # G mod 2 at each of floor(j/2) levels, for each of the phi(q) units: 2 E8
         # (G = 0 mod 2, k = 8) at c <= 1000 is refused before its first recursion;
         # weight 10 > rank + 1 keeps the tail finite, which would be refused first
         def leaves(lattice, k):
-            return sum(c_b // 2 * 2 ** (k * ((c_b.bit_length() - 1) // 2))
-                       for c_b, _ in walk_keys(lattice.det, 1000))
+            return sum(q // 2 * 2 ** (k * ((q.bit_length() - 1) // 2))
+                       for q, _ in walk_keys(lattice.det, 1000))
 
         two_e8 = make_lattice([[2 * v for v in row] for row in e8.gram])
         assert leaves(two_e8, 8) > H_LEAF_LIMIT
@@ -257,22 +257,21 @@ class TestSeriesGuard:
 
 
 # the lattices of the closed-form checks, with the c they run to: every c <= 60
-# at ranks 1-2 and <= 30 at ranks 3-4, c = 12, 24, 36 mixed wherever they occur
+# at ranks 1-2 and <= 30 at ranks 3-4.  Every c made of good and bad primes
+# occurs, and on [[6]] (2 det = 12), [[10]] (20) and [[4, 1], [1, 4]] (30) the
+# part of c at the primes of 2 det has two or three prime powers
 _CLOSED_FORM_LATTICES = (
     ([[2]], 60), ([[6]], 60), ([[8]], 60), ([[2, 1], [1, 2]], 60), ([[2, 0], [0, 2]], 60),
-    ([[4, 1], [1, 6]], 60), (_A3, 30), (_D4, 30),
+    ([[4, 1], [1, 6]], 60), (_A3, 30), (_D4, 30), ([[10]], 60), ([[4, 1], [1, 4]], 60),
 )
-# odd primes up to 43, a mix of 1 and 3 mod 4: good primes of every 2-adic
-# lattice, with prime powers up to 3^5, 7^3 and 11^2 below 2000
-_K_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("gram, c_max", _CLOSED_FORM_LATTICES)
     def test_table_matches_walk_and_definition(self, gram, c_max):
-        # H_c = e(beta(r', r)/c) K W: K in closed form on the part of c prime to
-        # 2 det, W walked on the rest; against the whole walk of lattice_sum_fft
-        # at every c and the (d, lambda) double sum where it is small
+        # H_c = e(beta(r', r)/c) prod_q F_q(b_q): F_q in closed form at the q prime
+        # to 2 det, by the Gauss-sum recursion at the rest; against the whole walk
+        # of lattice_sum_fft at every c and the (d, lambda) double sum where it is small
         lat = make_lattice(gram)
         rng = random.Random(len(gram) * 100 + c_max)
         supp = _negative_supp(lat, 2)
@@ -343,8 +342,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("odd", [0, 1])
     def test_prime_power_sum_matches_definition(self, p, e, odd):
         # S_q(x, t) at every (x, t) mod q against its defining sum over the units
-        # with exact Fraction phases: the Salie form, the x <-> t swap, p | x with
-        # p not dividing t, and the direct sums all occur
+        # with exact Fraction phases: the Ramanujan sums and their twists, the
+        # Salie form, the x <-> t swap, p | x with p not dividing t, and the
+        # direct sums all occur
         q = p**e
         seen = set()
         for x, t in product(range(q), repeat=2):
@@ -353,57 +353,39 @@ class TestClosedForm:
             got = expsums._prime_power_sum(p, e, x, t, odd)
             assert got == pytest.approx(want, abs=1e-11 * q), (x, t)
             closed = bool(odd or e % 2 == 0) and bool(t % p or x % p)
-            seen.add("direct" if not closed else "swap" if t % p == 0 else "p | x" if x % p == 0 else "salie")
-        assert seen == ({"salie", "swap", "p | x", "direct"} if odd or e % 2 == 0 else {"direct"})
+            seen.add("ramanujan" if x % q == 0 or t % q == 0 else "direct" if not closed
+                     else "swap" if t % p == 0 else "p | x" if x % p == 0 else "salie")
+        # at e = 1, p | x means q | x: the Ramanujan sums take every such case
+        if not (odd or e % 2 == 0):
+            assert seen == {"ramanujan", "direct"}
+        else:
+            assert seen == {"ramanujan", "salie"} | ({"swap", "p | x", "direct"} if e > 1 else set())
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_k_matches_fft_oracle(self, data):
-        # K at random odd m <= 2000 prime to 2 det (only p = 2 is bad on these
-        # lattices), at both parities of rank, against the FFT over all units of
-        # m.  The first prime power q0 = p0^e0 of m has e0 in {1, 2, 3}, and D and
-        # D' are drawn with p0 dividing N D, N D', both or neither, so the x <-> t
-        # swap and p0 | gcd(x, t) occur, and q0 = 3 mod 4 whenever p0 is.  m takes
-        # another prime where it fits, so t = 0 mod q0 need not mean t = 0 mod m
-        gram = data.draw(st.sampled_from([[[2]], [[2, 0], [0, 2]], _A3, _D4]))
+    @pytest.mark.parametrize("gram", [[[2]], [[6]], [[2, 1], [1, 2]], [[4, 1], [1, 4]], _A3])
+    def test_local_factors_match_double_sum(self, gram):
+        # F_q(b) at the q = p^e, e <= 3, prime to 2 det (the closed form) and at
+        # the rest (the Gauss-sum recursion), against the double sum over V and
+        # lambda mod q, at D = 0 and D != 0 and a few units b.  D' runs to -3, so
+        # D' = 0 mod 3 (a Ramanujan sum at D != 0) and p | D at q = 9 occur
         lat = make_lattice(gram)
-        p0, e0 = data.draw(st.sampled_from([(p, e) for p in _K_PRIMES for e in (1, 2, 3) if p**e <= 2000]))
-        m = p0**e0
-        others = [p for p in _K_PRIMES if p != p0]
-        for p in data.draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True)):
-            e = data.draw(st.integers(1, 5))
-            if m * p**e <= 2000:
-                m *= p**e
-        case = data.draw(st.sampled_from(["gcd", "swap", "x", "plain"]))
-        group = list(lat.disc_group)
-
-        def pair(divisible):  # (D, r) with p0^j | N D when `divisible`, N the level
-            r = data.draw(st.sampled_from(group))
-            num = r.beta_mod1.numerator * (lat.level // r.beta_mod1.denominator)
-            u = data.draw(st.integers(1, 40))
-            if not divisible:
-                return r.beta_mod1 - u, r
-            j = data.draw(st.integers(1, e0))
-            n = num * pow(lat.level, -1, p0**j) % p0**j + p0**j * u  # N (beta(r) - n) = 0 mod p0^j
-            return r.beta_mod1 - n, r
-
-        D, r = pair(case in ("gcd", "swap"))
-        targets = [pair(case in ("gcd", "x")) for _ in range(3)]
-        c_b = 2 ** data.draw(st.integers(0, 5))
-        sums = expsums._sum_data(lat, D, r, targets)
-        dps = [Dp for Dp, _ in targets]
-        got = expsums._closed_form(lat, D, sums, dps)(m)(c_b)
-        want = k_factor_fft(lat, D, sums, dps)(m)(c_b)
-        for a, b in zip(got, want):
-            assert a == pytest.approx(b, abs=1e-9 * m ** (lat.rank / 2 + 1)), (gram, D, targets, m, c_b)
-
-    def test_mixed_c_split(self):
-        # c_b collects the primes of 2 det, c_g the rest
-        assert expsums._split(12, 6) == (1, 12)
-        assert expsums._split(24, 4) == (3, 8)
-        assert expsums._split(36, 16) == (9, 4)
-        assert expsums._split(35, 6) == (35, 1)
-        assert expsums._split(1, 6) == (1, 1)
+        supp = _negative_supp(lat, 3)
+        sources = [(Fraction(0), lat.disc_group.zero), (supp[0].D, supp[0].x), (supp[-1].D, supp[-1].x)]
+        targets = [(idx.D, idx.x) for idx in supp[::max(1, len(supp) // 4)]]
+        seen = set()
+        for p, e in product((2, 3, 5, 7), (1, 2, 3)):
+            q = p**e
+            if q ** (lat.rank + 1) > 10**5:
+                continue
+            good = 2 * lat.det % p != 0
+            seen.add(good)
+            for D, r in sources:
+                data = expsums._sum_data(lat, D, r, targets)
+                for b in sorted({b for b in (1, 2, q - 1) if b % p}):
+                    got = expsums._good_part(data, lat.det, p, e, b) if good else expsums._bad_part(data, q, b)
+                    for (Dp, rp), z in zip(targets, got):
+                        want = local_factor_sum(lat, D, r, Dp, rp, q, b)
+                        assert z == pytest.approx(want, abs=1e-9 * q ** (lat.rank / 2 + 1)), (q, b, D, r, Dp, rp)
+        assert seen == {True, False}
 
 
 class TestRepCount:
@@ -655,12 +637,8 @@ class TestLocalFactor:
         D = Fraction(-7)
         p = 9973
         monkeypatch.setattr(repcounts, "_prime_power_counts", lambda lattice, x, D: lambda q, l: l + 2)
-        repcounts._stable_profile.cache_clear()
-        try:
-            with pytest.raises(StabilizationFailureError):
-                local_factor(a1, x0, D, p, 3)
-        finally:
-            repcounts._stable_profile.cache_clear()
+        with pytest.raises(StabilizationFailureError):
+            local_factor(a1, x0, D, p, 3)
 
 
 class TestDirichletSeries:
@@ -708,6 +686,9 @@ class TestSupportPairs:
                 repcounts.representation_numbers(a1, x, D, 10)
             with pytest.raises(ValueError, match="supp"):
                 dirichlet_series_partial(a1, x, D, 3.0, 100)
+        # D ord(x)^2 = -1/2 is not an integer: refused by name, not by an assert
+        with pytest.raises(ValueError, match=r"\(D=-1/2, x=.*\) is not in supp"):
+            bad_primes(a1, a1.disc_group.zero, Fraction(-1, 2))
 
     def test_sums_refuse_pairs_off_support(self, a1):
         good = (Fraction(-1), a1.disc_group.zero)

@@ -181,19 +181,19 @@ class TestSharedWalk:
             assert value == poincare_coefficient(spec, idx.D, idx.x, c_max).value, idx
 
     def test_expansion_walks_once_per_c(self, a2, monkeypatch):
-        # one Gauss-sum recursion per key (c_b, c_g^-1 mod c_b) for all 6
-        # coefficients, at the c_b > 1 made of 2 and 3 only, and none at a c prime
-        # to 2 det = 6
+        # one Gauss-sum recursion per key (q, (c/q)^-1 mod q) for all 6
+        # coefficients, at the powers q of 2 and 3 only, and none at a prime
+        # power of c prime to 2 det = 6
         walks = []
         bad_part = expsums._bad_part
 
-        def counted(data, c_b, a):
-            walks.append(c_b)
-            return bad_part(data, c_b, a)
+        def counted(data, q, b):
+            walks.append(q)
+            return bad_part(data, q, b)
 
         monkeypatch.setattr(expsums, "_bad_part", counted)
         spec = PoincareSpec(lattice=a2, k=10, D=Fraction(-2, 3), r=a2.disc_group.element((1,)))
         expansion = poincare_expansion(spec, 2, 30)
         assert len(expansion.entries) == 6
-        assert walks == [c_b for c_b, _ in walk_keys(3, 30)]
-        assert len(walks) == 14 and all(c > 1 and 6**10 % c == 0 for c in walks)
+        assert walks == [q for q, _ in walk_keys(3, 30)]
+        assert len(walks) == 11 and all(q in {p**e for p in (2, 3) for e in range(1, 5)} for q in walks)
