@@ -39,7 +39,7 @@ from .errors import (
     OutOfRangeError,
     TailTooLargeError,
 )
-from .lattice import FourierExpansion, FourierIndex, coset_points, enumerate_supp, isotropy_set
+from .lattice import FourierExpansion, FourierIndex, coset_points, enumerate_supp
 from .numbertheory import (
     QuadChar,
     bernoulli,
@@ -102,10 +102,11 @@ def singular_term(spec, n_max):
     """D = 0 part of the Eisenstein expansion: (delta(r,x) + (-1)^k delta(-r,x)) / 2."""
     n_max = Fraction(n_max)
     sign = (-1) ** spec.k
-    neg_r = spec.lattice.disc_group.neg(spec.r)
+    group = spec.lattice.disc_group
+    neg_r = group.neg(spec.r)
     entries = {}
     if n_max >= 0:
-        for x in isotropy_set(spec.lattice):
+        for x in sorted({spec.r, neg_r}, key=group.index):
             val = Fraction(int(x == spec.r) + sign * int(x == neg_r), 2)
             if val:
                 entries[FourierIndex(D=Fraction(0), x=x)] = val

@@ -5,13 +5,13 @@ An `EvenLattice` is a validated integer Gram matrix together with its cached
 invariants (rank, determinant, level, discriminant Delta).  They come from one
 Smith normal form U G V = diag(d) of the Gram matrix: the determinant is the
 product of the d_i, and the level is read off the pairings of the cyclic
-generators of L#/L, the columns of V over d_i.  A swap-free Bareiss pass gives
-the leading principal minors up to the first non-positive one.  L#/L is built
+generators of L#/L, the columns of V over d_i.  One swap-free Bareiss pass
+gives the leading principal minors and, kept, the LDL^t of `coset_points`.  L#/L is built
 on first use from the same Smith data, in canonical cyclic coordinates, and
 kept as the generators' pairing matrix and norms mod the level, in Python ints
 (see `DiscriminantGroup`), from which elements, pairings and indices are
 computed without numpy, and so are the per-class data behind the Weil
-matrices and the isotropy set.  A `DiscElement` (equality is coordinate
+matrices, the isotropy set and supp(L).  A `DiscElement` (equality is coordinate
 equality) is built only when asked for.  `support_data` tests a support
 pair (D, r) and reduces it to the integers beta(r) - D and G r, for the
 Hensel counts of `repcounts` and the sums of `expsums` alike; the node mod p
@@ -46,25 +46,22 @@ from .rationals import (
 
 # -- integer linear algebra ----------------------------------------------------
 
-def _leading_minors(mat):
-    """Leading principal minors of an integer matrix, up to the first non-positive one.
-
-    Bareiss's fraction-free elimination without row swaps: its k-th pivot is
-    the k-th leading principal minor.  The pass stops at the first pivot <= 0,
-    the one a positive-definiteness check reports.
-    """
+def _bareiss_rows(mat):
+    """Pivot rows of Bareiss's fraction-free elimination without row swaps, up to the
+    first pivot <= 0, the one a positive-definiteness check reports.  Pivot a_kk is
+    the leading principal minor M_k of size k + 1, and the rows give the LDL^t
+    d_k = M_k / M_{k-1}, u_kj = a_kj / M_k (j > k)."""
     a = [list(row) for row in mat]
     n = len(a)
-    minors, prev = [], 1
+    prev = 1
     for k in range(n):
-        minors.append(a[k][k])
         if a[k][k] <= 0:
-            break
+            return a[:k + 1]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return minors
+    return a
 
 
 def _matmul(a, b):
@@ -141,12 +138,12 @@ def smith_normal_form(mat):
 class EvenLattice(Frozen):
     """Validated even positive-definite lattice with cached invariants.
 
-    Not compared: `smith` is (d, U, V) with U G V = diag(d), and
-    `generator_pairings` the beta(g_i, g_j) of g_i = V e_i / d_i, d_i > 1.
+    Not compared: `smith` is (d, U, V) with U G V = diag(d), `generator_pairings`
+    the beta(g_i, g_j) of g_i = V e_i / d_i, d_i > 1, and `bareiss_rows` G's.
     """
 
     _fields = ("gram", "rank", "det", "level", "delta")
-    _extra = ("smith", "generator_pairings")
+    _extra = ("smith", "generator_pairings", "bareiss_rows")
 
     def beta(self, r):
         """Quadratic form beta(r) = r^t G r / 2 as an exact rational."""
@@ -359,7 +356,7 @@ def make_lattice(gram):
 
     Checks, in order: squareness and integrality, symmetry, even diagonal,
     non-degeneracy (a zero Smith invariant d_i), positive definiteness via the
-    exact leading principal minors.  The one Smith form U G V = diag(d) then
+    pivots of one Bareiss pass, kept.  The one Smith form U G V = diag(d) then
     gives det = prod d_i and the pairings of the generators of L#/L, which
     give the level and are kept for `DiscriminantGroup`.
     """
@@ -388,9 +385,9 @@ def make_lattice(gram):
     diag, u, v = smith_normal_form(mat)
     if 0 in diag:
         raise DegenerateError("Gram matrix is singular")
-    for k, minor in enumerate(_leading_minors(mat), start=1):
-        if minor <= 0:
-            raise NotPositiveDefiniteError(k, minor)
+    rows = _bareiss_rows(mat)
+    if rows[-1][len(rows) - 1] <= 0:
+        raise NotPositiveDefiniteError(len(rows), rows[-1][len(rows) - 1])
     det = math.prod(diag)
     delta = (-1) ** (n // 2) * (1 + n % 2) * det
     assert delta % 4 in ((0, 1) if n % 2 == 0 else (0,))
@@ -412,6 +409,7 @@ def make_lattice(gram):
         delta=delta,
         smith=(diag, u, v),
         generator_pairings=pairings,
+        bareiss_rows=rows,
     )
 
 
@@ -466,19 +464,18 @@ def lattice_character(lattice, D, a):
 def enumerate_supp(lattice, n_max):
     """All (D, x) with D <= 0, D = beta(x) mod Z and beta(x) - D <= n_max.
 
-    Sorted by (q-exponent, x-coordinates).
+    Sorted by (q-exponent, x-coordinates): one pass over the classes and their
+    `beta_numerators` per q-exponent n = beta(x) - D, only isotropic ones at n = 0.
     """
     n_max = Fraction(n_max)
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    group, level = lattice.disc_group, lattice.level
+    classes = list(zip(group.classes(), group.beta_numerators()))
     out = []
-    for x in lattice.disc_group:
-        # D = beta(x) - n <= 0 with integral n forces n >= ceil(beta mod 1)
-        n = 0 if x.beta_mod1 == 0 else 1
-        while n <= n_max:
-            out.append(FourierIndex(D=x.beta_mod1 - n, x=x))
-            n += 1
-    out.sort(key=lambda idx: (idx.qexp, idx.x.coords))
+    for n in range(math.floor(n_max) + 1):
+        out += [FourierIndex(D=Fraction(b, level) - n, x=group.element(c))
+                for c, b in classes if n or not b]
     return out
 
 
@@ -486,23 +483,16 @@ def coset_points(lattice, x, bound):
     """All dual vectors r = x mod L with beta(r) <= bound.
 
     Complete and duplicate-free, by exact rational LDL^t box bounds swept with
-    integer loops (no floating point in the pruning decisions).
+    integer loops (no floating point in the pruning decisions), and the LDL^t
+    r^t G r = sum_i d_i (r_i + sum_{j>i} u_ij r_j)^2 from the Bareiss rows.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    n = lattice.rank
-    # LDL^t data: r^t G r = sum_i d_i (r_i + sum_{j>i} u_ij r_j)^2
-    a = [[Fraction(lattice.gram[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / a[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] -= a[r][i] * a[i][c] / a[i][i]
+    n, rows = lattice.rank, lattice.bareiss_rows
+    minors = [1] + [row[i] for i, row in enumerate(rows)]
+    d = [Fraction(minors[i + 1], minors[i]) for i in range(n)]
+    u = [[Fraction(rows[i][j], minors[i + 1]) for j in range(n)] for i in range(n)]
     shift = x.rep if isinstance(x, DiscElement) else tuple(Fraction(t) for t in x)
     points = []
     coords = [Fraction(0)] * n

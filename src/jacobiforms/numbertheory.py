@@ -2,6 +2,9 @@
 L-values at non-positive integers, discriminant decompositions, divisor sums,
 Gamma at half-integers and J-Bessel evaluation.
 
+The Bernoulli numbers come from one table of tangent numbers in Python ints,
+grown on demand, and each L-value L(-n, chi) is memoized per (n, chi).
+
 All arithmetic that feeds exact coefficient formulas returns
 `fractions.Fraction`; only the Bessel/zeta helpers are floating point.  Those
 take small-argument Bessel values from the float power series, half-integer
@@ -180,19 +183,38 @@ def sigma_twisted(chi, t, n):
     return total
 
 
-@lru_cache(maxsize=None)
+_BERNOULLI_EVEN = [Fraction(1)]  # B_0, B_2, ..., grown by `_grow_bernoulli`
+
+
+def _grow_bernoulli(m):
+    """Extend the table to B_0, B_2, ..., B_2m from the tangent numbers T_1..T_m.
+
+    Brent and Harvey's recurrence builds T_k in Python ints in O(m^2) steps, and
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    """
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    _BERNOULLI_EVEN[len(_BERNOULLI_EVEN):] = [
+        Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+        for k in range(len(_BERNOULLI_EVEN), m + 1)]
+
+
 def bernoulli(n):
-    """n-th Bernoulli number as an exact rational (B_1 = -1/2)."""
+    """n-th Bernoulli number as an exact rational (B_1 = -1/2), from one table that
+    grows, at least twofold, only when a larger index is asked for."""
     if n < 0:
         raise ValueError("bernoulli expects n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n > 1 and n % 2 == 1:
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
         return Fraction(0)
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n + 1, j) * bernoulli(j)
-    return -total / (n + 1)
+    if n // 2 >= len(_BERNOULLI_EVEN):
+        _grow_bernoulli(max(n // 2, 2 * len(_BERNOULLI_EVEN)))
+    return _BERNOULLI_EVEN[n // 2]
 
 
 def bernoulli_poly(n, x):
@@ -204,6 +226,7 @@ def bernoulli_poly(n, x):
     return total
 
 
+@lru_cache(maxsize=4096)
 def dirichlet_L_nonpositive(n, chi):
     """L(-n, chi_f) as an exact rational, for n >= 0.
 

@@ -24,10 +24,21 @@ def parse_rational(text):
         raise ValidationError(f"expected a rational 'p/q' or an integer, got {text!r}") from exc
 
 
+def _digits(n):
+    """str(n) at every size: past Python's limit on int-to-string conversion the
+    digits come from `decimal`, which has none."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 def format_rational(q):
-    """Canonical 'p/q' string with positive denominator."""
+    """Canonical 'p/q' string with positive denominator, every part in full."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def frac1(q):

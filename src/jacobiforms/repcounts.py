@@ -8,8 +8,8 @@ nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p.  Each node is
 counted and its singular zeros listed by `modp.mod_p_node`, the node mod p
 that the Gauss sums of `expsums` read too, in closed form at every p (by the
-Arf invariant of beta mod 2 at p = 2).  Its singular zeros are listed only
-where they recurse, at e >= 2, and e = 1 takes the count alone.
+Arf invariant of beta mod 2 at p = 2).  Its coset is listed only where the
+singular zeros recurse, at e >= 2, and e = 1 takes the count alone.
 This recursion is the one route to R_{p^e}, at good and bad primes alike, and
 the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable
 profiles behind the local factors and the R_b of the Dirichlet series
@@ -50,48 +50,39 @@ class RepCountKey(Frozen):
         support_data(self.lattice, self.D, self.x)
 
 
-@lru_cache(maxsize=4096)
-def _zeros_mod_p(gram, p, g, n):
-    """(number of nonsingular zeros, the singular ones in lexicographic order) of
-    Q(lambda) = beta(lambda) + g.lambda + n mod p, g and n reduced mod p: the
-    singular zeros, grad Q = G lambda + g = 0, are the points of solve(g) where
-    Q = 0.  At odd p, Q is constant on that coset, listed only if Q(base) = 0."""
-    node = mod_p_node(gram, p)
-    lam0 = node.base(g)
-    if lam0 is None or p > 2 and (_int_beta(gram, lam0) + sum(map(mul, g, lam0)) + n) % p:
-        return node.zeros(g, n), ()
-    singular = sorted(tuple(v % p for v in lam) for lam, beta, _ in node.solve(g)
-                      if (beta + sum(map(mul, g, lam)) + n) % p == 0)
-    return node.zeros(g, n) - len(singular), tuple(singular)
-
-
 @lru_cache(maxsize=1 << 16)
 def _hensel_count(gram, p, g, n, e):
-    """#{lambda mod p^e : beta(lambda) + g.lambda + n = 0 mod p^e}, g and n reduced mod p^e.
+    """#{lambda mod p^e : Q(lambda) = beta(lambda) + g.lambda + n = 0 mod p^e}, g, n mod p^e.
 
     With Q(lambda0 + p mu) = Q(lambda0) + p grad Q(lambda0).mu + p^2 beta(mu)
     (exact, beta integral on L), a zero lambda0 mod p is counted as:
     nonsingular -> p^((e-1)(rank-1)) lifts; singular at e = 1 -> 1, so e = 1
     is the count of zeros mod p and lists none; singular with p^2 | Q(lambda0)
     -> p^rank times the count of the reduced form (grad/p, Q/p^2) mod p^(e-2);
-    any other singular zero -> none.
+    any other singular zero -> none.  The singular zeros (grad Q = G lambda + g
+    = 0 mod p) are the points of the node's coset solve(g) where Q = 0, with
+    Q mod p^2 the same at each representative; at odd p, Q is constant mod p
+    on that coset, which is listed only if Q(base) = 0.
     """
     if e == 0:
         return 1
+    node = mod_p_node(gram, p)
+    g1, n1 = tuple(v % p for v in g), n % p
     if e == 1:
-        return mod_p_node(gram, p).zeros(tuple(v % p for v in g), n % p)
-    rank = len(gram)
-    nonsingular, singular = _zeros_mod_p(gram, p, tuple(v % p for v in g), n % p)
-    total = nonsingular * p ** ((e - 1) * (rank - 1))
+        return node.zeros(g1, n1)
+    lift = p ** ((e - 1) * (len(gram) - 1))
+    total = node.zeros(g1, n1) * lift  # every zero counted as nonsingular, then corrected
+    lam0 = node.base(g1)
+    if lam0 is None or p > 2 and (_int_beta(gram, lam0) + sum(map(mul, g1, lam0)) + n1) % p:
+        return total
     sub = p ** (e - 2)
-    for lam in singular:
-        value = _int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n
-        if value % (p * p):
-            continue
-        grad = (sum(gij * v for gij, v in zip(row, lam)) + gi for row, gi in zip(gram, g))
-        total += p**rank * _hensel_count(
-            gram, p, tuple(v // p % sub for v in grad), value // (p * p) % sub, e - 2
-        )
+    for lam, beta, glam in node.solve(g1):
+        value = beta + sum(map(mul, g, lam)) + n
+        if value % p == 0:
+            total -= lift
+            if value % (p * p) == 0:
+                grad = tuple((a + b) // p % sub for a, b in zip(glam, g))
+                total += p ** len(gram) * _hensel_count(gram, p, grad, value // p**2 % sub, e - 2)
     return total
 
 

@@ -19,14 +19,16 @@ in numpy, the averaging oracle adds the sigma_x as dense complex128
 arrays and divides by N^2, and the case-formula oracle is the order-2/3/4/6
 case analysis of the averaging identity, each in place of the integer
 discriminant form, the gather from one column, the sparse sum and the Moebius relation.  The L-value oracle sums one Bernoulli
-polynomial per residue in Fractions, in place of the integer power sums.  The
-rep-document oracle lays a matrix out the way the CLI once built it, as
+polynomial per residue in Fractions, in place of the integer power sums, and
+the Bernoulli oracle runs the defining recurrence of B_n in place of the
+tangent numbers.  The rep-document oracle lays a matrix out the way the CLI once built it, as
 {"re", "im"} dicts through json.dumps, in place of the streamed row renderer.
 """
 
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -42,6 +44,16 @@ from jacobiforms import (
 from jacobiforms.errors import DegenerateError, NotPositiveDefiniteError
 from jacobiforms.numbertheory import bernoulli, factorize
 from jacobiforms.rationals import frac1, is_integral, unit_phase
+
+
+@lru_cache(maxsize=None)
+def bernoulli_by_recurrence(n):
+    """B_n from sum_{j <= n} C(n+1, j) B_j = 0 (so B_1 = -1/2), in Fractions."""
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, j) * bernoulli_by_recurrence(j) for j in range(n)) / (n + 1)
 
 
 def dirichlet_L_by_bernoulli_poly(n, chi):

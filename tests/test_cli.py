@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import jacobiforms
 from jacobiforms import expsums, make_lattice
 from jacobiforms.cli import _rep_chunks, main
-from jacobiforms.rationals import parse_rational
+from jacobiforms.rationals import format_rational, parse_rational
 from jacobiforms.weilrep import averaging_matrix, rho_word, schrodinger_matrix
 
 from childenv import child_env
@@ -136,6 +138,27 @@ class TestEisensteinCommand:
         doc = json.loads(out_path.read_text())
         values = sorted(parse_rational(e["value"]) for e in doc["entries"])
         assert values == [1, 56, 126]
+
+    def test_format_rational_prints_every_digit(self):
+        # parts of 5001 and 5002 digits, over Python's default limit of 4300 on
+        # int-to-string conversion
+        assert format_rational(Fraction(-(10**5000 + 7), 3)) == "-1" + "0" * 4999 + "7/3"
+        assert format_rational(Fraction(1, 2 * 10**5001)) == "1/2" + "0" * 5001
+
+    def test_exact_values_past_the_digit_limit(self, a1_path, capsys):
+        # k = 1034 is the least weight whose a1 values at --n-max 1 have a part
+        # of over 4300 digits: each is printed in full and reads back exactly
+        a1 = make_lattice([[2]])
+        group = a1.disc_group
+        code = main(["eisenstein", "--lattice", a1_path, "-k", "1034", "--mode", "exact", "--n-max", "1"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        parts = [e["value"].split("/") for e in doc["entries"]]
+        assert max(len(part.lstrip("-")) for pair in parts for part in pair) > 4300
+        got = [Fraction(int(Decimal(num)), int(Decimal(den))) for num, den in parts]
+        want = [1] + [jacobiforms.trivial_coefficient_exact(a1, 1034, D, group.element(x))
+                      for D, x in ((-1, (0,)), (Fraction(-3, 4), (1,)))]
+        assert got == want
 
     def test_zero_denominator_names_the_form(self, a1_path, capsys):
         assert main(["eisenstein", "--lattice", a1_path, "-k", "4", "--n-max", "1/0"]) == 2

@@ -20,7 +20,7 @@ from jacobiforms.errors import (
     TailTooLargeError,
 )
 from jacobiforms import expsums
-from jacobiforms.lattice import FourierIndex
+from jacobiforms.lattice import DiscriminantGroup, FourierIndex
 from jacobiforms.rationals import parse_rational
 
 from oracles import (
@@ -82,6 +82,28 @@ class TestSingularTerm:
         entries = singular_term(spec, 0).entries
         assert entries[FourierIndex(Fraction(0), x6)] == Fraction(1, 2)
         assert entries[FourierIndex(Fraction(0), group.neg(x6))] == Fraction(1, 2)
+
+    def test_reads_r_and_minus_r_alone(self, monkeypatch):
+        # |L#/L| = 200000: the singular part is zero off r and -r, so it never
+        # lists the beta numerators of the whole group
+        def no_walk(group):
+            raise AssertionError("the beta numerators of every class were listed")
+
+        monkeypatch.setattr(DiscriminantGroup, "beta_numerators", no_walk)
+        lat = make_lattice([[200000]])
+        group = lat.disc_group
+        x = group.element((100000,))
+        assert x.beta_mod1 == 0 and group.neg(x) == x
+        assert singular_term(EisensteinSpec(lattice=lat, k=4, r=x), 1).entries == {
+            FourierIndex(Fraction(0), x): Fraction(1)}
+        assert singular_term(EisensteinSpec(lattice=lat, k=5, r=x), 1).entries == {}
+        assert singular_term(EisensteinSpec(lattice=lat, k=4, r=group.zero), 0).entries == {
+            FourierIndex(Fraction(0), group.zero): Fraction(1)}
+        # r of order 5 after -r in class order: the entries still come in class order
+        r = group.element((160000,))
+        entries = singular_term(EisensteinSpec(lattice=lat, k=4, r=r), 1).entries
+        assert [(idx.x.coords, val) for idx, val in entries.items()] == [
+            ((40000,), Fraction(1, 2)), ((160000,), Fraction(1, 2))]
 
 
 class TestTrivialExact:

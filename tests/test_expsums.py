@@ -58,6 +58,18 @@ def _int_beta(gram, lam):
     return sum(gram[i][j] * lam[i] * lam[j] for i in range(len(lam)) for j in range(len(lam))) // 2
 
 
+def _hensel_square_walk(gram, p, g, n):
+    """(R_{p^2} of Q(lambda) = beta(lambda) + g.lambda + n, its singular zeros mod p) from
+    the walk of (Z/p)^rank: a nonsingular zero lifts to p^(rank-1) zeros mod p^2, a
+    singular one to p^rank if p^2 | Q there (Q mod p^2 is the same at each of its
+    representatives) and to none otherwise."""
+    rank = len(gram)
+    nonsingular, singular = zeros_mod_p_walk(gram, p, g, n)
+    lifted = sum((_int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n) % (p * p) == 0
+                 for lam in singular)
+    return nonsingular * p ** (rank - 1) + p**rank * lifted, singular
+
+
 def _negative_supp(lattice, n_max=2):
     return [i for i in enumerate_supp(lattice, n_max) if i.D < 0]
 
@@ -496,10 +508,10 @@ class TestHenselNodes:
                 nodes += [(g, beta1 % p), (g, (beta1 + rng.randrange(1, p)) % p)]
             nodes += [(rng.choice(points), rng.randrange(p)) for _ in range(6)]
             for g, n in nodes:
-                got = repcounts._zeros_mod_p(gram, p, g, n)
-                assert got == zeros_mod_p_walk(gram, p, g, n), (gram, p, g, n)
+                want, singular = _hensel_square_walk(gram, p, g, n)
+                assert repcounts._hensel_count(gram, p, g, n, 2) == want, (gram, p, g, n)
                 if p > 2:
-                    seen["outside im G" if g not in image else "m = 0" if got[1] else "m != 0"] += 1
+                    seen["outside im G" if g not in image else "m = 0" if singular else "m != 0"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_count_lists_no_zero(self):
@@ -567,7 +579,7 @@ class TestHenselNodes:
                 assert type(leaf) is int and leaf == round(walked.real), (gram, h)
                 for n in (0, 1):
                     nonsingular, singular = zeros_mod_p_walk(gram, 2, h, n)
-                    assert repcounts._zeros_mod_p(gram, 2, h, n) == (nonsingular, singular)
+                    assert repcounts._hensel_count(gram, 2, h, n, 2) == _hensel_square_walk(gram, 2, h, n)[0]
                     assert node.zeros(h, n) == nonsingular + len(singular)
                 if solutions:
                     seen["leaf 0, h in im G" if leaf == 0 else "Arf 0" if leaf > 0 else "Arf 1"] += 1

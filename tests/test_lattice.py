@@ -28,7 +28,7 @@ from jacobiforms.errors import (
     NotSymmetricError,
     OddDiagonalError,
 )
-from jacobiforms.lattice import support_data
+from jacobiforms.lattice import FourierIndex, support_data
 from jacobiforms.rationals import floor_plus_sqrt, frac1
 
 from childenv import child_env
@@ -291,6 +291,16 @@ class TestEnumerateSupp:
                 assert idx.D <= 0
                 assert (idx.x.beta_mod1 - idx.D).denominator == 1
                 assert idx.qexp <= 3
+
+    def test_matches_sorted_definition(self, model_lattices):
+        # supp(L) from its definition: every class x and integer n = beta(x) - D
+        # with D <= 0 and n <= n_max, sorted by (q-exponent, coordinates)
+        for lat in model_lattices:
+            for n_max in (0, Fraction(1, 2), 2, Fraction(5, 2)):
+                want = sorted((FourierIndex(D=x.beta_mod1 - n, x=x) for x in lat.disc_group
+                               for n in range(4) if x.beta_mod1 <= n <= n_max),
+                              key=lambda idx: (idx.qexp, idx.x.coords))
+                assert enumerate_supp(lat, n_max) == want, (lat.gram, n_max)
 
     @given(n1=st.integers(0, 3), n2=st.integers(0, 3))
     @settings(max_examples=16, deadline=None)

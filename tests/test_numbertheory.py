@@ -25,7 +25,7 @@ from jacobiforms.errors import NotADiscriminantError, NotFundamentalError
 from jacobiforms.numbertheory import is_fundamental_discriminant, sqrt_mod, zeta_float
 
 from childenv import child_env
-from oracles import dirichlet_L_by_bernoulli_poly
+from oracles import bernoulli_by_recurrence, dirichlet_L_by_bernoulli_poly
 
 
 class TestKronecker:
@@ -75,6 +75,9 @@ class TestBernoulli:
         assert bernoulli(1) == Fraction(-1, 2)
         assert bernoulli(6) == Fraction(1, 42)
         assert bernoulli(12) == Fraction(-691, 2730)
+
+    def test_tangent_numbers_match_recurrence(self):
+        assert all(bernoulli(n) == bernoulli_by_recurrence(n) for n in range(301))
 
     def test_polynomial_value(self):
         assert bernoulli_poly(2, Fraction(1, 4)) == Fraction(-1, 48)
