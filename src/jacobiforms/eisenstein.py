@@ -16,9 +16,9 @@ every coefficient come from one table for the whole expansion, while each
 coefficient keeps its own c-sum.  H_c is a product of one local factor per
 prime power q of c.  At D = 0 the factor is a Ramanujan sum or its twist by
 (d/p) in closed form where q is prime to 2 det, and quadratic Gauss sums by
-recursion once per distinct key (q, (c/q)^-1 mod q) at the primes of 2 det,
-so a numeric Eisenstein request runs in Python ints and complexes and never
-loads numpy.
+recursion once per class of keys (q, (c/q)^-1 mod q) at the primes of 2 det
+(one per q on the trivial series), so a numeric Eisenstein request runs in
+Python ints and complexes and never loads numpy.
 A prefactor that leaves the float range is refused while it is built, and an
 infinite tail bound as soon as it is known, both before the first H_c.
 `repcounts` and `expsums` are bound lazily (see `_lazy`): an exact request
@@ -164,16 +164,17 @@ def trivial_coefficient_exact(lattice, k, D, x):
     f2, d2 = fundamental_decomposition(dt0 * lattice.delta)
     chi = QuadChar(f2)
     n2 = k - half_up - 1
-    lval = dirichlet_L_nonpositive(n2, chi)
     sqrt_part = -D * x.order / f  # exact value of (D * Dt0)^(1/2)
     numerator = Fraction(2) ** (2 * k - rank) * (k - half_up) * sqrt_part * (-D) ** n2
+    # B_{2k - rank - 1} before L(-n2, chi), which reads B_0..B_{n2 + 1}: the
+    # Bernoulli table grows once to the larger index, not twice
     denominator = (
         Fraction(-1) ** (half_up + rank // 4)
         * bernoulli(2 * k - rank - 1)
         * d2
         * Fraction(abs(f2)) ** (k - half_up)
     )
-    result = numerator / denominator * lval
+    result = numerator / denominator * dirichlet_L_nonpositive(n2, chi)
     for p in bad:
         result *= 1 - chi(p) * Fraction(p) ** (half_up - k)
         result /= 1 - Fraction(p) ** (1 - 2 * k + rank)

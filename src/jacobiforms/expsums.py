@@ -13,11 +13,13 @@ twist by (d/p) where D or D' is 0 mod q, as at every Eisenstein coefficient
 units of q, each Gauss sum reduced two powers of p at a time onto the
 solutions of U G lambda = -h mod p (`_gauss_sum`, on `modp.mod_p_node`, the
 node mod p that the Hensel counts of `repcounts` read too), once per
-distinct key (q, b) (`_bad_part`); its leaves are counted against
-H_LEAF_LIMIT before the first.  Within one expansion (D, r) is fixed, so
-inside `shared_targets` one table z[target, c] serves every target (D', r')
-of the expansion, and each coefficient's c-sum reads its row, found by a
-dict; a lone coefficient is the one-target case.  The pair (D, r) and every
+class of keys (q, b) (`_bad_part`): F_q(b) depends on b only through
+(b^2 n0 mod q, b G r mod q), so at D = 0 and r = 0, as on every trivial
+Eisenstein series, each q is one class.  The leaves of the classes are
+counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
+is fixed, so inside `shared_targets` one table z[target, c] serves every
+target (D', r') of the expansion, and each coefficient's c-sum reads its
+row, found by a dict; a lone coefficient is the one-target case.  The pair (D, r) and every
 target are checked and reduced to beta(r) - D and G r by
 `lattice.support_data`, the test the counts of `repcounts` use too, and
 beta(r', r) is read as r'.(G r).  Everything here runs in Python ints and
@@ -106,7 +108,8 @@ _SHARED = ContextVar("expsums_shared_targets", default=None)
 def shared_targets(targets):
     """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
     from one table z[target, c] for all of them, built at the first term with
-    one Gauss-sum recursion per key (q, b) of `_h_table` and dropped on exit."""
+    one Gauss-sum recursion per class of keys (q, b) of `_h_table` and dropped
+    on exit."""
     targets = tuple(targets)
     token = _SHARED.set(_Shared(targets, {t: i for i, t in enumerate(targets)}))
     try:
@@ -117,12 +120,13 @@ def shared_targets(targets):
 
 # The recursion of `_gauss_sum` ends in at most p^(k floor(e/2)) leaves at a
 # prime power q = p^e, k the dimension of the radical of G mod p.  `_h_table`
-# runs it per key (q, b) with p | 2 det, unit of q and distinct G r', and
-# refuses a table whose leaves per G r' would exceed H_LEAF_LIMIT before its
-# first recursion, naming the count.  It is a constant, not a setting.  At
-# c_max = 1000 the bound is 1.4e3 leaves on E8 (k = 0), 1.4e4 on A3 (k = 1),
-# 1.7e5 on D4 (k = 2), 2.4e6 on A1^3 (k = 3) and 2.2e12 on 2 E8 (k = 8); the
-# memo of the subsums keeps the work well below it.
+# runs it per class of keys (q, b) with p | 2 det, unit of q and distinct
+# G r', and refuses a table whose leaves per G r' would exceed H_LEAF_LIMIT
+# before its first recursion, naming the count.  It is a constant, not a setting.  On the
+# trivial series (one class per q) at c_max = 1000 the bound is 5.1e2 leaves on
+# E8 (k = 0), 7.0e3 on A3 (k = 1), 1.0e5 on D4 (k = 2), 1.6e6 on A1^3 (k = 3),
+# 2.6e7 on 2 D4 (k = 4) and 1.7e12 on 2 E8 (k = 8); the memo of the subsums
+# keeps the work well below it.
 H_LEAF_LIMIT = 10**7
 
 
@@ -168,8 +172,8 @@ def _check_leaves(data, c_max, keys):
         leaves += (q - q // p) * p ** (mod_p_node(data.gram, p).k * (e // 2))
     if leaves > H_LEAF_LIMIT:
         raise ResourceLimitError(
-            f"H_c for c <= {c_max} sums (Z/q)^{data.rank} as Gauss sums per key "
-            f"(q, (c/q)^-1 mod q), q = p^e || c with p | 2 det, and unit of q: {len(keys)} keys, "
+            f"H_c for c <= {c_max} sums (Z/q)^{data.rank} as Gauss sums per class of keys "
+            f"(q, (c/q)^-1 mod q), q = p^e || c with p | 2 det, and unit of q: {len(keys)} classes, "
             f"{leaves} leaves per G r', over the limit of {H_LEAF_LIMIT}")
 
 
@@ -182,7 +186,10 @@ def _bad_part(data, q, b):
     V beta(lambda) + h.lambda + V n0 + m u^-1, so
       F_q(b) = sum_u e((V n0 + m u^-1)/q) S(V, h; q).
     The Gauss sums depend on the target only through G r', so they are formed
-    once per unit and distinct G r'.
+    once per unit and distinct G r'.  Substituting lambda -> b^-1 lambda,
+    S(u b^2, u b^2 G r + b G r'; q) = S(u, u (b G r) + G r'; q), so F_q(b)
+    depends on b only through its class (b^2 n0 mod q, b G r mod q), and
+    `_h_table` calls this once per class, at its first b.
     """
     (p, e), = factorize(q)
     bgps = [[b * y for y in gp] for gp in data.gps]
@@ -239,12 +246,34 @@ def _prime_power_sum(p, e, x, t, odd):
 
 
 # S_q with neither argument 0 mod q recurs across c and across targets that
-# share D', so it is memoized; where one is 0 its closed form costs less than a
-# lookup, and at D = 0, as at every Eisenstein c, nothing is stored.
+# share D', so it is memoized; where one is 0 it does not depend on b and is
+# formed once per q and target (`_good_constants`), and at D = 0, as at every
+# Eisenstein c, nothing is stored.
 _prime_power_memo = lru_cache(maxsize=1 << 14)(_prime_power_sum)
 
 
-def _good_part(data, det, p, e, b):
+def _good_constants(data, det, p, e):
+    """The per-q constants of `_good_part` at q = p^e: the Gauss-sum scale g_q,
+    N^-1 mod q, -D mod q and, per target, S_q(-D, -b^2 D') where it does not
+    depend on b, else None.
+
+    Where D or D' is 0 mod q, S_q is a Ramanujan sum or its twist by (d/p) of
+    the other argument, which b^2, a square unit, changes neither in its
+    p-adic valuation nor in its residue symbol mod p.
+    """
+    rank, q = data.rank, p**e
+    eps = (1, 1j, -1, -1j)[rank % 4] if q % 4 == 3 else 1
+    scale = eps * kronecker(det << rank, q) * q ** (rank / 2)  # (det/q) (2/q)^n = (2^n det/q)
+    ninv = pow(data.den, -1, q)
+    x = -data.nd * ninv % q  # -D mod q
+    fixed = []
+    for ndp, _ in data.scaled:
+        t = -ndp * ninv % q
+        fixed.append(_prime_power_sum(p, e, x, t, rank % 2) if x == 0 or t == 0 else None)
+    return scale, ninv, x, fixed
+
+
+def _good_part(data, p, e, b, constants):
     """F_q(b) at every target of data, at a prime power q = p^e prime to 2 det.
 
     Here L/qL = L#/qL#, so lambda -> lambda - r - b V^-1 r' completes the square:
@@ -254,17 +283,17 @@ def _good_part(data, det, p, e, b):
     eps_q = 1 or i as q = 1 or 3 mod 4.  As beta(r) - n0 = D and beta(r') - m = D',
       F_q(b) = g_q e(-b beta(r, r')/q) S_q(-D, -b^2 D'),
     S_q the sum of `_prime_power_sum`, with D, D' and beta(r, r') read mod q
-    through their common denominator N, which is prime to q.
+    through their common denominator N, which is prime to q.  `constants` is
+    what `_good_constants` forms once per q; S_q is summed here, memoized,
+    only where neither D nor D' is 0 mod q.
     """
-    rank, q = data.rank, p**e
-    eps = (1, 1j, -1, -1j)[rank % 4] if q % 4 == 3 else 1
-    scale = eps * kronecker(det << rank, q) * q ** (rank / 2)  # (det/q) (2/q)^n = (2^n det/q)
-    ninv = pow(data.den, -1, q)
-    x = -data.nd * ninv % q  # -D mod q
+    q = p**e
+    scale, ninv, x, fixed = constants
+    odd = data.rank % 2
     out = []
-    for ndp, np0 in data.scaled:
-        t = -b * b * ndp * ninv % q
-        z = (_prime_power_memo if x and t else _prime_power_sum)(p, e, x, t, rank % 2)
+    for (ndp, np0), z in zip(data.scaled, fixed):
+        if z is None:
+            z = _prime_power_memo(p, e, x, -b * b * ndp * ninv % q, odd)
         out.append(scale * unit_phase_ratio(-b * np0 * ninv, q) * z)
     return out
 
@@ -297,17 +326,26 @@ def _h_table(lattice, D, r, targets, c_max):
 
     H_c = e(beta(r', r)/c) prod_{q = p^e || c} F_q(b_q), b_q = (c/q)^-1 mod q,
     since 1/c = sum_q b_q/q mod 1.  At p | 2 det, F_q is `_bad_part`, formed
-    once per key (q, b) in order of first c, after the leaf limit has counted
-    the Gauss-sum recursions of every key; elsewhere it is `_good_part`, per c.
+    once per class (q, b^2 n0 mod q, b G r mod q) of keys (q, b), at its first
+    b in order of first c, after the leaf limit has counted the Gauss-sum
+    recursions of every class; elsewhere it is `_good_part`, per c, with its
+    constants formed once per q.
     """
     data = _sum_data(lattice, D, r, targets)
     bad = 2 * lattice.det
     local = [[(p, e, p**e, pow(c // p**e, -1, p**e)) for p, e in factorize(c)]
              for c in range(1, c_max + 1)]
-    keys = dict.fromkeys((q, b) for factors in local for p, _, q, b in factors if bad % p == 0)
-    _check_leaves(data, c_max, keys)
-    for q, b in keys:
-        keys[q, b] = _bad_part(data, q, b)
+    keys, firsts, constants = {}, {}, {}
+    for factors in local:
+        for p, e, q, b in factors:
+            if bad % p:
+                if q not in constants:
+                    constants[q] = _good_constants(data, lattice.det, p, e)
+            elif (q, b) not in keys:
+                cls = (q, b * b * data.n0 % q, tuple([b * g % q for g in data.gx]))
+                keys[q, b] = firsts.setdefault(cls, (q, b))
+    _check_leaves(data, c_max, firsts.values())
+    parts = {key: _bad_part(data, *key) for key in firsts.values()}
     p0s = [(p0.numerator, p0.denominator) for _, _, p0 in data.targets]
     distinct_p0s = set(p0s)
     table = _HTable(len(targets), c_max)
@@ -315,8 +353,8 @@ def _h_table(lattice, D, r, targets, c_max):
         phases = {p0: unit_phase_ratio(p0[0], p0[1] * c) for p0 in distinct_p0s}
         hs = [phases[p0] for p0 in p0s]
         for p, e, q, b in factors:
-            parts = keys[q, b] if bad % p == 0 else _good_part(data, lattice.det, p, e, b)
-            hs = list(map(mul, hs, parts))
+            part = parts[keys[q, b]] if bad % p == 0 else _good_part(data, p, e, b, constants[q])
+            hs = list(map(mul, hs, part))
         table.put(c, hs)
     return table
 

@@ -6,9 +6,12 @@ The c-sum, its guards and the expansion loop are Eisenstein's
 (`_series_coefficient`, `_series_expansion`, which shares one H_c table across
 the expansion: one local factor per prime power q of c, since D != 0 a
 Kloosterman or Salie sum mod q where q is prime to 2 det, and Gauss sums by
-recursion per key (q, (c/q)^-1 mod q) at the primes of 2 det, all in Python
-ints and complexes, so no Poincare request loads numpy); this module supplies
-the prefactor, the Bessel weight (memoized per argument) and the tail bound.
+recursion per class of keys (q, (c/q)^-1 mod q) at the primes of 2 det, all in
+Python ints and complexes, so no Poincare request loads numpy); this module
+supplies the prefactor, the Bessel weight and the tail bound.  The weight is
+one `bessel_j` call per (coefficient, c), memoized per argument inside it; at
+x <= 64 it never imports mpmath, at integer order (even rank) as at
+half-integer order.
 """
 
 import math

@@ -344,16 +344,21 @@ def node_walk(gram, p, U, h):
     return {tuple(v) for v in lam[:, solved].T.tolist()}, complex(np.exp(2j * np.pi * phase / p).sum())
 
 
-def walk_keys(det, c_max):
+def walk_keys(lattice, c_max, D=0, r=None):
     """The keys (q, (c/q)^-1 mod q) of the c <= c_max, q = p^e || c with p | 2 det,
-    in order of first appearance and, within one c, of ascending p; read off the
-    factorization of each c."""
-    keys = {}
+    one per class (q, b^2 n0 mod q, b G r mod q), n0 = beta(r) - D: the first key
+    of each class, in order of first appearance and, within one c, of ascending
+    p; read off the factorization of each c.  r = None is the zero class."""
+    rep = r.rep if r is not None else (0,) * lattice.rank
+    n0, gx = int(lattice.beta(rep) - D), [int(v) for v in lattice.gram_times(rep)]
+    classes = {}
     for c in range(1, c_max + 1):
         for p, e in factorize(c):
-            if 2 * det % p == 0:
-                keys.setdefault((p**e, pow(c // p**e, -1, p**e)), None)
-    return list(keys)
+            q = p**e
+            if 2 * lattice.det % p == 0:
+                b = pow(c // q, -1, q)
+                classes.setdefault((q, b * b * n0 % q, tuple(b * g % q for g in gx)), (q, b))
+    return list(classes.values())
 
 
 def local_factor_sum(lattice, D, r, Dp, rp, q, b):

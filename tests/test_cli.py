@@ -291,7 +291,8 @@ class TestEisensteinCommand:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceLimitError"
-        leaves = sum(q // 2 * 2 ** (8 * ((q.bit_length() - 1) // 2)) for q, _ in walk_keys(2**8, 1000))
+        two_e8 = make_lattice([[2 * v for v in row] for row in GOLDEN_GRAMS["E8"]])
+        leaves = sum(q // 2 * 2 ** (8 * ((q.bit_length() - 1) // 2)) for q, _ in walk_keys(two_e8, 1000))
         assert f" {leaves} leaves" in err["message"]
 
     def test_numeric_output_matches_golden_bytes(self, tmp_path):
@@ -809,6 +810,9 @@ _MODULE_SETS = {
     "poincare-a1": ("a1", ["poincare", "-k", "10", "-D=-3/4", "-r", "1", "--n-max", "2",
                            "--c-max", "400"],
                     {"jacobiforms.poincare", "jacobiforms.expsums"}, {"mpmath", "numpy"}),
+    "poincare-a2": ("a2", ["poincare", "-k", "10", "-D=-2/3", "-r", "1", "--n-max", "1",
+                           "--c-max", "150"],
+                    {"jacobiforms.poincare", "jacobiforms.expsums"}, {"mpmath", "numpy"}),
 }
 
 
@@ -818,8 +822,8 @@ class TestModulesExecuted:
         # every submodule is bound lazily, so a request executes the modules its
         # command reads and no other: an exact expansion never the H_c sums, a
         # numeric one never the counts, `rep` neither, `info` and `rep` neither
-        # numbertheory nor the node mod p, and a half-integer Bessel order (a1)
-        # never mpmath
+        # numbertheory nor the node mod p, and a Bessel weight at x <= 64 never
+        # mpmath, at half-integer order (a1) or integer order (a2)
         lattice, argv, present, absent = _MODULE_SETS[name]
         script = (
             "import os, sys\n"

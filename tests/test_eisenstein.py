@@ -328,8 +328,11 @@ class TestSharedWalk:
             assert expansion.entries[idx] == lone, idx
 
     def test_expansion_walks_once_per_c(self, a1_scaled4, monkeypatch):
-        # one Gauss-sum recursion per key (q, (c/q)^-1 mod q) for all 16
-        # coefficients, and none at a c prime to 2 det = 16: the odd c are all closed form
+        # one Gauss-sum recursion per class of keys (q, b = (c/q)^-1 mod q) for all
+        # 16 coefficients, and none at a c prime to 2 det = 16: the odd c are all
+        # closed form.  At r = 4, n0 = 1 and G r = 4, so the class (q, b^2 mod q,
+        # 4b mod q) of each odd b is that of b = 1 at every q <= 8, and each q
+        # <= 40 is walked once
         walks = []
         bad_part = expsums._bad_part
 
@@ -341,4 +344,4 @@ class TestSharedWalk:
         spec = EisensteinSpec(lattice=a1_scaled4, k=10, r=a1_scaled4.disc_group.element((4,)))
         expansion = eisenstein_expansion(spec, 2, "numeric", c_max=40)
         assert sum(idx.D < 0 for idx in expansion.entries) == 16
-        assert walks == [q for q, _ in walk_keys(8, 40)] == [2, 4, 8, 4, 16, 8, 32, 8]
+        assert walks == [q for q, _ in walk_keys(a1_scaled4, 40, 0, spec.r)] == [2, 4, 8, 16, 32]

@@ -243,12 +243,13 @@ class TestSeriesGuard:
 
         monkeypatch.setattr(expsums, "_bad_part", no_terms)
         # at q = 2^j the recursion branches into the 2^k points of the radical of
-        # G mod 2 at each of floor(j/2) levels, for each of the phi(q) units: 2 E8
-        # (G = 0 mod 2, k = 8) at c <= 1000 is refused before its first recursion;
-        # weight 10 > rank + 1 keeps the tail finite, which would be refused first
+        # G mod 2 at each of floor(j/2) levels, for each of the phi(q) units and
+        # class of keys (on the trivial series, one per q): 2 E8 (G = 0 mod 2,
+        # k = 8) at c <= 1000 is refused before its first recursion; weight
+        # 10 > rank + 1 keeps the tail finite, which would be refused first
         def leaves(lattice, k):
             return sum(q // 2 * 2 ** (k * ((q.bit_length() - 1) // 2))
-                       for q, _ in walk_keys(lattice.det, 1000))
+                       for q, _ in walk_keys(lattice, 1000))
 
         two_e8 = make_lattice([[2 * v for v in row] for row in e8.gram])
         assert leaves(two_e8, 8) > H_LEAF_LIMIT
@@ -393,7 +394,8 @@ class TestClosedForm:
             for D, r in sources:
                 data = expsums._sum_data(lat, D, r, targets)
                 for b in sorted({b for b in (1, 2, q - 1) if b % p}):
-                    got = expsums._good_part(data, lat.det, p, e, b) if good else expsums._bad_part(data, q, b)
+                    got = (expsums._good_part(data, p, e, b, expsums._good_constants(data, lat.det, p, e)) if good
+                           else expsums._bad_part(data, q, b))
                     for (Dp, rp), z in zip(targets, got):
                         want = local_factor_sum(lat, D, r, Dp, rp, q, b)
                         assert z == pytest.approx(want, abs=1e-9 * q ** (lat.rank / 2 + 1)), (q, b, D, r, Dp, rp)

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,11 +22,13 @@ from jacobiforms import (
     moebius,
     sigma_twisted,
 )
+from jacobiforms import numbertheory
+from jacobiforms.eisenstein import trivial_coefficient_exact
 from jacobiforms.errors import NotADiscriminantError, NotFundamentalError
 from jacobiforms.numbertheory import is_fundamental_discriminant, sqrt_mod, zeta_float
 
 from childenv import child_env
-from oracles import bernoulli_by_recurrence, dirichlet_L_by_bernoulli_poly
+from oracles import bernoulli_by_recurrence, dirichlet_L_by_bernoulli_poly, eichler_zagier_coefficient
 
 
 class TestKronecker:
@@ -78,6 +81,24 @@ class TestBernoulli:
 
     def test_tangent_numbers_match_recurrence(self):
         assert all(bernoulli(n) == bernoulli_by_recurrence(n) for n in range(301))
+
+    def test_odd_rank_coefficient_grows_the_table_once(self, a1, monkeypatch):
+        # a1 at k = 100 reads B_198 and, through L(-98, chi), B_0..B_99: from an
+        # empty table, asking for the larger index first grows it once
+        grows = []
+        grow = numbertheory._grow_bernoulli
+
+        def counted(m):
+            grows.append(m)
+            grow(m)
+
+        monkeypatch.setattr(numbertheory, "_BERNOULLI_EVEN", [Fraction(1)])
+        monkeypatch.setattr(numbertheory, "_grow_bernoulli", counted)
+        dirichlet_L_nonpositive.cache_clear()
+        value = trivial_coefficient_exact(a1, 100, Fraction(-1), a1.disc_group.zero)
+        dirichlet_L_nonpositive.cache_clear()
+        assert grows == [99]
+        assert value == eichler_zagier_coefficient(100, 1, 0)
 
     def test_polynomial_value(self):
         assert bernoulli_poly(2, Fraction(1, 4)) == Fraction(-1, 48)
@@ -244,14 +265,43 @@ class TestBesselJ:
         assert bessel_j(Fraction(337, 2), 1.25) == 0.0
 
     def test_memo_evaluates_each_argument_once_bit_identically(self):
-        # the Poincare weights J_a(4 pi sqrt(D D') / c): equal D D' repeat their arguments
+        # the Poincare weights J_a(4 pi sqrt(D D') / c): equal D D' repeat their
+        # arguments, and the float core is memoized on (2 alpha, x)
         args = [(Fraction(19, 2), 4 * math.pi * math.sqrt(15 / 16 * d) / c)
                 for d in (7 / 4, 7 / 4, 3 / 4) for c in (1, 2, 3, 40)]
-        bessel_j.cache_clear()
+        core = numbertheory._bessel_float
+        core.cache_clear()
         got = [bessel_j(*a) for a in args]
-        info = bessel_j.cache_info()
+        info = core.cache_info()
         assert (info.misses, info.hits) == (len(set(args)), len(args) - len(set(args))) == (8, 4)
-        assert got == [bessel_j.__wrapped__(*a) for a in args]
+        assert got == [core.__wrapped__(19, x) for _, x in args]
+
+    def test_integer_order_to_sixty_four_is_correctly_rounded(self):
+        # 1.5 < x <= 64 at integer order: the series in Python ints, rounded once,
+        # equals 50-digit mpmath rounded to a float, bit for bit, on a seeded grid
+        # and at the first zeros of J_0 and J_1, where the sum is redone at a finer
+        # scale
+        rng = random.Random(20)
+        grid = [(rng.randint(0, 30), rng.uniform(1.5, 64.0)) for _ in range(400)]
+        grid += [(0, 2.404825557695773), (1, 3.8317059702075125), (0, 64.0), (30, 1.5000000000000002)]
+        for n, x in grid:
+            with mpmath.workdps(50):
+                ref = float(mpmath.besselj(n, x))
+            assert bessel_j(n, x) == ref, (n, x)
+
+    def test_integer_order_past_sixty_four_calls_mpmath(self, monkeypatch):
+        calls = []
+
+        def besselj(n, x):
+            calls.append((n, x))
+            return 0.25
+
+        monkeypatch.setattr(mpmath, "besselj", besselj)
+        numbertheory._bessel_float.cache_clear()
+        x = math.nextafter(64.0, math.inf)
+        assert bessel_j(3, x) == 0.25 and calls == [(3, x)]
+        assert bessel_j(3, 64.0) != 0.25 and calls == [(3, x)]
+        numbertheory._bessel_float.cache_clear()
 
     def test_past_sixty_matches_mpmath(self):
         # no range cap: x in (60, 1000] against 50-digit mpmath, where the

@@ -181,9 +181,9 @@ class TestSharedWalk:
             assert value == poincare_coefficient(spec, idx.D, idx.x, c_max).value, idx
 
     def test_expansion_walks_once_per_c(self, a2, monkeypatch):
-        # one Gauss-sum recursion per key (q, (c/q)^-1 mod q) for all 6
+        # one Gauss-sum recursion per class of keys (q, (c/q)^-1 mod q) for all 6
         # coefficients, at the powers q of 2 and 3 only, and none at a prime
-        # power of c prime to 2 det = 6
+        # power of c prime to 2 det = 6; G r = (0, 1), so b G r mod q tells every b apart
         walks = []
         bad_part = expsums._bad_part
 
@@ -195,5 +195,4 @@ class TestSharedWalk:
         spec = PoincareSpec(lattice=a2, k=10, D=Fraction(-2, 3), r=a2.disc_group.element((1,)))
         expansion = poincare_expansion(spec, 2, 30)
         assert len(expansion.entries) == 6
-        assert walks == [q for q, _ in walk_keys(3, 30)]
-        assert len(walks) == 11 and all(q in {p**e for p in (2, 3) for e in range(1, 5)} for q in walks)
+        assert walks == [q for q, _ in walk_keys(a2, 30, spec.D, spec.r)] == [2, 3, 4, 3, 8, 9, 4, 16, 9, 8, 27]
