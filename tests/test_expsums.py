@@ -393,9 +393,9 @@ class TestClosedForm:
             seen.add(good)
             for D, r in sources:
                 data = expsums._sum_data(lat, D, r, targets)
+                constants = expsums._good_constants(data, lat.det, p, e) if good else None
                 for b in sorted({b for b in (1, 2, q - 1) if b % p}):
-                    got = (expsums._good_part(data, p, e, b, expsums._good_constants(data, lat.det, p, e)) if good
-                           else expsums._bad_part(data, q, b))
+                    got = expsums._good_part(data, p, e, b, constants) if good else expsums._bad_part(data, q, b)
                     for (Dp, rp), z in zip(targets, got):
                         want = local_factor_sum(lat, D, r, Dp, rp, q, b)
                         assert z == pytest.approx(want, abs=1e-9 * q ** (lat.rank / 2 + 1)), (q, b, D, r, Dp, rp)
