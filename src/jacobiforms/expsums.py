@@ -10,21 +10,19 @@ square completes, and F_q is a Gauss-sum constant and a phase times a Salie
 sum (odd rank) or Kloosterman sum (even rank) mod q: a Ramanujan sum or its
 twist by (d/p) where D or D' is 0 mod q, as at every Eisenstein coefficient
 (`_good_part`, `_prime_power_sum`).  At p | 2 det, F_q is summed over the
-units of q, each Gauss sum reduced two powers of p at a time onto the
-solutions of U G lambda = -h mod p (`_gauss_sum`, on `modp.mod_p_node`, the
-node mod p that the Hensel counts of `repcounts` read too), once per
-class of keys (q, b) (`_bad_part`): F_q(b) depends on b only through
-(b^2 n0 mod q, b G r mod q), so at D = 0 and r = 0, as on every trivial
-Eisenstein series, each q is one class.  The leaves of the classes are
-counted against H_LEAF_LIMIT before the first.  Within one expansion (D, r)
-is fixed, so inside `shared_targets` one table z[target, c] serves every
-target (D', r') of the expansion, and each coefficient's c-sum reads its
-row, found by a dict; a lone coefficient is the one-target case.  The pair (D, r) and every
-target are checked and reduced to beta(r) - D and G r by
-`lattice.support_data`, the test the counts of `repcounts` use too, and
-beta(r', r) is read as r'.(G r).  Everything here runs in Python ints and
-complexes.  The definitional route and the walk of (Z/c)^rank, against
-which the tests assert this one, are in `oracles`.
+units of q, each Gauss sum a product of one- and two-dimensional closed forms
+over the p-adic Jordan splitting of G (`modp.mod_p_node`, whose reduction mod
+p the Hensel counts of `repcounts` read too), once per class of keys (q, b)
+(`_bad_part`): F_q(b) depends on b only through (b^2 n0 mod q, b G r mod q),
+so at D = 0 and r = 0, as on every trivial Eisenstein series, each q is one
+class.  Within one expansion (D, r) is fixed, so inside `shared_targets` one
+table z[target, c] serves every target (D', r') of the expansion, and each
+coefficient's c-sum reads its row, found by a dict; a lone coefficient is the
+one-target case.  The pair (D, r) and every target are checked and reduced
+to beta(r) - D and G r by `lattice.support_data`, the test the counts of
+`repcounts` use too, and beta(r', r) is read as r'.(G r).  Everything here
+runs in Python ints and complexes.  The definitional route and the walk of
+(Z/c)^rank, against which the tests assert this one, are in `oracles`.
 """
 
 import math
@@ -35,7 +33,6 @@ from functools import lru_cache
 from operator import mul
 
 from ._record import Frozen, Record
-from .errors import ResourceLimitError
 from .lattice import support_data
 from .modp import _int_beta, mod_p_node
 from .numbertheory import factorize, kronecker, sqrt_mod
@@ -108,73 +105,13 @@ _SHARED = ContextVar("expsums_shared_targets", default=None)
 def shared_targets(targets):
     """Within the block, h_series_terms at any (D', r') of `targets` reads H_c
     from one table z[target, c] for all of them, built at the first term with
-    one Gauss-sum recursion per class of keys (q, b) of `_h_table` and dropped
-    on exit."""
+    one `_bad_part` per class of keys (q, b) of `_h_table` and dropped on exit."""
     targets = tuple(targets)
     token = _SHARED.set(_Shared(targets, {t: i for i, t in enumerate(targets)}))
     try:
         yield
     finally:
         _SHARED.reset(token)
-
-
-# The recursion of `_gauss_sum` ends in at most p^(k floor(e/2)) leaves at a
-# prime power q = p^e, k the dimension of the radical of G mod p.  `_h_table`
-# runs it per class of keys (q, b) with p | 2 det, unit of q and distinct
-# G r', and refuses a table whose leaves per G r' would exceed H_LEAF_LIMIT
-# before its first recursion, naming the count.  It is a constant, not a setting.  On the
-# trivial series (one class per q) at c_max = 1000 the bound is 5.1e2 leaves on
-# E8 (k = 0), 7.0e3 on A3 (k = 1), 1.0e5 on D4 (k = 2), 1.6e6 on A1^3 (k = 3),
-# 2.6e7 on 2 D4 (k = 4) and 1.7e12 on 2 E8 (k = 8); the memo of the subsums
-# keeps the work well below it.
-H_LEAF_LIMIT = 10**7
-
-
-def _gauss_sum(gram, p, e, U, h):
-    """S(U, h; p^e) = sum over lambda mod p^e of e((U beta(lambda) + h.lambda)/p^e).
-
-    U is a unit and U, h are reduced mod p^e.  With lambda = lambda1 + p mu,
-    Q(lambda) = U beta(lambda) + h.lambda and grad = U G lambda1 + h,
-      Q(lambda1 + p mu) = Q(lambda1) + p grad.mu + p^2 U beta(mu)
-    (exact, beta integral on L).  The sum over mu mod p^(e-1) vanishes unless
-    grad = 0 mod p; then splitting mu once more, mod p^(e-2) and along p^(e-2),
-    leaves p^rank S(U, grad/p; p^(e-2)).  So for e >= 2
-      S = p^rank sum_{lambda1 mod p, grad = 0 mod p} e(Q(lambda1)/p^e) S(U, grad/p; p^(e-2)),
-    one level of `modp.mod_p_node` per two powers of p, whose solve(U^-1 h)
-    lists the lambda1, down to e = 0 (S = 1) or its leaf at e = 1.
-    """
-    if e == 0:
-        return 1
-    node = mod_p_node(gram, p)
-    if e == 1:
-        return node.leaf(U, h)
-    q, sub = p**e, p ** (e - 2)
-    roots = phase_table(q)
-    ubar = pow(U, -1, p)
-    total = 0j
-    for lam, beta, glam in node.solve(tuple([ubar * v % p for v in h])):
-        value = U * beta + sum(map(mul, h, lam))
-        total += roots[value % q] * _subsum(
-            gram, p, e - 2, U % sub, tuple([(U * g + hi) // p % sub for g, hi in zip(glam, h)]))
-    return p ** len(gram) * total
-
-
-# A top-level S is met about once per unit and G r', its subsums again and again
-# across units, keys and targets: only the subsums are memoized, so the memo
-# does not grow with the units times the classes r' of an expansion.
-_subsum = lru_cache(maxsize=1 << 16)(_gauss_sum)
-
-
-def _check_leaves(data, c_max, keys):
-    leaves = 0
-    for q, _ in keys:
-        (p, e), = factorize(q)
-        leaves += (q - q // p) * p ** (mod_p_node(data.gram, p).k * (e // 2))
-    if leaves > H_LEAF_LIMIT:
-        raise ResourceLimitError(
-            f"H_c for c <= {c_max} sums (Z/q)^{data.rank} as Gauss sums per class of keys "
-            f"(q, (c/q)^-1 mod q), q = p^e || c with p | 2 det, and unit of q: {len(keys)} classes, "
-            f"{leaves} leaves per G r', over the limit of {H_LEAF_LIMIT}")
 
 
 def _bad_part(data, q, b):
@@ -184,22 +121,21 @@ def _bad_part(data, q, b):
     e(b (n1(lambda) d^-1 + m d + pint(lambda)) / q), m = beta(r') - D'.
     With u = d^-1, V = u b^2 and h = V G r + b G r' the exponent is
     V beta(lambda) + h.lambda + V n0 + m u^-1, so
-      F_q(b) = sum_u e((V n0 + m u^-1)/q) S(V, h; q).
-    The Gauss sums depend on the target only through G r', so they are formed
-    once per unit and distinct G r'.  Substituting lambda -> b^-1 lambda,
-    S(u b^2, u b^2 G r + b G r'; q) = S(u, u (b G r) + G r'; q), so F_q(b)
+      F_q(b) = sum_u e((V n0 + m u^-1)/q) S(V, h; q),
+    S from `modp`, once per unit and distinct G r'.  As lambda -> b^-1 lambda
+    gives S(u b^2, u b^2 G r + b G r'; q) = S(u, u (b G r) + G r'; q), F_q(b)
     depends on b only through its class (b^2 n0 mod q, b G r mod q), and
     `_h_table` calls this once per class, at its first b.
     """
     (p, e), = factorize(q)
+    gauss_sum = mod_p_node(data.gram, p).gauss_sum(e)
     bgps = [[b * y for y in gp] for gp in data.gps]
     roots = phase_table(q)
     out = [0j] * len(data.targets)
     for u in _units(q):
         V = u * b * b % q
         ubar = pow(u, -1, q)
-        sums = [_gauss_sum(data.gram, p, e, V, tuple([(V * x + y) % q for x, y in zip(data.gx, bgp)]))
-                for bgp in bgps]
+        sums = [gauss_sum(V, tuple([(V * x + y) % q for x, y in zip(data.gx, bgp)])) for bgp in bgps]
         phase = V * data.n0
         for i, (g, m, _) in enumerate(data.targets):
             out[i] += roots[(phase + m * ubar) % q] * sums[g]
@@ -322,13 +258,12 @@ class _HTable:
 
 
 def _h_table(lattice, D, r, targets, c_max):
-    """table[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max; checked before the first recursion.
+    """table[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max.
 
     H_c = e(beta(r', r)/c) prod_{q = p^e || c} F_q(b_q), b_q = (c/q)^-1 mod q,
     since 1/c = sum_q b_q/q mod 1.  At p | 2 det, F_q is `_bad_part`, formed
     once per class (q, b^2 n0 mod q, b G r mod q) of keys (q, b), at its first
-    b in order of first c, after the leaf limit has counted the Gauss-sum
-    recursions of every class; elsewhere it is `_good_part`, per c, with its
+    b in order of first c; elsewhere it is `_good_part`, per c, with its
     constants formed once per q.
     """
     data = _sum_data(lattice, D, r, targets)
@@ -344,7 +279,6 @@ def _h_table(lattice, D, r, targets, c_max):
             elif (q, b) not in keys:
                 cls = (q, b * b * data.n0 % q, tuple([b * g % q for g in data.gx]))
                 keys[q, b] = firsts.setdefault(cls, (q, b))
-    _check_leaves(data, c_max, firsts.values())
     parts = {key: _bad_part(data, *key) for key in firsts.values()}
     p0s = [(p0.numerator, p0.denominator) for _, _, p0 in data.targets]
     distinct_p0s = set(p0s)
@@ -364,8 +298,7 @@ def h_series_terms(lattice, D, r, Dp, rp, k, c_max):
 
     Uses conj(H(r)) = H(-r) (substitute (d, lambda) -> (-d, -lambda) in the
     defining sum).  H_c comes from the table of the enclosing `shared_targets`
-    when (D', r') is one of its targets, else from a one-target table; either
-    is checked against the leaf limit before its first recursion.
+    when (D', r') is one of its targets, else from a one-target table.
     """
     shared = _SHARED.get()
     row = None if shared is None else shared.rows.get((Dp, rp))

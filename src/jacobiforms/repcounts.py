@@ -6,9 +6,10 @@ Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
 and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
 nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
 too), and a singular zero recurses on the form reduced by p.  Each node is
-counted and its singular zeros listed by `modp.mod_p_node`, the node mod p
-that the Gauss sums of `expsums` read too, in closed form at every p (by the
-Arf invariant of beta mod 2 at p = 2).  Its coset is listed only where the
+counted and its singular zeros listed by `modp.mod_p_node`: the p-adic Jordan
+splitting of G, whose blocks give the Gauss sums of `expsums`, reduced mod p.
+It counts in closed form at every p (by the Arf invariant of beta mod 2, the
+Gauss sum S(1, g; 2), at p = 2).  Its coset is listed only where the
 singular zeros recurse, at e >= 2, and e = 1 takes the count alone.
 This recursion is the one route to R_{p^e}, at good and bad primes alike, and
 the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable

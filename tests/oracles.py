@@ -10,8 +10,10 @@ G lambda + h = 0 and sums the Gauss sum S(U, h; p) over the same walk, the
 Poincare oracle sums the defining series on a (tau, z) grid and Fourier-inverts
 it, the lattice-invariants oracle reads det off Bareiss with row swaps and
 the level off a Gauss-Jordan inverse in Fractions in place of the Smith form,
-the local-factor oracle sums F_q(b) of H_c over the units V and lambda mod q
-in place of the closed form and the Gauss-sum recursion, and the walk keys of
+the Gauss-sum oracle reduces S(U, h; p^e) two powers of p at a time onto the
+coset of the node mod p, down to the walk of (Z/p)^rank, in place of the
+closed form over the Jordan splitting, the local-factor oracle sums F_q(b) of H_c over the units V and lambda mod q
+in place of the closed forms, and the walk keys of
 the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
 representatives, the word oracle multiplies the rho(T) and rho(S) matrices
@@ -30,6 +32,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 import numpy as np
 
@@ -42,8 +45,9 @@ from jacobiforms import (
     trivial_coefficient_exact,
 )
 from jacobiforms.errors import DegenerateError, NotPositiveDefiniteError
+from jacobiforms.modp import mod_p_node
 from jacobiforms.numbertheory import bernoulli, factorize
-from jacobiforms.rationals import frac1, is_integral, unit_phase
+from jacobiforms.rationals import frac1, is_integral, phase_table, unit_phase
 
 
 @lru_cache(maxsize=None)
@@ -342,6 +346,43 @@ def node_walk(gram, p, U, h):
     solved = ~((glam + hvec[:, None]) % p).any(axis=0)
     phase = (U * beta + hvec @ lam) % p
     return {tuple(v) for v in lam[:, solved].T.tolist()}, complex(np.exp(2j * np.pi * phase / p).sum())
+
+
+@lru_cache(maxsize=1 << 12)
+def _walked_sum(gram, p, U, h):
+    return node_walk(gram, p, U, h)[1]
+
+
+def gauss_sum_recursion(gram, p, e, U, h):
+    """S(U, h; p^e) = sum over lambda mod p^e of e((U beta(lambda) + h.lambda)/p^e).
+
+    U is a unit and U, h are reduced mod p^e.  With lambda = lambda1 + p mu,
+    Q(lambda) = U beta(lambda) + h.lambda and grad = U G lambda1 + h,
+      Q(lambda1 + p mu) = Q(lambda1) + p grad.mu + p^2 U beta(mu)
+    (exact, beta integral on L).  The sum over mu mod p^(e-1) vanishes unless
+    grad = 0 mod p; then splitting mu once more, mod p^(e-2) and along p^(e-2),
+    leaves p^rank S(U, grad/p; p^(e-2)).  So for e >= 2
+      S = p^rank sum_{lambda1 mod p, grad = 0 mod p} e(Q(lambda1)/p^e) S(U, grad/p; p^(e-2)),
+    one level of `modp.mod_p_node` per two powers of p, whose solve(U^-1 h)
+    lists the lambda1, down to e = 0 (S = 1) or the walk of (Z/p)^rank at e = 1.
+    """
+    if e == 0:
+        return 1
+    node = mod_p_node(gram, p)
+    if e == 1:
+        return _walked_sum(gram, p, U, h)
+    q, sub = p**e, p ** (e - 2)
+    roots = phase_table(q)
+    ubar = pow(U, -1, p)
+    total = 0j
+    for lam, beta, glam in node.solve(tuple([ubar * v % p for v in h])):
+        value = U * beta + sum(map(mul, h, lam))
+        total += roots[value % q] * _subsum(
+            gram, p, e - 2, U % sub, tuple([(U * g + hi) // p % sub for g, hi in zip(glam, h)]))
+    return p ** len(gram) * total
+
+
+_subsum = lru_cache(maxsize=1 << 16)(gauss_sum_recursion)
 
 
 def walk_keys(lattice, c_max, D=0, r=None):

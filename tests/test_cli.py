@@ -21,7 +21,7 @@ from jacobiforms.rationals import format_rational, parse_rational
 from jacobiforms.weilrep import averaging_matrix, rho_word, schrodinger_matrix
 
 from childenv import child_env
-from oracles import rep_document_json, walk_keys
+from oracles import rep_document_json
 
 LATTICES = Path(__file__).resolve().parent.parent / "lattices"
 DATA = Path(__file__).resolve().parent / "data"  # CLI outputs written before a refactor of that path
@@ -277,23 +277,25 @@ class TestEisensteinCommand:
         assert err["error"] == "ValidationError"
         assert "'a,b,...'" in err["message"]
 
-    def test_over_limit_c_sum_exits_3(self, tmp_path, capsys, monkeypatch):
-        # 2 E8 is 0 mod 2, so at q = 2^j each of the phi(q) units takes
-        # 2^(8 floor(j/2)) Gauss-sum leaves: refused before the first recursion.
-        # k = 10 > rank + 1 keeps the tail finite, which would be refused first
-        monkeypatch.setattr(expsums, "_bad_part", _no_h_c)
+    def test_two_d4_c_sum_at_default_c_max_exits_0(self, tmp_path, capsys):
+        # 2 D4 is 0 mod 2 on its diagonal, with a radical of dimension 4 mod 2:
+        # its Gauss sums at q = 2^j are closed forms over the Jordan splitting, so
+        # the default c-max runs, with the singular term 1 and a finished tail
+        path = tmp_path / "2D4.json"
+        path.write_text(json.dumps({"name": "2D4", "gram": [[4, -2, 0, 0], [-2, 4, -2, -2],
+                                                             [0, -2, 4, 0], [0, -2, 0, 4]]}))
+        code = main(["eisenstein", "--lattice", str(path), "-k", "8", "--mode", "numeric"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["entries"][0]["value"] == "1/1"
+        assert len(doc["entries"]) > 1 and all(math.isfinite(e["value"]["re"]) for e in doc["entries"][1:])
+        assert doc["tail_estimate"] < 1e-3
+        # 2 E8 at k = 10, once refused before its c-sum, now sums it and refuses its tail
         path = tmp_path / "2E8.json"
         path.write_text(json.dumps({"name": "2E8", "gram": [[2 * v for v in row] for row in GOLDEN_GRAMS["E8"]]}))
-        code = main([
-            "eisenstein", "--lattice", str(path), "-k", "10",
-            "--mode", "numeric", "--n-max", "1", "--c-max", "1000",
-        ])
+        code = main(["eisenstein", "--lattice", str(path), "-k", "10", "--mode", "numeric", "--n-max", "1"])
         assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ResourceLimitError"
-        two_e8 = make_lattice([[2 * v for v in row] for row in GOLDEN_GRAMS["E8"]])
-        leaves = sum(q // 2 * 2 ** (8 * ((q.bit_length() - 1) // 2)) for q, _ in walk_keys(two_e8, 1000))
-        assert f" {leaves} leaves" in err["message"]
+        assert json.loads(capsys.readouterr().err)["error"] == "TailTooLargeError"
 
     def test_numeric_output_matches_golden_bytes(self, tmp_path):
         out_path = tmp_path / "out.json"

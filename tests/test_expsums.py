@@ -1,7 +1,9 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -29,15 +31,21 @@ from jacobiforms.errors import (
     ValidationError,
 )
 from jacobiforms import expsums, repcounts
-from jacobiforms.expsums import H_LEAF_LIMIT, h_series_terms
+from jacobiforms.expsums import h_series_terms
 from jacobiforms.lattice import enumerate_supp, load_lattice_json
-from jacobiforms.modp import mod_p_node
+from jacobiforms.modp import jordan_splitting, mod_p_node
 from jacobiforms.numbertheory import factorize, kronecker, zeta_float
 from jacobiforms.oracles import H_POINT_LIMIT, good_prime_factor, lattice_sum_fft
 from jacobiforms.rationals import unit_phase, unit_phase_ratio
 from jacobiforms.repcounts import bad_primes
 
-from oracles import local_factor_sum, node_walk, rep_count_enumerate, walk_keys, zeros_mod_p_walk
+from oracles import (
+    gauss_sum_recursion,
+    local_factor_sum,
+    node_walk,
+    rep_count_enumerate,
+    zeros_mod_p_walk,
+)
 
 _SHIPPED = sorted((Path(__file__).resolve().parent.parent / "lattices").glob("*.json"))
 _A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
@@ -212,16 +220,14 @@ class TestSeriesGuard:
 
     def test_shared_walk_keeps_one_chunk_live(self, square2):
         # an expansion over 4 classes r' forms the Gauss sums of each key once per
-        # unit and G r', memoizing only their subsums, so beside the one packed
+        # unit and G r', in closed form and unmemoized, so beside the one packed
         # row of H_c (16 bytes per c) that each extra target adds to the table it
-        # peaks about where one coefficient does; each run starts from an empty
-        # memo, which is the route's working memory
+        # peaks about where one coefficient does
         spec = EisensteinSpec(lattice=square2, k=10, r=square2.disc_group.zero)
         first = _negative_supp(square2, 1)[0]
         eisenstein_expansion(spec, 1, "numeric", c_max=400)  # imports and one-off tables
 
         def peak(run):
-            expsums._subsum.cache_clear()
             tracemalloc.start()
             try:
                 run()
@@ -234,34 +240,19 @@ class TestSeriesGuard:
         assert len({idx.x for idx in _negative_supp(square2, 1)}) == 4
         assert expansion - 3 * 16 * 400 <= 1.25 * one, (expansion, one)
 
-    def test_over_limit_expansion_fails_before_the_first_term(self, a3, d4, e8, monkeypatch):
-        class FirstRecursion(Exception):
-            pass
-
-        def no_terms(data, q, b):
-            raise FirstRecursion
-
-        monkeypatch.setattr(expsums, "_bad_part", no_terms)
-        # at q = 2^j the recursion branches into the 2^k points of the radical of
-        # G mod 2 at each of floor(j/2) levels, for each of the phi(q) units and
-        # class of keys (on the trivial series, one per q): 2 E8 (G = 0 mod 2,
-        # k = 8) at c <= 1000 is refused before its first recursion; weight
-        # 10 > rank + 1 keeps the tail finite, which would be refused first
-        def leaves(lattice, k):
-            return sum(q // 2 * 2 ** (k * ((q.bit_length() - 1) // 2))
-                       for q, _ in walk_keys(lattice, 1000))
-
+    def test_two_e8_table_finishes_and_the_walk_keeps_its_limit(self, a3, e8):
+        # 2 E8 (G = 0 mod 2) at c <= 1000, which the Gauss-sum recursion refused
+        # by its leaf count, is a finished table of closed forms; it agrees with
+        # the walk of (Z/c)^8 where that is small
         two_e8 = make_lattice([[2 * v for v in row] for row in e8.gram])
-        assert leaves(two_e8, 8) > H_LEAF_LIMIT
-        with pytest.raises(ResourceLimitError, match=f" {leaves(two_e8, 8)} leaves"):
-            eisenstein_expansion(EisensteinSpec(lattice=two_e8, k=10, r=two_e8.disc_group.zero), 1,
-                                 "numeric", c_max=1000)
-        # D4 (k = 2) and A3 (k = 1), 2 det = 8, are admitted and reach their first recursion
-        for lattice, k in ((d4, 2), (a3, 1)):
-            assert leaves(lattice, k) <= H_LEAF_LIMIT
-            with pytest.raises(FirstRecursion):
-                eisenstein_expansion(EisensteinSpec(lattice=lattice, k=10, r=lattice.disc_group.zero),
-                                     1, "numeric", c_max=1000)
+        zero = two_e8.disc_group.zero
+        targets = [(idx.D, idx.x) for idx in enumerate_supp(two_e8, 1) if idx.D < 0]
+        table = expsums._h_table(two_e8, 0, zero, targets, 1000)
+        for i, (Dp, rp) in list(enumerate(targets))[::max(1, len(targets) // 4)]:
+            row = list(table.row(i))
+            assert len(row) == 1000 and all(math.isfinite(abs(h)) for h in row)
+            for c in (1, 2, 3, 4):
+                assert row[c - 1] == pytest.approx(lattice_sum_fft(two_e8, 0, zero, Dp, rp, c), abs=1e-6)
         # the walk oracle keeps the point limit on its c-sum
         points = sum(c**3 for c in range(1, 2001))
         assert points > H_POINT_LIMIT
@@ -527,8 +518,9 @@ class TestHenselNodes:
                     assert mod_p_node(gram, p).zeros(g, n) == nonsingular + len(singular)
 
     def test_node_solve_and_leaf_match_walk_oracle(self):
-        # the node that both recursions read: its coset solve(h), the base it
-        # starts from and the Gauss leaf S(U, h; p), against the walk of (Z/p)^rank
+        # the node that the Hensel recursion reads: its coset solve(h), the base
+        # it starts from, and the Gauss sum S(U, h; p) of the splitting, against
+        # the walk of (Z/p)^rank
         rng = random.Random(21)
         seen = {"solvable": 0, "unsolvable": 0}
         for gram, p in _NODE_FORMS:
@@ -549,15 +541,14 @@ class TestHenselNodes:
                     assert list(glam) == [sum(a * b for a, b in zip(row, lam)) for row in gram]
                 base = node.base(h)
                 assert base is None if not solutions else tuple(v % p for v in base) in solutions
-                assert abs(node.leaf(U, h) - leaf) <= 1e-9 * p**rank, (gram, p, U, h)
+                assert abs(node.gauss_sum(1)(U, h) - leaf) <= 1e-9 * p**rank, (gram, p, U, h)
                 seen["solvable" if solutions else "unsolvable"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_node_at_two_matches_walk_on_random_forms(self):
         # the node at p = 2 from the pairs and the radical of G mod 2: k, the coset
-        # solve(h) reduced and in lexicographic order, its base, the Arf-invariant
-        # leaf and the zero count, against the walk of (Z/2)^rank on random even
-        # forms of rank 1-8
+        # solve(h), its base, the Arf-invariant sum S(1, h; 2) and the zero count,
+        # against the walk of (Z/2)^rank on random even forms of rank 1-8
         rng = random.Random(22)
         seen = {"leaf 0, h in im G": 0, "Arf 0": 0, "Arf 1": 0, "k = 0": 0, "k >= 2": 0}
         for _ in range(300):
@@ -575,9 +566,11 @@ class TestHenselNodes:
             points = list(product(range(2), repeat=rank))
             for h in rng.sample(points, min(len(points), 4)):
                 solutions, walked = node_walk(gram, 2, 1, h)
-                assert [lam for lam, _, _ in node.solve(h)] == sorted(solutions), (gram, h)
+                listed = node.solve(h)
+                assert {tuple(v % 2 for v in lam) for lam, _, _ in listed} == solutions, (gram, h)
+                assert len(listed) == len(solutions)
                 assert (node.base(h) is None) == (not solutions)
-                leaf = node.leaf(1, h)
+                leaf = node.gauss_sum(1)(1, h)
                 assert type(leaf) is int and leaf == round(walked.real), (gram, h)
                 for n in (0, 1):
                     nonsingular, singular = zeros_mod_p_walk(gram, 2, h, n)
@@ -590,23 +583,28 @@ class TestHenselNodes:
     def test_rank_24_node_runs(self, e8):
         # E8^3 is unimodular of rank 24: G mod 2 has no radical, 12 pairs and Arf
         # invariant 0, so S(1, 0; 2) = 2^12 and beta takes the value 1 mod 2 at
-        # (2^24 - 2^12) / 2 points, from either recursion
+        # (2^24 - 2^12) / 2 points, from the splitting and the Hensel count
         lat = make_lattice([[e8.gram[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)]
                             for i in range(24)])
         assert mod_p_node(lat.gram, 2).k == 0
-        assert expsums._gauss_sum(lat.gram, 2, 1, 1, (0,) * 24) == 4096
+        assert mod_p_node(lat.gram, 2).gauss_sum(1)(1, (0,) * 24) == 4096
         key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-1), b=2)
         assert rep_count(key) == (2**24 - 2**12) // 2
 
     def test_leaf_lists_no_point(self):
-        # diag(118, ..., 118) = 0 mod 59, so the radical is all of (Z/59)^4 and its
-        # 59^4 points are over the limit: a Gauss sum mod 59 reads the leaf and
-        # lists nothing, one mod 59^2 lists the coset and is refused
+        # diag(118, ..., 118) = 0 mod 59, so the radical is all of (Z/59)^4: the
+        # Gauss sums read the splitting, four blocks 118 = 2 * 59, and list none
+        # of the 59^4 points.  Mod 59^2 each block is 59 times the Gauss sum
+        # (3/59) i sqrt(59) of 3 y^2 mod 59, so S(3, 0; 59^2) = 59^4 59^2
         gram = tuple(tuple(118 * (i == j) for j in range(4)) for i in range(4))
-        assert expsums._gauss_sum(gram, 59, 1, 3, (0, 0, 0, 0)) == 59**4
-        assert expsums._gauss_sum(gram, 59, 1, 3, (1, 0, 0, 0)) == 0
-        with pytest.raises(ResourceLimitError, match=r"p\^k = 59\^4 = 12117361 singular zeros"):
-            expsums._gauss_sum(gram, 59, 2, 3, (0, 0, 0, 0))
+        node = mod_p_node(gram, 59)
+        assert node.gauss_sum(1)(3, (0, 0, 0, 0)) == 59**4
+        assert node.gauss_sum(1)(3, (1, 0, 0, 0)) == 0
+        assert node.gauss_sum(2)(3, (0, 0, 0, 0)) == pytest.approx(59**6, rel=1e-12)
+        # t' = 1 in the first block: the phase e(-(4 * 3)^-1 / 59)
+        phase = unit_phase_ratio(-pow(12, -1, 59), 59)
+        assert node.gauss_sum(2)(3, (59, 0, 0, 0)) == pytest.approx(59**6 * phase, rel=1e-12)
+        assert node.gauss_sum(2)(3, (1, 0, 0, 0)) == 0
 
     def test_rank_four_radical_counts_match_enumeration(self):
         # diag(6,6,6,6) at p = 3: G = 0 mod 3, so every zero mod 3 is singular
@@ -616,6 +614,99 @@ class TestHenselNodes:
                 for b in (3, 6, 9):
                     key = RepCountKey(lattice=lat, x=x, D=D, b=b)
                     assert rep_count(key) == rep_count_enumerate(lat, x, D, b), (x, D, b)
+
+
+def _fraction_det(rows):
+    a, det = [list(map(Fraction, row)) for row in rows], Fraction(1)
+    for t in range(len(a)):
+        i = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if i is None:
+            return Fraction(0)
+        if i != t:
+            a[t], a[i], det = a[i], a[t], -det
+        det *= a[t][t]
+        for r in range(t + 1, len(a)):
+            f = a[r][t] / a[t][t]
+            a[r] = [x - f * y for x, y in zip(a[r], a[t])]
+    return det
+
+
+# the forms of the closed-form Gauss sums, checked at every p | 2 det with the
+# recursion as oracle: a1, [[8]], a2, square2, A3, D4, 2 D4, E8, 2 E8,
+# [[4, 1], [1, 4]], [[10]], A1^3, [[14]], [[2, 1], [1, 4]], [[118, 59], [59, 118]]
+# and diag(118)^4
+_E8 = ((2, -1, 0, 0, 0, 0, 0, 0), (-1, 2, -1, 0, 0, 0, 0, 0), (0, -1, 2, -1, 0, 0, 0, -1),
+       (0, 0, -1, 2, -1, 0, 0, 0), (0, 0, 0, -1, 2, -1, 0, 0), (0, 0, 0, 0, -1, 2, -1, 0),
+       (0, 0, 0, 0, 0, -1, 2, 0), (0, 0, -1, 0, 0, 0, 0, 2))
+_GAUSS_FORMS = (
+    ((2,),), ((8,),), ((2, 1), (1, 2)), ((2, 0), (0, 2)), _A3, _D4,
+    tuple(tuple(2 * v for v in row) for row in _D4), _E8, tuple(tuple(2 * v for v in row) for row in _E8),
+    ((4, 1), (1, 4)), ((10,),), ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((14,),), ((2, 1), (1, 4)),
+    ((118, 59), (59, 118)), tuple(tuple(118 * (i == j) for j in range(4)) for i in range(4)),
+)
+
+
+class TestJordanSplitting:
+    def test_gauss_sum_matches_recursion(self):
+        # S(U, h; p^e) as a product over the blocks of the splitting, against the
+        # recursion two powers of p at a time (down to the walk of (Z/p)^rank), at
+        # every p | 2 det and e <= 5 (e <= 3 at rank 8 or p = 59).  h is random, or
+        # p^j G lambda, where the sum is often nonzero.  diag(118)^4 at p = 59 is
+        # left to test_leaf_lists_no_point: the recursion lists 59^4 points there
+        rng = random.Random(31)
+        seen = {"zero": 0, "nonzero": 0}
+        for gram in _GAUSS_FORMS:
+            rank = len(gram)
+            for p, _ in factorize(2 * make_lattice(gram).det):
+                if p == 59 and rank == 4:
+                    continue
+                node = mod_p_node(gram, p)
+                for e in range(1, 4 if rank == 8 or p > 7 else 6):
+                    q = p**e
+                    for _ in range(6):
+                        U = rng.choice([u for u in range(1, q) if u % p])
+                        lam = [rng.randrange(q) for _ in range(rank)]
+                        h = tuple(rng.randrange(q) for _ in range(rank)) if rng.random() < 0.3 else tuple(
+                            p ** rng.randint(0, e) * sum(map(mul, row, lam)) % q for row in gram)
+                        want = gauss_sum_recursion(gram, p, e, U, h)
+                        got = node.gauss_sum(e)(U, h)
+                        assert abs(got - want) <= 1e-9 * max(1, abs(want)), (gram, p, e, U, h, got, want)
+                        seen["zero" if abs(want) < 0.5 else "nonzero"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_splitting_is_exact_on_random_forms(self):
+        # B^t G B = J exactly, J block-diagonal with the blocks and valuations the
+        # splitting names, B p-integral with det B a p-unit, on 300 random even
+        # forms of rank 1-8 at p = 2, 3, 5 whose entries carry powers of p; on a
+        # degenerate form the kernel is a zero block
+        rng = random.Random(32)
+        seen = {"2x2": 0, "v >= 1": 0, "degenerate": 0}
+        for _ in range(300):
+            p, rank = rng.choice((2, 3, 5)), rng.randint(1, 8)
+            g = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                g[i][i] = 2 * rng.randint(-3, 3) * rng.choice((1, 1, p, p * p))
+                for j in range(i + 1, rank):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3) * rng.choice((1, 1, p, p * p))
+            basis, blocks = jordan_splitting(tuple(map(tuple, g)), p)
+            assert all(x.denominator % p for vec in basis for x in vec)
+            assert _fraction_det(basis).numerator % p
+            want = [[Fraction(0)] * rank for _ in range(rank)]
+            for idx, m, v in blocks:
+                if len(idx) == 1:
+                    want[idx[0]][idx[0]] = m[0]
+                    assert m[0] == 0 if v == math.inf else (m[0] / 2 / Fraction(p) ** v).numerator % p
+                else:
+                    i, j = idx
+                    want[i][i], want[i][j], want[j][i], want[j][j] = m[0], m[1], m[1], m[2]
+                    assert p == 2 and (m[1] / 2**v).numerator % 2 and not (m[0] / 2**v).numerator % 2
+                    seen["2x2"] += 1
+                seen["v >= 1"] += 1 <= v < math.inf
+                seen["degenerate"] += v == math.inf
+            got = [[sum(x * gij * y for x, row in zip(bi, g) for gij, y in zip(row, bj)) for bj in basis]
+                   for bi in basis]
+            assert got == want, (g, p)
+        assert min(seen.values()) >= 10, seen
 
 
 class TestLocalFactor:
