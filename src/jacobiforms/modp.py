@@ -155,14 +155,14 @@ def mod_p_node(gram, p):
     """
     rank = len(gram)
     splitting, blocks = jordan_splitting(gram, p)
-    units, pivots, radical = [], [], []
+    paired, pivots, radical = [], [], []
     for idx, m, v in blocks:
         if v or p == 2 and len(idx) == 1:
             radical += [splitting[i] for i in idx]
         else:
-            units += [splitting[i] for i in idx]
+            paired += [splitting[i] for i in idx]
             pivots += [_mod(m[0], p)] if p > 2 else [1, 1]
-    basis = [[_mod(x, p) for x in vec] for vec in units + radical]
+    basis = [[_mod(x, p) for x in vec] for vec in paired + radical]
     s, k = len(pivots), rank - len(pivots)
     partner = [i ^ (p == 2) for i in range(s)]  # b_i.G b_j = pivot_i at j = partner[i]
 
