@@ -15,12 +15,14 @@ numeric one hands its support down to `expsums.shared_targets`: the H_c of
 every coefficient come from one table for the whole expansion, while each
 coefficient keeps its own c-sum.  H_c is a product of one local factor per
 prime power q of c.  At D = 0 the factor is a Ramanujan sum or its twist by
-(d/p) in closed form where q is prime to 2 det, and quadratic Gauss sums by
-recursion once per class of keys (q, (c/q)^-1 mod q) at the primes of 2 det
-(one per q on the trivial series), so a numeric Eisenstein request runs in
-Python ints and complexes and never loads numpy.
-A prefactor that leaves the float range is refused while it is built, and an
-infinite tail bound as soon as it is known, both before the first H_c.
+(d/p) in closed form where q is prime to 2 det, and quadratic Gauss sums in
+closed form over the p-adic Jordan splitting once per class of keys
+(q, (c/q)^-1 mod q) at the primes of 2 det (one per q on the trivial series),
+so a numeric Eisenstein request runs in Python ints and complexes and never
+loads numpy.  At odd k and r = -r every term cancels, and no sum is formed.
+A prefactor that leaves the float range is refused while it is built, an
+infinite tail bound as soon as it is known, and a table of H_c over
+`expsums.H_TABLE_LIMIT` bytes before it is allocated, all before the first H_c.
 `repcounts` and `expsums` are bound lazily (see `_lazy`): an exact request
 executes only the counts, and a numeric one only the sums.
 """
@@ -230,13 +232,16 @@ def _float_or_refuse(k, what, build):
 def _series_coefficient(lattice, k, D, r, Dp, xp, c_max, pref, weight, tail, value=-0.0):
     """value + Re(pref * sum_{c <= c_max} weight(c) (H_c + (-1)^k H_c(-r))), guarded.
 
-    The sum is real for either parity, so an imaginary residue is a bug.  The
-    a-priori bound tail() (0 when k is odd and r = -r: every term vanishes) must
-    be <= 1e-3 (1 + |value|), else TailTooLargeError; the singular term sets the
-    scale 1.  tail() does not depend on the value, so an infinite one is
+    The sum is real for either parity, so an imaginary residue is a bug.  When
+    k is odd and r = -r every term vanishes, so the sum is not formed: the value
+    is `value` + 0.0, exactly, with tail 0.0.  Else the a-priori bound tail()
+    must be <= 1e-3 (1 + |value|), or TailTooLargeError; the singular term sets
+    the scale 1.  tail() does not depend on the value, so an infinite one is
     refused before the first H_c.  The default start -0.0 is the additive identity.
     """
-    tail = 0.0 if k % 2 == 1 and lattice.disc_group.neg(r) == r else tail()
+    if k % 2 == 1 and lattice.disc_group.neg(r) == r:
+        return CoefficientValue(value=value + 0.0, tail_estimate=0.0)
+    tail = tail()
     if math.isinf(tail):
         raise TailTooLargeError(f"tail estimate inf at k={k}, rank {lattice.rank}: no c_max "
                                 f"bounds the tail of this c-sum, so it is not summed")

@@ -11,16 +11,17 @@ sum (odd rank) or Kloosterman sum (even rank) mod q: a Ramanujan sum or its
 twist by (d/p) where D or D' is 0 mod q, as at every Eisenstein coefficient
 (`_good_part`, `_prime_power_sum`).  At p | 2 det, F_q is summed over the
 units of q, each Gauss sum a product of one- and two-dimensional closed forms
-over the p-adic Jordan splitting of G (`modp.mod_p_node`, whose reduction mod
-p the Hensel counts of `repcounts` read too), once per class of keys (q, b)
+over the p-adic Jordan splitting of G (`modp.mod_p_node`, whose unit sums
+give the counts of `repcounts` too), once per class of keys (q, b)
 (`_bad_part`): F_q(b) depends on b only through (b^2 n0 mod q, b G r mod q),
 so at D = 0 and r = 0, as on every trivial Eisenstein series, each q is one
 class.  Within one expansion (D, r) is fixed, so inside `shared_targets` one
 table z[target, c] serves every target (D', r') of the expansion, and each
 coefficient's c-sum reads its row, found by a dict; a lone coefficient is the
-one-target case.  The pair (D, r) and every target are checked and reduced
-to beta(r) - D and G r by `lattice.support_data`, the test the counts of
-`repcounts` use too, and beta(r', r) is read as r'.(G r).  Everything here
+one-target case.  A table of over H_TABLE_LIMIT bytes (16 per target and c)
+is refused before it starts.  The pair (D, r) and every target are checked
+and reduced to beta(r) - D and G r by `lattice.support_data`, the test the
+counts of `repcounts` use too, and beta(r', r) is read as r'.(G r).  Everything here
 runs in Python ints and complexes.  The definitional route and the walk of
 (Z/c)^rank, against which the tests assert this one, are in `oracles`.
 """
@@ -33,8 +34,9 @@ from functools import lru_cache
 from operator import mul
 
 from ._record import Frozen, Record
+from .errors import ResourceLimitError
 from .lattice import support_data
-from .modp import _int_beta, mod_p_node
+from .modp import mod_p_node
 from .numbertheory import factorize, kronecker, sqrt_mod
 from .rationals import phase_table, unit_phase_ratio
 
@@ -49,6 +51,17 @@ def __getattr__(name):
 
 
 # -- shared precomputation -------------------------------------------------------
+
+def _int_beta(gram, vec):
+    """beta of an integer vector, as a Python int."""
+    total = 0
+    n = len(vec)
+    for i in range(n):
+        total += gram[i][i] // 2 * vec[i] * vec[i]
+        for j in range(i + 1, n):
+            total += gram[i][j] * vec[i] * vec[j]
+    return total
+
 
 class _SumData(Frozen):
     """Integer data of the exponents of H_{L,c}(D, r, D', r') for one (D, r) and
@@ -257,37 +270,46 @@ class _HTable:
         return complex(self.parts[i], self.parts[i + 1])
 
 
+# The table of H_c holds 16 bytes per target and c; one that would exceed
+# H_TABLE_LIMIT bytes is refused before anything is allocated, naming its size,
+# so a --c-max that cannot be held fails at once; it is a constant, not a setting.
+H_TABLE_LIMIT = 10**9
+
+
 def _h_table(lattice, D, r, targets, c_max):
     """table[target, c - 1] = H_c(D, r, D', r') for c = 1..c_max.
 
     H_c = e(beta(r', r)/c) prod_{q = p^e || c} F_q(b_q), b_q = (c/q)^-1 mod q,
     since 1/c = sum_q b_q/q mod 1.  At p | 2 det, F_q is `_bad_part`, formed
     once per class (q, b^2 n0 mod q, b G r mod q) of keys (q, b), at its first
-    b in order of first c; elsewhere it is `_good_part`, per c, with its
-    constants formed once per q.
+    b in order of c; elsewhere it is `_good_part`, per c, with its constants
+    formed once per q.
     """
+    size = 16 * len(targets) * c_max
+    if size > H_TABLE_LIMIT:
+        raise ResourceLimitError(f"the H_c table at c_max={c_max} for {len(targets)} targets takes "
+                                 f"{size} bytes, over the limit of {H_TABLE_LIMIT}")
     data = _sum_data(lattice, D, r, targets)
     bad = 2 * lattice.det
-    local = [[(p, e, p**e, pow(c // p**e, -1, p**e)) for p, e in factorize(c)]
-             for c in range(1, c_max + 1)]
-    keys, firsts, constants = {}, {}, {}
-    for factors in local:
-        for p, e, q, b in factors:
-            if bad % p:
-                if q not in constants:
-                    constants[q] = _good_constants(data, lattice.det, p, e)
-            elif (q, b) not in keys:
-                cls = (q, b * b * data.n0 % q, tuple([b * g % q for g in data.gx]))
-                keys[q, b] = firsts.setdefault(cls, (q, b))
-    parts = {key: _bad_part(data, *key) for key in firsts.values()}
+    parts, constants = {}, {}
     p0s = [(p0.numerator, p0.denominator) for _, _, p0 in data.targets]
     distinct_p0s = set(p0s)
     table = _HTable(len(targets), c_max)
-    for c, factors in enumerate(local, 1):
+    for c in range(1, c_max + 1):
         phases = {p0: unit_phase_ratio(p0[0], p0[1] * c) for p0 in distinct_p0s}
         hs = [phases[p0] for p0 in p0s]
-        for p, e, q, b in factors:
-            part = parts[keys[q, b]] if bad % p == 0 else _good_part(data, p, e, b, constants[q])
+        for p, e in factorize(c):
+            q = p**e
+            b = pow(c // q, -1, q)
+            if bad % p:
+                if q not in constants:
+                    constants[q] = _good_constants(data, lattice.det, p, e)
+                part = _good_part(data, p, e, b, constants[q])
+            else:
+                cls = (q, b * b * data.n0 % q, tuple([b * g % q for g in data.gx]))
+                if cls not in parts:
+                    parts[cls] = _bad_part(data, q, b)
+                part = parts[cls]
             hs = list(map(mul, hs, part))
         table.put(c, hs)
     return table

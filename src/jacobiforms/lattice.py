@@ -14,8 +14,8 @@ computed without numpy, and so are the per-class data behind the Weil
 matrices, the isotropy set and supp(L).  A `DiscElement` (equality is coordinate
 equality) is built only when asked for.  `support_data` tests a support
 pair (D, r) and reduces it to the integers beta(r) - D and G r, for the
-Hensel counts of `repcounts` and the sums of `expsums` alike; the node mod p
-of G that both read is in `modp`.  Nothing here needs
+counts of `repcounts` and the sums of `expsums` alike; the p-adic Jordan
+splitting of G that both read is in `modp`.  Nothing here needs
 `numbertheory` but `lattice_character`, which imports it where it runs.
 """
 

@@ -1,48 +1,28 @@
-"""The p-adic Jordan splitting of an even Gram matrix G, and what the Gauss sums
-of `expsums` and the Hensel counts of `repcounts` read off it.
+"""The p-adic Jordan splitting of an even Gram matrix G, and the sums over it:
+the Gauss sums of `expsums` and the unit sums behind the counts of `repcounts`.
 
 `mod_p_node(gram, p)`, cached per (gram, p), splits G once over Z_(p):
 B^t G B = J block-diagonal, exactly, with B in GL_n(Z_(p)) held in Fractions,
 1x1 blocks and, at p = 2, 2x2 blocks (Conway-Sloane, SPLAG, ch. 15).  With
 lambda = B mu the quadratic Gauss sum S(U, h; p^e) is the product over the
 blocks of one- and two-dimensional sums in closed form, at t = B^t h
-(`gauss_sum(e)`, its integers reduced mod p^e once per e).  Reduced mod p the
-splitting is the node of the Hensel counts: the blocks that are units mod p
-are the pivots (at p = 2, the pairs), the other basis vectors span the radical
-of G mod p, and from them come the coset solving G lambda + h = 0 and the
-number of zeros of beta(lambda) + g.lambda + n.  Each listing of a coset is
-checked against NODE_POINT_LIMIT before it starts.
+(`gauss_sum(e)`, its integers reduced mod p^e once per e).  At h = U g it is
+an amplitude that reads U only through (U/p), or U mod 8, times a phase
+linear in U, so T_f = sum_U e(U n/p^f) S(U, U g; p^f) is a Ramanujan sum or a
+Gauss sum over those classes, in closed form and an exact int (`unit_sum`;
+T. Yang, J. Number Theory 72 (1998) and 108 (2004)).  No point is listed.
 Only the series modules import this one, so `info` and `rep` never execute it.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import count
 from operator import mul
 from types import SimpleNamespace
 
-from .errors import ResourceLimitError
 from .numbertheory import kronecker
 from .rationals import phase_table
-
-
-def _int_beta(gram, vec):
-    """beta of an integer vector, as a Python int."""
-    total = 0
-    n = len(vec)
-    for i in range(n):
-        total += gram[i][i] // 2 * vec[i] * vec[i]
-        for j in range(i + 1, n):
-            total += gram[i][j] * vec[i] * vec[j]
-    return total
-
-
-# The node lists a coset of the radical of G mod p where a recursion asks for
-# one, and refuses one of over NODE_POINT_LIMIT points before anything is
-# allocated, so a request that cannot finish fails at once with its cost named;
-# it is a constant, not a setting.
-NODE_POINT_LIMIT = 10**7
 
 
 def _val(x, p):
@@ -110,20 +90,18 @@ def jordan_splitting(gram, p):
     return basis, blocks
 
 
-def _form_count(coeffs, m, p):
-    """N_s(m) = #{y in (Z/p)^s : sum c_i y_i^2 = m} for nonzero c_i mod an odd prime p."""
-    s = len(coeffs)
-    if s == 0:
-        return int(m % p == 0)
-    disc = (-1) ** (s // 2) * math.prod(coeffs)
-    if s % 2 == 0:
-        return p ** (s - 1) + (p - 1 if m % p == 0 else -1) * p ** (s // 2 - 1) * kronecker(disc, p)
-    return p ** (s - 1) + p ** ((s - 1) // 2) * kronecker(disc * m, p)
+def _rotate(x, k):
+    """zeta^k x for x in Z[zeta], zeta = e(1/8), in the basis 1, zeta, zeta^2, zeta^3."""
+    out = [0] * 4
+    for j, c in enumerate(x):
+        r = (j + k) % 8
+        out[r % 4] += c if r < 4 else -c
+    return out
 
 
 @lru_cache(maxsize=256)
 def mod_p_node(gram, p):
-    """The splitting of G at a prime p and its node mod p, built once per (gram, p).
+    """The sums over the splitting of G at a prime p, built once per (gram, p).
 
     gauss_sum(e) is S(U, h) = S(U, h; p^e), the sum over lambda mod p^e of
     e((U beta(lambda) + h.lambda)/p^e), U a unit and h mod p^e.  With
@@ -139,54 +117,28 @@ def mod_p_node(gram, p):
         z = U^-1 M0^-1 t' and arf = (M0_11/2)(M0_22/2) mod 2.
     Each phase is e(-U^-1 (1/2) t'.M0^-1 t' / p^f), M0 = J_b / p^v, so the
     exponents add into one entry of `phase_table(p^e)`, their sum memoized per
-    h (a tuple) before the factor U^-1; the rest reads U as (U/p) or U mod 8.
+    h (a tuple) before the factor U^-1; the rest is the amplitude
+    whole z_U sqrt(p)^roots, z_U a Gaussian integer that reads U as (U/p) or
+    U mod 8, exact in floats, and these integers are formed once per e (`parts`).
 
-    k is the dimension of the radical R of G mod p.  solve(h) lists the lambda
-    with G lambda + h = 0 mod p, one per class, as (lambda, beta(lambda),
-    G lambda): none, or a coset of R of p^k points.  base(h) is one of them
-    (None if there is none), and zeros(g, n) the number of zeros of
-    Q = beta(lambda) + g.lambda + n; neither lists.  h, g, n are reduced mod p.
-    With lambda = sum y_i b_i over the pivots and then R, G lambda + h = 0
-    asks b_i.h = 0 on R and pivot_i y_i = -b_j.h below it, j = i at odd p and
-    j the other vector of i's pair at p = 2.  At odd p, Q has p^(rank-1) zeros
-    if g is outside im G = R^perp (Q is linear along R), else p^k N_s(m),
-    m = -Q(base(g)) (`_form_count`); at p = 2 it has
-    (2^rank + (-1)^n S(1, g; 2)) / 2, S an int there.
+    unit_sum(f, g, n) is T_f = sum_{U in (Z/p^f)*} e(U n/p^f) S(U, U g; p^f),
+    g and n integral, as an exact int.  At h = U g, t is U times its value at
+    g, so the block tests pass for every U or for none (T_f = 0), and the
+    exponent is U^2 X, X its value at g: S(U, U g) = A(U) e(-U X/p^f).  With
+    m = n - X mod p^f:
+      odd p: z_-1 = (-1)^roots z_1, so at even roots T_f is A(1) times the
+        Ramanujan sum c_{p^f}(m), and at odd roots A(1) times
+        sum_U (U/p) e(U m/p^f) = p^(f-1) ((m/p^(f-1))/p) eps_p sqrt(p) if
+        p^(f-1) || m, else 0; the two sqrt(p) and i factors pair into +-p^j;
+      p = 2: sum_U A(U) e(U m/2^f) over the classes r mod 2^min(f, 3), each
+        2^d [2^d | m] zeta^(r (m/2^d) 2^(3 - min(f, 3))), d = max(f - 3, 0),
+        in Z[zeta], zeta = e(1/8) and sqrt(2) = zeta - zeta^3.
+    T_f = sum_lambda c_{p^f}(Q(lambda)) is a rational integer, which is asserted.
     """
-    rank = len(gram)
     splitting, blocks = jordan_splitting(gram, p)
-    paired, pivots, radical = [], [], []
-    for idx, m, v in blocks:
-        if v or p == 2 and len(idx) == 1:
-            radical += [splitting[i] for i in idx]
-        else:
-            paired += [splitting[i] for i in idx]
-            pivots += [_mod(m[0], p)] if p > 2 else [1, 1]
-    basis = [[_mod(x, p) for x in vec] for vec in paired + radical]
-    s, k = len(pivots), rank - len(pivots)
-    partner = [i ^ (p == 2) for i in range(s)]  # b_i.G b_j = pivot_i at j = partner[i]
-
-    def base(h):
-        t = [sum(map(mul, vec, h)) % p for vec in basis]  # b_i.h mod p
-        if any(t[s:]):  # h is not orthogonal to R
-            return None
-        y = [-t[j] * pow(piv, -1, p) % p for j, piv in zip(partner, pivots)]
-        return [sum(yi * vec[j] for yi, vec in zip(y, basis)) for j in range(rank)]
-
-    @lru_cache(maxsize=1 << 12)
-    def solve(h):
-        lam0 = base(h)
-        if lam0 is None:
-            return ()
-        if p**k > NODE_POINT_LIMIT:
-            raise ResourceLimitError(f"a Hensel node at p={p} lists p^k = {p}^{k} = {p**k} singular zeros, "
-                                     f"over the limit of {NODE_POINT_LIMIT}")
-        points = (tuple(l0 + sum(z * vec[j] for z, vec in zip(zs, basis[s:])) for j, l0 in enumerate(lam0))
-                  for zs in product(range(p), repeat=k))
-        return [(lam, _int_beta(gram, lam), [sum(map(mul, row, lam)) for row in gram]) for lam in points]
 
     @lru_cache(maxsize=64)
-    def gauss_sum(e):
+    def parts(e):  # the exponent X(h) or None, and the amplitude: whole, roots, z_U by class of U
         q = p**e
         rows = [[_mod(x, q) for x in vec] for vec in splitting]
         quads = []  # per block: its indices, p^v, the parity t' must have, (1/2) M0^-1
@@ -212,9 +164,6 @@ def mod_p_node(gram, p):
                 elif f > 1:
                     a = u * _mod(a0, 8) % 8
                     units[u] *= (1 + 1j if a % 4 == 1 else 1 - 1j) * (1 if a in (1, 7) else -1) ** f
-        root = p ** (roots // 2) * (math.sqrt(p) if roots % 2 else 1)
-        amps = {(u % 8 if p == 2 else u % p): whole * z * root for u, z in units.items()}
-        phases = phase_table(q)
 
         @lru_cache(maxsize=1 << 12)
         def exponent(h):  # sum of p^v (1/2) t'.M0^-1 t' over the blocks, or None where S = 0
@@ -231,6 +180,17 @@ def mod_p_node(gram, p):
                 num += pv * (c0 * x * x + c1 * x * y + c2 * y * y)
             return num
 
+        # z_U as complex for S, and as the pair of ints it is exactly for T_f
+        return exponent, whole, roots, units, {u: (int(z.real), int(z.imag)) for u, z in units.items()}
+
+    @lru_cache(maxsize=64)
+    def gauss_sum(e):
+        q = p**e
+        exponent, whole, roots, units, _ = parts(e)
+        root = p ** (roots // 2) * (math.sqrt(p) if roots % 2 else 1)
+        amps = {(u % 8 if p == 2 else u % p): whole * z * root for u, z in units.items()}
+        phases = phase_table(q)
+
         def S(U, h):
             num = exponent(h)
             if num is None:
@@ -241,13 +201,35 @@ def mod_p_node(gram, p):
 
         return S
 
-    def zeros(g, n):
-        if p == 2:
-            return (2**rank + (-1) ** n * gauss_sum(1)(1, g)) // 2
-        lam0 = base(g)
-        if lam0 is None:
-            return p ** (rank - 1)
-        m = -(_int_beta(gram, lam0) + sum(map(mul, g, lam0)) + n) % p
-        return p**k * _form_count([piv * (p + 1) // 2 % p for piv in pivots], m, p)
+    def unit_sum(f, g, n):
+        q = p**f
+        exponent, whole, roots, _, gauss = parts(f)
+        x = exponent(tuple([v % q for v in g]))
+        if x is None:
+            return 0
+        m = (n - x) % q
+        if p > 2:
+            low = q // p
+            if m % low or roots % 2 and m == 0:
+                return 0
+            a, b = gauss[1]
+            if roots % 2:  # eps_p sqrt(p) of the twisted sum meets the odd power of sqrt(p)
+                a, b = (-b, a) if p % 4 == 3 else (a, b)
+                scale = p ** ((roots + 1) // 2) * low * kronecker(m // low, p)
+            else:
+                scale = p ** (roots // 2) * (q - low if m == 0 else -low)
+            assert b == 0, f"T_{f} at p={p} is not a rational integer"
+            return whole * a * scale
+        d = max(f - 3, 0)
+        if m % 2**d:
+            return 0
+        total = [0] * 4
+        for r in range(1, 2 ** min(f, 3), 2):
+            a, b = gauss[r]
+            total = [x + y for x, y in zip(total, _rotate([a, 0, b, 0], r * (m >> d) << 3 - min(f, 3)))]
+        if roots % 2:
+            total = [x - y for x, y in zip(_rotate(total, 1), _rotate(total, 3))]
+        assert not any(total[1:]), f"T_{f} at p=2 is not a rational integer"
+        return whole * 2 ** (d + roots // 2) * total[0]
 
-    return SimpleNamespace(k=k, base=base, solve=solve, gauss_sum=gauss_sum, zeros=zeros)
+    return SimpleNamespace(gauss_sum=gauss_sum, unit_sum=unit_sum)

@@ -5,8 +5,8 @@ expansions.  Poincare series are cusp forms: expansions carry no D' = 0 part.
 The c-sum, its guards and the expansion loop are Eisenstein's
 (`_series_coefficient`, `_series_expansion`, which shares one H_c table across
 the expansion: one local factor per prime power q of c, since D != 0 a
-Kloosterman or Salie sum mod q where q is prime to 2 det, and Gauss sums by
-recursion per class of keys (q, (c/q)^-1 mod q) at the primes of 2 det, all in
+Kloosterman or Salie sum mod q where q is prime to 2 det, and Gauss sums in
+closed form per class of keys (q, (c/q)^-1 mod q) at the primes of 2 det, all in
 Python ints and complexes, so no Poincare request loads numpy); this module
 supplies the prefactor, the Bessel weight and the tail bound.  The weight is
 one `bessel_j` call per (coefficient, c), memoized per argument inside it; at

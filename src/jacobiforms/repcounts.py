@@ -3,37 +3,30 @@ Dirichlet series: the counts behind the exact trivial Eisenstein coefficients.
 
 R_b counts the zeros mod b of the integral polynomial
 Q(lambda) = beta(lambda + x) - D.  Composite b splits by CRT into prime powers,
-and R_{p^e} comes from a Hensel recursion over the zeros of Q mod p: a
-nonsingular zero lifts to p^((e-1)(rank-1)) zeros mod p^e (this holds at p = 2
-too), and a singular zero recurses on the form reduced by p.  Each node is
-counted and its singular zeros listed by `modp.mod_p_node`: the p-adic Jordan
-splitting of G, whose blocks give the Gauss sums of `expsums`, reduced mod p.
-It counts in closed form at every p (by the Arf invariant of beta mod 2, the
-Gauss sum S(1, g; 2), at p = 2).  Its coset is listed only where the
-singular zeros recurse, at e >= 2, and e = 1 takes the count alone.
-This recursion is the one route to R_{p^e}, at good and bad primes alike, and
-the LRU cache on it the one memo of R_b across calls: `rep_count`, the stable
+and R_{p^e} is read off the unit sums T_f = sum_U e(U n/p^f) S(U, U g; p^f),
+f <= e, of `modp.mod_p_node`: exact ints in closed form over the p-adic Jordan
+splitting of G, whose blocks give the Gauss sums of `expsums` too.  With
+R_{p^f} = p^(rank-1) R_{p^(f-1)} + T_f / p^f (`_extend_counts`) no point is
+listed and no count refused, at good and bad primes alike.  The counts of one
+(x, D) live in one closure (`_prime_power_counts`, LRU-cached), the one memo of
+R_b across calls, each R_{p^f} formed once per p: `rep_count`, the stable
 profiles behind the local factors and the R_b of the Dirichlet series
 (`representation_numbers`, over `factorize` as `rep_count`) all read through
-it, by the one count(p, e) of each (x, D) (`_prime_power_counts`).  That
-closure takes G x and beta(x) - D from `lattice.support_data`, the one test
-that (D, x) lies in supp(L), so every count route refuses the same pairs.  A
-node that would list more than `modp.NODE_POINT_LIMIT` points raises
-ResourceLimitError before allocating.
-The brute-force count over (Z/b)^rank and the walk of (Z/p)^rank at every node
-stay in the tests as oracles, and the closed form of a good prime's factor in
-`oracles`.  Everything here runs in Python ints.
+it.  It takes G x and beta(x) - D from `lattice.support_data`, the one test
+that (D, x) lies in supp(L), so every count route refuses the same pairs.
+The brute-force count over (Z/b)^rank and the Hensel recursion over the zeros
+mod p stay in the tests as oracles, and the closed form of a good prime's
+factor in `oracles`.  Everything here runs in Python ints.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from ._record import Frozen
 from .errors import StabilizationFailureError
 from .lattice import support_data
-from .modp import _int_beta, mod_p_node
+from .modp import mod_p_node
 from .numbertheory import factorize
 from .rationals import is_integral
 
@@ -51,61 +44,43 @@ class RepCountKey(Frozen):
         support_data(self.lattice, self.D, self.x)
 
 
-@lru_cache(maxsize=1 << 16)
-def _hensel_count(gram, p, g, n, e):
-    """#{lambda mod p^e : Q(lambda) = beta(lambda) + g.lambda + n = 0 mod p^e}, g, n mod p^e.
+def _extend_counts(gram, p, g, n, counts, e):
+    """counts = [R_{p^0}, ...] of Q(lambda) = beta(lambda) + g.lambda + n, extended
+    in place up to R_{p^e} by R_{p^f} = p^(rank-1) R_{p^(f-1)} + T_f / p^f.
 
-    With Q(lambda0 + p mu) = Q(lambda0) + p grad Q(lambda0).mu + p^2 beta(mu)
-    (exact, beta integral on L), a zero lambda0 mod p is counted as:
-    nonsingular -> p^((e-1)(rank-1)) lifts; singular at e = 1 -> 1, so e = 1
-    is the count of zeros mod p and lists none; singular with p^2 | Q(lambda0)
-    -> p^rank times the count of the reduced form (grad/p, Q/p^2) mod p^(e-2);
-    any other singular zero -> none.  The singular zeros (grad Q = G lambda + g
-    = 0 mod p) are the points of the node's coset solve(g) where Q = 0, with
-    Q mod p^2 the same at each representative; at odd p, Q is constant mod p
-    on that coset, which is listed only if Q(base) = 0.
+    p^f R_{p^f} = sum_{lambda mod p^f} sum_{a mod p^f} e(a Q(lambda)/p^f), and the
+    a of order p^j give p^((f - j) rank) T_j, T_j the unit sum of `modp`; so
+    p^f R_{p^f} - p^rank p^(f-1) R_{p^(f-1)} = T_f, exactly, in ints.
     """
-    if e == 0:
-        return 1
-    node = mod_p_node(gram, p)
-    g1, n1 = tuple(v % p for v in g), n % p
-    if e == 1:
-        return node.zeros(g1, n1)
-    lift = p ** ((e - 1) * (len(gram) - 1))
-    total = node.zeros(g1, n1) * lift  # every zero counted as nonsingular, then corrected
-    lam0 = node.base(g1)
-    if lam0 is None or p > 2 and (_int_beta(gram, lam0) + sum(map(mul, g1, lam0)) + n1) % p:
-        return total
-    sub = p ** (e - 2)
-    for lam, beta, glam in node.solve(g1):
-        value = beta + sum(map(mul, g, lam)) + n
-        if value % p == 0:
-            total -= lift
-            if value % (p * p) == 0:
-                grad = tuple((a + b) // p % sub for a, b in zip(glam, g))
-                total += p ** len(gram) * _hensel_count(gram, p, grad, value // p**2 % sub, e - 2)
-    return total
+    unit_sum = mod_p_node(gram, p).unit_sum
+    while len(counts) <= e:
+        f = len(counts)
+        t = unit_sum(f, g, n)
+        assert t % p**f == 0, f"T_{f} at p={p} is not divisible by p^{f}"
+        counts.append(p ** (len(gram) - 1) * counts[-1] + t // p**f)
+    return counts
 
 
 @lru_cache(maxsize=4096)
 def _prime_power_counts(lattice, x, D):
-    """(p, e) -> R_{p^e} for Q(lambda) = beta(lambda + x) - D, by `_hensel_count`.
+    """(p, e) -> R_{p^e} for Q(lambda) = beta(lambda + x) - D, by `_extend_counts`,
+    each R_{p^f} formed once per (lattice, x, D, p) and read by every e >= f.
 
     The integer data G x and beta(x) - D come once per (lattice, x, D) from
     `support_data`, which raises ValueError unless (D, x) lies in supp(L).
     """
     # Q(lambda) = beta(lambda) + (G x).lambda + beta(x) - D
     _, n, gx = support_data(lattice, D, x)
+    known = {}
 
     def count(p, e):
-        q = p**e
-        return _hensel_count(lattice.gram, p, tuple(v % q for v in gx), n % q, e)
+        return _extend_counts(lattice.gram, p, gx, n, known.setdefault(p, [1]), e)[e]
 
     return count
 
 
 def rep_count(key):
-    """R_b: the CRT product over p^e || b of Hensel counts, memoized per prime power."""
+    """R_b: the CRT product over p^e || b of the prime-power counts."""
     count = _prime_power_counts(key.lattice, key.x, key.D)
     return math.prod(count(p, e) for p, e in factorize(key.b))
 

@@ -11,8 +11,11 @@ Poincare oracle sums the defining series on a (tau, z) grid and Fourier-inverts
 it, the lattice-invariants oracle reads det off Bareiss with row swaps and
 the level off a Gauss-Jordan inverse in Fractions in place of the Smith form,
 the Gauss-sum oracle reduces S(U, h; p^e) two powers of p at a time onto the
-coset of the node mod p, down to the walk of (Z/p)^rank, in place of the
-closed form over the Jordan splitting, the local-factor oracle sums F_q(b) of H_c over the units V and lambda mod q
+coset of the node mod p (`mod_p_coset`, the Jordan splitting reduced mod p),
+down to the walk of (Z/p)^rank, in place of the closed form over the Jordan
+splitting, the prime-power count oracle runs the Hensel recursion over the
+zeros mod p of the same walk and the singular zeros of that coset, in place of
+the unit sums, the local-factor oracle sums F_q(b) of H_c over the units V and lambda mod q
 in place of the closed forms, and the walk keys of
 the H_c table are read off the factorization of each c.  The Weil-representation oracles build rho(T),
 rho(S) and sigma_x entry by entry from Fraction pairings of the coset
@@ -33,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from jacobiforms import (
     trivial_coefficient_exact,
 )
 from jacobiforms.errors import DegenerateError, NotPositiveDefiniteError
-from jacobiforms.modp import mod_p_node
+from jacobiforms.modp import _mod, jordan_splitting
 from jacobiforms.numbertheory import bernoulli, factorize
 from jacobiforms.rationals import frac1, is_integral, phase_table, unit_phase
 
@@ -348,6 +352,86 @@ def node_walk(gram, p, U, h):
     return {tuple(v) for v in lam[:, solved].T.tolist()}, complex(np.exp(2j * np.pi * phase / p).sum())
 
 
+@lru_cache(maxsize=256)
+def mod_p_coset(gram, p):
+    """The node mod p of the Hensel and Gauss-sum recursions, off the Jordan
+    splitting of G reduced mod p: k, base(h) and solve(h).
+
+    The v = 0 blocks are the pivots (at p = 2, the pairs), and every other basis
+    vector spans the radical R of G mod p, of dimension k.  solve(h) lists the
+    lambda with G lambda + h = 0 mod p, one per class, as (lambda, beta(lambda),
+    G lambda): none, or a coset of R of p^k points; base(h) is one of them, or
+    None.  With lambda = sum y_i b_i over the pivots and then R, G lambda + h = 0
+    asks b_i.h = 0 on R and pivot_i y_i = -b_j.h below it, j = i at odd p and j
+    the other vector of i's pair at p = 2.  h is reduced mod p.
+    """
+    rank = len(gram)
+    splitting, blocks = jordan_splitting(gram, p)
+    paired, pivots, radical = [], [], []
+    for idx, m, v in blocks:
+        if v or p == 2 and len(idx) == 1:
+            radical += [splitting[i] for i in idx]
+        else:
+            paired += [splitting[i] for i in idx]
+            pivots += [_mod(m[0], p)] if p > 2 else [1, 1]
+    basis = [[_mod(x, p) for x in vec] for vec in paired + radical]
+    s, k = len(pivots), rank - len(pivots)
+    partner = [i ^ (p == 2) for i in range(s)]  # b_i.G b_j = pivot_i at j = partner[i]
+
+    def base(h):
+        t = [sum(map(mul, vec, h)) % p for vec in basis]  # b_i.h mod p
+        if any(t[s:]):  # h is not orthogonal to R
+            return None
+        y = [-t[j] * pow(piv, -1, p) % p for j, piv in zip(partner, pivots)]
+        return [sum(yi * vec[j] for yi, vec in zip(y, basis)) for j in range(rank)]
+
+    @lru_cache(maxsize=1 << 12)
+    def solve(h):
+        lam0 = base(h)
+        if lam0 is None:
+            return ()
+        points = (tuple(l0 + sum(z * vec[j] for z, vec in zip(zs, basis[s:])) for j, l0 in enumerate(lam0))
+                  for zs in product(range(p), repeat=k))
+        return [(lam, sum(gram[i][j] * lam[i] * lam[j] for i in range(rank) for j in range(rank)) // 2,
+                 [sum(map(mul, row, lam)) for row in gram]) for lam in points]
+
+    return SimpleNamespace(k=k, base=base, solve=solve)
+
+
+@lru_cache(maxsize=1 << 16)
+def hensel_count(gram, p, g, n, e):
+    """#{lambda mod p^e : Q(lambda) = beta(lambda) + g.lambda + n = 0 mod p^e}, g, n mod p^e,
+    by the Hensel recursion over the zeros mod p, in place of the unit sums of `modp`.
+
+    With Q(lambda0 + p mu) = Q(lambda0) + p grad Q(lambda0).mu + p^2 beta(mu)
+    (exact, beta integral on L), a zero lambda0 mod p is counted as:
+    nonsingular -> p^((e-1)(rank-1)) lifts; singular at e = 1 -> 1, so e = 1
+    is the count of zeros mod p, from the walk of (Z/p)^rank; singular with
+    p^2 | Q(lambda0) -> p^rank times the count of the reduced form
+    (grad/p, Q/p^2) mod p^(e-2); any other singular zero -> none.  The singular
+    zeros (grad Q = G lambda + g = 0 mod p) are the points of the coset
+    `mod_p_coset(gram, p).solve(g)` where Q = 0, with Q mod p^2 the same at each
+    representative.
+    """
+    if e == 0:
+        return 1
+    g1, n1 = tuple(v % p for v in g), n % p
+    nonsingular, singular = zeros_mod_p_walk(gram, p, g1, n1)
+    if e == 1:
+        return nonsingular + len(singular)
+    lift = p ** ((e - 1) * (len(gram) - 1))
+    total = (nonsingular + len(singular)) * lift  # every zero counted as nonsingular, then corrected
+    sub = p ** (e - 2)
+    for lam, beta, glam in mod_p_coset(gram, p).solve(g1):
+        value = beta + sum(map(mul, g, lam)) + n
+        if value % p == 0:
+            total -= lift
+            if value % (p * p) == 0:
+                grad = tuple((a + b) // p % sub for a, b in zip(glam, g))
+                total += p ** len(gram) * hensel_count(gram, p, grad, value // p**2 % sub, e - 2)
+    return total
+
+
 @lru_cache(maxsize=1 << 12)
 def _walked_sum(gram, p, U, h):
     return node_walk(gram, p, U, h)[1]
@@ -363,19 +447,18 @@ def gauss_sum_recursion(gram, p, e, U, h):
     grad = 0 mod p; then splitting mu once more, mod p^(e-2) and along p^(e-2),
     leaves p^rank S(U, grad/p; p^(e-2)).  So for e >= 2
       S = p^rank sum_{lambda1 mod p, grad = 0 mod p} e(Q(lambda1)/p^e) S(U, grad/p; p^(e-2)),
-    one level of `modp.mod_p_node` per two powers of p, whose solve(U^-1 h)
+    one level of `mod_p_coset` per two powers of p, whose solve(U^-1 h)
     lists the lambda1, down to e = 0 (S = 1) or the walk of (Z/p)^rank at e = 1.
     """
     if e == 0:
         return 1
-    node = mod_p_node(gram, p)
     if e == 1:
         return _walked_sum(gram, p, U, h)
     q, sub = p**e, p ** (e - 2)
     roots = phase_table(q)
     ubar = pow(U, -1, p)
     total = 0j
-    for lam, beta, glam in node.solve(tuple([ubar * v % p for v in h])):
+    for lam, beta, glam in mod_p_coset(gram, p).solve(tuple([ubar * v % p for v in h])):
         value = U * beta + sum(map(mul, h, lam))
         total += roots[value % q] * _subsum(
             gram, p, e - 2, U % sub, tuple([(U * g + hi) // p % sub for g, hi in zip(glam, h)]))

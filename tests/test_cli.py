@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -315,6 +316,25 @@ class TestEisensteinCommand:
         ])
         assert code == 0
         assert out_path.read_bytes() == (DATA / f"eisenstein_{name}_k{k}_n3_exact.json").read_bytes()
+
+    def test_oversized_c_max_exits_3_before_the_table(self, a1_path, capsys, monkeypatch):
+        # the H_c table, 16 bytes per target and c, is measured against
+        # expsums.H_TABLE_LIMIT before it or any per-c work is allocated
+        def no_table(*args):
+            raise AssertionError("the H_c table was begun")
+
+        monkeypatch.setattr(expsums, "_HTable", no_table)
+        monkeypatch.setattr(expsums, "_sum_data", no_table)
+        start = time.perf_counter()
+        code = main([
+            "eisenstein", "--lattice", a1_path, "-k", "8", "--mode", "numeric",
+            "--n-max", "1", "--c-max", "1000000000000",
+        ])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ResourceLimitError"
+        assert "c_max=1000000000000 for 2 targets takes 32000000000000 bytes" in err["message"]
 
     def test_large_weight_exits_3_before_any_h_c(self, a1_path, capsys, monkeypatch):
         monkeypatch.setattr(expsums, "_bad_part", _no_h_c)

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,16 @@ class TestNumericCoefficient:
         spec = EisensteinSpec(lattice=a1, k=5, r=a1.disc_group.zero)
         num = eisenstein_coefficient_numeric(spec, Fraction(-1), a1.disc_group.zero, 300)
         assert abs(num.value) <= 1e-9
+
+    def test_odd_weight_self_dual_class_is_exactly_zero(self, a1):
+        # at odd k and r = -r each term of the c-sum cancels against its partner, so
+        # the sum is not formed: every coefficient is +0.0 under the tail 0.0 it
+        # reports, where the summed terms left 2.5e-21 and -6.4e-20 on a1, k = 7
+        spec = EisensteinSpec(lattice=a1, k=7, r=a1.disc_group.zero)
+        expansion = eisenstein_expansion(spec, 2, "numeric", c_max=50)
+        values = [v for idx, v in expansion.entries.items() if idx.D < 0]
+        assert len(values) == 4 and expansion.tail_estimate == 0.0
+        assert all(v == 0 and math.copysign(1, v) == 1 for v in values), values
 
     def test_single_term_prefactor(self, a1):
         # (2 pi)^(k - 1/2) i^k / (2 sqrt(2) Gamma(k - 1/2)) times sum_c z_c c^(-k),

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
@@ -41,7 +42,9 @@ from jacobiforms.repcounts import bad_primes
 
 from oracles import (
     gauss_sum_recursion,
+    hensel_count,
     local_factor_sum,
+    mod_p_coset,
     node_walk,
     rep_count_enumerate,
     zeros_mod_p_walk,
@@ -60,6 +63,13 @@ _NODE_FORMS = (
     (((2, 0, 0), (0, 2, 0), (0, 0, 118)), 59), (((10, 1, 0), (1, 10, 5), (0, 5, 10)), 5),
     (_A3, 2), (_D4, 3), (((6, 0, 0, 0), (0, 6, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6)), 3),
 )
+# the forms of the counts against the recursion oracle, at p = 2, 3, 5, 7: a1, [[8]],
+# a2, A3, D4, 2 D4, [[4, 1], [1, 4]], diag(6)^4, diag(2, 2, 6), [[14]] and an odd rank-3 form
+_COUNT_FORMS = (
+    ((2,),), ((8,),), ((2, 1), (1, 2)), _A3, _D4, tuple(tuple(2 * v for v in row) for row in _D4),
+    ((4, 1), (1, 4)), tuple(tuple(6 * (i == j) for j in range(4)) for i in range(4)),
+    ((2, 0, 0), (0, 2, 0), (0, 0, 6)), ((14,),), ((10, 1, 0), (1, 10, 5), (0, 5, 10)),
+)
 
 
 def _int_beta(gram, lam):
@@ -76,6 +86,11 @@ def _hensel_square_walk(gram, p, g, n):
     lifted = sum((_int_beta(gram, lam) + sum(a * b for a, b in zip(g, lam)) + n) % (p * p) == 0
                  for lam in singular)
     return nonsingular * p ** (rank - 1) + p**rank * lifted, singular
+
+
+def _counts(gram, p, g, n, e):
+    """[R_{p^0}, ..., R_{p^e}] of Q(lambda) = beta(lambda) + g.lambda + n, from the unit sums."""
+    return repcounts._extend_counts(gram, p, g, n, [1], e)
 
 
 def _negative_supp(lattice, n_max=2):
@@ -459,14 +474,16 @@ class TestRepCount:
         for lat, p, expected in ((e8, 1009, 1009**7 + 1008 * 1009**3), (square2, 3163, 1)):
             key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-p), b=p)
             assert rep_count(key) == expected
-        # the guard counts listed singular zeros: diag(118, ..., 118) = 0 mod 59, so
-        # at x = 0, D = -59 every point of (Z/59)^4 is one; b = 59 only counts
-        # them, b = 59^2 lifts them one by one and is refused
+        # nor do singular zeros: diag(118, ..., 118) = 0 mod 59, so at x = 0, D = -59
+        # every point of (Z/59)^4 is a singular zero, and mod 59^2 Q = 59 (sum y_i^2 + 1)
+        # vanishes at 59^4 lifts of each of the 59^3 - 59 zeros of sum y_i^2 = -1 mod 59;
+        # the unit sums list none of them
         lat = make_lattice([[118 * (i == j) for j in range(4)] for i in range(4)])
         assert rep_count(RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-59), b=59)) == 59**4
         key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-59), b=59**2)
-        with pytest.raises(ResourceLimitError, match=r"p\^k = 59\^4 = 12117361 singular zeros"):
-            rep_count(key)
+        start = time.perf_counter()
+        assert rep_count(key) == 2_487_936_560_520 == 59**4 * (59**3 - 59)
+        assert time.perf_counter() - start < 1
 
     def test_prime_power_closed_forms_match_enumeration(self, a1, square2, a2):
         # rep_count at good and bad prime powers (the closed-form Hensel nodes at
@@ -502,30 +519,57 @@ class TestHenselNodes:
             nodes += [(rng.choice(points), rng.randrange(p)) for _ in range(6)]
             for g, n in nodes:
                 want, singular = _hensel_square_walk(gram, p, g, n)
-                assert repcounts._hensel_count(gram, p, g, n, 2) == want, (gram, p, g, n)
+                assert _counts(gram, p, g, n, 2)[2] == want, (gram, p, g, n)
                 if p > 2:
                     seen["outside im G" if g not in image else "m = 0" if singular else "m != 0"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_count_lists_no_zero(self):
-        # e = 1 needs only the number of zeros mod p: the closed form counts the
-        # p^k singular zeros lambda0 + R without building them
+        # e = 1 is the number of zeros mod p: T_1 counts the p^k singular zeros
+        # lambda0 + R without building them
         for gram, p in _NODE_FORMS:
             rank = len(gram)
             for g in islice(product(range(p), repeat=rank), 8):
                 for n in range(min(p, 4)):
                     nonsingular, singular = zeros_mod_p_walk(gram, p, g, n)
-                    assert mod_p_node(gram, p).zeros(g, n) == nonsingular + len(singular)
+                    assert _counts(gram, p, g, n, 1)[1] == nonsingular + len(singular)
+
+    def test_counts_match_recursion_oracle(self):
+        # R_{p^l}, l <= e, from the unit sums T_f against the Hensel recursion (whose
+        # zeros mod p come from the walk of (Z/p)^rank), as exact ints, on random
+        # (g, n): half of them g = p^j G lambda and n = p^i y, where singular zeros
+        # recurse and the counts leave p^(rank-1) R_{p^(l-1)}
+        rng = random.Random(23)
+        seen = {"zero": 0, "stable": 0, "unstable": 0}
+        for gram in _COUNT_FORMS:
+            rank = len(gram)
+            for p in (2, 3, 5, 7):
+                e = 5 if p == 2 else 3
+                q = p**e
+                for _ in range(10):
+                    if rng.random() < 0.5:
+                        g, n = tuple(rng.randrange(q) for _ in gram), rng.randrange(q)
+                    else:
+                        lam = [rng.randrange(q) for _ in gram]
+                        g = tuple(p ** rng.randint(0, e) * sum(map(mul, row, lam)) % q for row in gram)
+                        n = p ** rng.randint(0, e) * rng.randrange(p) % q
+                    got = _counts(gram, p, g, n, e)
+                    for l in range(1, e + 1):
+                        want = hensel_count(gram, p, tuple(v % p**l for v in g), n % p**l, l)
+                        assert type(got[l]) is int and got[l] == want, (gram, p, g, n, l, got[l], want)
+                        seen["zero" if want == 0 else "stable" if want == p ** (rank - 1) * got[l - 1]
+                             else "unstable"] += 1
+        assert sum(seen.values()) >= 1500 and min(seen.values()) >= 100, seen
 
     def test_node_solve_and_leaf_match_walk_oracle(self):
-        # the node that the Hensel recursion reads: its coset solve(h), the base
+        # the node that the recursion oracles read: its coset solve(h) and the base
         # it starts from, and the Gauss sum S(U, h; p) of the splitting, against
         # the walk of (Z/p)^rank
         rng = random.Random(21)
         seen = {"solvable": 0, "unsolvable": 0}
         for gram, p in _NODE_FORMS:
             rank = len(gram)
-            node = mod_p_node(gram, p)
+            coset = mod_p_coset(gram, p)
             points = [tuple(v) for v in product(range(p), repeat=rank)]
             hs = [tuple(-sum(a * b for a, b in zip(row, lam)) % p for row in gram)
                   for lam in rng.sample(points, min(len(points), 4))]
@@ -533,22 +577,23 @@ class TestHenselNodes:
             for h in hs:
                 U = rng.randrange(1, p)
                 solutions, leaf = node_walk(gram, p, U, h)
-                listed = node.solve(h)
+                listed = coset.solve(h)
                 assert {tuple(v % p for v in lam) for lam, _, _ in listed} == solutions, (gram, p, h)
-                assert len(listed) == len(solutions) in (0, p**node.k)
+                assert len(listed) == len(solutions) in (0, p**coset.k)
                 for lam, beta, glam in listed:
                     assert beta == _int_beta(gram, lam)
                     assert list(glam) == [sum(a * b for a, b in zip(row, lam)) for row in gram]
-                base = node.base(h)
+                base = coset.base(h)
                 assert base is None if not solutions else tuple(v % p for v in base) in solutions
-                assert abs(node.gauss_sum(1)(U, h) - leaf) <= 1e-9 * p**rank, (gram, p, U, h)
+                assert abs(mod_p_node(gram, p).gauss_sum(1)(U, h) - leaf) <= 1e-9 * p**rank, (gram, p, U, h)
                 seen["solvable" if solutions else "unsolvable"] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_node_at_two_matches_walk_on_random_forms(self):
         # the node at p = 2 from the pairs and the radical of G mod 2: k, the coset
-        # solve(h), its base, the Arf-invariant sum S(1, h; 2) and the zero count,
-        # against the walk of (Z/2)^rank on random even forms of rank 1-8
+        # solve(h) and its base (of the oracles), the Arf-invariant sum S(1, h; 2)
+        # and the counts mod 2 and 4, against the walk of (Z/2)^rank on random even
+        # forms of rank 1-8
         rng = random.Random(22)
         seen = {"leaf 0, h in im G": 0, "Arf 0": 0, "Arf 1": 0, "k = 0": 0, "k >= 2": 0}
         for _ in range(300):
@@ -559,23 +604,23 @@ class TestHenselNodes:
                 for j in range(i + 1, rank):
                     g[i][j] = g[j][i] = rng.randint(-3, 3)
             gram = tuple(map(tuple, g))
-            node = mod_p_node(gram, 2)
-            assert 2**node.k == len(node_walk(gram, 2, 1, (0,) * rank)[0]), gram
-            if node.k != 1:
-                seen["k = 0" if node.k == 0 else "k >= 2"] += 1
+            coset = mod_p_coset(gram, 2)
+            assert 2**coset.k == len(node_walk(gram, 2, 1, (0,) * rank)[0]), gram
+            if coset.k != 1:
+                seen["k = 0" if coset.k == 0 else "k >= 2"] += 1
             points = list(product(range(2), repeat=rank))
             for h in rng.sample(points, min(len(points), 4)):
                 solutions, walked = node_walk(gram, 2, 1, h)
-                listed = node.solve(h)
+                listed = coset.solve(h)
                 assert {tuple(v % 2 for v in lam) for lam, _, _ in listed} == solutions, (gram, h)
                 assert len(listed) == len(solutions)
-                assert (node.base(h) is None) == (not solutions)
-                leaf = node.gauss_sum(1)(1, h)
+                assert (coset.base(h) is None) == (not solutions)
+                leaf = mod_p_node(gram, 2).gauss_sum(1)(1, h)
                 assert type(leaf) is int and leaf == round(walked.real), (gram, h)
                 for n in (0, 1):
                     nonsingular, singular = zeros_mod_p_walk(gram, 2, h, n)
-                    assert repcounts._hensel_count(gram, 2, h, n, 2) == _hensel_square_walk(gram, 2, h, n)[0]
-                    assert node.zeros(h, n) == nonsingular + len(singular)
+                    counts = _counts(gram, 2, h, n, 2)
+                    assert counts == [1, nonsingular + len(singular), _hensel_square_walk(gram, 2, h, n)[0]]
                 if solutions:
                     seen["leaf 0, h in im G" if leaf == 0 else "Arf 0" if leaf > 0 else "Arf 1"] += 1
         assert min(seen.values()) >= 10, seen
@@ -583,10 +628,10 @@ class TestHenselNodes:
     def test_rank_24_node_runs(self, e8):
         # E8^3 is unimodular of rank 24: G mod 2 has no radical, 12 pairs and Arf
         # invariant 0, so S(1, 0; 2) = 2^12 and beta takes the value 1 mod 2 at
-        # (2^24 - 2^12) / 2 points, from the splitting and the Hensel count
+        # (2^24 - 2^12) / 2 points, from the splitting and its unit sum T_1
         lat = make_lattice([[e8.gram[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(24)]
                             for i in range(24)])
-        assert mod_p_node(lat.gram, 2).k == 0
+        assert mod_p_coset(lat.gram, 2).k == 0
         assert mod_p_node(lat.gram, 2).gauss_sum(1)(1, (0,) * 24) == 4096
         key = RepCountKey(lattice=lat, x=lat.disc_group.zero, D=Fraction(-1), b=2)
         assert rep_count(key) == (2**24 - 2**12) // 2

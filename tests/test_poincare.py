@@ -133,6 +133,15 @@ class TestPoincareExpansion:
         expansion = poincare_expansion(spec, 1, 60)
         assert all(abs(v) <= 1e-9 for v in expansion.entries.values())
 
+    def test_odd_weight_self_dual_class_is_exactly_zero(self, a1):
+        # r = 1/2 of a1 is its own negative, so at k = 11 the delta terms cancel
+        # and so does each term of the c-sum: the coefficients are +0.0 with the
+        # tail 0.0, where the summed terms left up to 1.7e-16
+        spec = PoincareSpec(lattice=a1, k=11, D=Fraction(-3, 4), r=a1.disc_group.element((1,)))
+        expansion = poincare_expansion(spec, 2, 50)
+        assert len(expansion.entries) == 4 and expansion.tail_estimate == 0.0
+        assert all(v == 0 and math.copysign(1, v) == 1 for v in expansion.entries.values())
+
 
 class TestBridgeToEisenstein:
     def test_small_D_limit(self, a1):
