@@ -9,7 +9,8 @@ sum of U beta(lambda) + h.lambda over lambda mod q.  At p prime to 2 det the
 square completes, and F_q is a Gauss-sum constant and a phase times a Salie
 sum (odd rank) or Kloosterman sum (even rank) mod q: a Ramanujan sum or its
 twist by (d/p) where D or D' is 0 mod q, as at every Eisenstein coefficient
-(`_good_part`, `_prime_power_sum`).  At p | 2 det, F_q is summed over the
+(`_good_part`, `_prime_power_sum`; `numbertheory.ramanujan_sum`, which the
+unit sums of `modp` read too).  At p | 2 det, F_q is summed over the
 units of q, each Gauss sum a product of one- and two-dimensional closed forms
 over the p-adic Jordan splitting of G (`modp.mod_p_node`, whose unit sums
 give the counts of `repcounts` too), once per class of keys (q, b)
@@ -37,7 +38,7 @@ from ._record import Frozen, Record
 from .errors import ResourceLimitError
 from .lattice import support_data
 from .modp import mod_p_node
-from .numbertheory import factorize, kronecker, sqrt_mod
+from .numbertheory import factorize, kronecker, ramanujan_sum, sqrt_mod
 from .rationals import phase_table, unit_phase_ratio
 
 
@@ -159,10 +160,9 @@ def _prime_power_sum(p, e, x, t, odd):
     """S_q(x, t) = sum_{d in (Z/q)*} chi(d) e((x d + t d^-1)/q) at q = p^e, chi = (d/p)^e (odd) or 1.
 
     Where x or t is 0 mod q, d -> d^-1 leaves sum_d chi(d) e(y d/q), y the
-    other argument: at chi = 1 the Ramanujan sum c_q(y), phi(q) if q | y,
-    -p^(e-1) if p^(e-1) || y, else 0; at chi = (d/p), odd e, 0 unless
-    p^(e-1) | y, and then p^(e-1) ((y/p^(e-1))/p) g_p, with g_p = sqrt(p) or
-    i sqrt(p) as p = 1 or 3 mod 4.  Elsewhere, where chi is the Jacobi symbol
+    other argument: the Ramanujan sum c_q(y) at chi = 1, and at chi = (d/p),
+    odd e, its twist (`numbertheory.ramanujan_sum`) times eps_p sqrt(p), with
+    eps_p = 1 or i as p = 1 or 3 mod 4.  Elsewhere, where chi is the Jacobi symbol
     (d/q), at odd rank or even e, and p does not divide t, Salie's evaluation
     (Iwaniec, Topics in Classical Automorphic Forms, ch. 4) gives
     S_q = eps_q sqrt(q) (t/q) sum_{y^2 = x t mod q} e(2y/q), eps_q = 1 or i as
@@ -175,12 +175,9 @@ def _prime_power_sum(p, e, x, t, odd):
     """
     q = p**e
     if x % q == 0 or t % q == 0:
-        y, low = (x + t) % q, p ** (e - 1)  # the other argument, or 0 if both are
-        if y % low:
-            return 0
-        if odd and e % 2:
-            return low * kronecker(y // low, p) * math.sqrt(p) * (1j if p % 4 == 3 else 1)
-        return q - low if y == 0 else -low
+        y, twisted = (x + t) % q, odd and e % 2  # y the other argument, or 0 if both are
+        z = ramanujan_sum(p, e, y, twisted)  # an int 0 where p^(e-1) does not divide y: no signed zero
+        return z * math.sqrt(p) * (1j if p % 4 == 3 else 1) if twisted and y % (q // p) == 0 else z
     if (odd or e % 2 == 0) and (t % p or x % p):
         if t % p == 0:
             x, t = t, x

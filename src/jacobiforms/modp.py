@@ -8,9 +8,10 @@ lambda = B mu the quadratic Gauss sum S(U, h; p^e) is the product over the
 blocks of one- and two-dimensional sums in closed form, at t = B^t h
 (`gauss_sum(e)`, its integers reduced mod p^e once per e).  At h = U g it is
 an amplitude that reads U only through (U/p), or U mod 8, times a phase
-linear in U, so T_f = sum_U e(U n/p^f) S(U, U g; p^f) is a Ramanujan sum or a
-Gauss sum over those classes, in closed form and an exact int (`unit_sum`;
-T. Yang, J. Number Theory 72 (1998) and 108 (2004)).  No point is listed.
+linear in U, so T_f = sum_U e(U n/p^f) S(U, U g; p^f) is a Ramanujan sum or
+its twist (`numbertheory.ramanujan_sum`) at odd p, or a Gauss sum over the
+classes U mod 8, in closed form and an exact int (`unit_sum`; T. Yang,
+J. Number Theory 72 (1998) and 108 (2004)).  No point is listed.
 Only the series modules import this one, so `info` and `rep` never execute it.
 """
 
@@ -21,7 +22,7 @@ from itertools import count
 from operator import mul
 from types import SimpleNamespace
 
-from .numbertheory import kronecker
+from .numbertheory import kronecker, ramanujan_sum
 from .rationals import phase_table
 
 
@@ -126,10 +127,10 @@ def mod_p_node(gram, p):
     g, so the block tests pass for every U or for none (T_f = 0), and the
     exponent is U^2 X, X its value at g: S(U, U g) = A(U) e(-U X/p^f).  With
     m = n - X mod p^f:
-      odd p: z_-1 = (-1)^roots z_1, so at even roots T_f is A(1) times the
-        Ramanujan sum c_{p^f}(m), and at odd roots A(1) times
-        sum_U (U/p) e(U m/p^f) = p^(f-1) ((m/p^(f-1))/p) eps_p sqrt(p) if
-        p^(f-1) || m, else 0; the two sqrt(p) and i factors pair into +-p^j;
+      odd p: z_-1 = (-1)^roots z_1, so T_f is A(1) times the Ramanujan sum
+        c_{p^f}(m) at even roots and its twist sum_U (U/p) e(U m/p^f) at odd
+        roots (`numbertheory.ramanujan_sum`), whose eps_p sqrt(p) pairs with
+        the odd power of sqrt(p) and the i factors into +-p^j;
       p = 2: sum_U A(U) e(U m/2^f) over the classes r mod 2^min(f, 3), each
         2^d [2^d | m] zeta^(r (m/2^d) 2^(3 - min(f, 3))), d = max(f - 3, 0),
         in Z[zeta], zeta = e(1/8) and sqrt(2) = zeta - zeta^3.
@@ -208,18 +209,10 @@ def mod_p_node(gram, p):
         if x is None:
             return 0
         m = (n - x) % q
-        if p > 2:
-            low = q // p
-            if m % low or roots % 2 and m == 0:
-                return 0
-            a, b = gauss[1]
-            if roots % 2:  # eps_p sqrt(p) of the twisted sum meets the odd power of sqrt(p)
-                a, b = (-b, a) if p % 4 == 3 else (a, b)
-                scale = p ** ((roots + 1) // 2) * low * kronecker(m // low, p)
-            else:
-                scale = p ** (roots // 2) * (q - low if m == 0 else -low)
+        if p > 2:  # at odd roots eps_p sqrt(p) of the twisted sum meets the odd power of sqrt(p)
+            a, b = (-gauss[1][1], gauss[1][0]) if roots % 2 and p % 4 == 3 else gauss[1]
             assert b == 0, f"T_{f} at p={p} is not a rational integer"
-            return whole * a * scale
+            return whole * a * p ** ((roots + 1) // 2) * ramanujan_sum(p, f, m, roots % 2)
         d = max(f - 3, 0)
         if m % 2**d:
             return 0

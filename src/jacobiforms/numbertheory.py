@@ -1,6 +1,6 @@
-"""Scalar number theory: Kronecker symbol, Bernoulli machinery, Dirichlet
-L-values at non-positive integers, discriminant decompositions, divisor sums,
-Gamma at half-integers and J-Bessel evaluation.
+"""Scalar number theory: Kronecker symbol, Ramanujan sums, Bernoulli machinery,
+Dirichlet L-values at non-positive integers, discriminant decompositions,
+divisor sums, Gamma at half-integers and J-Bessel evaluation.
 
 The Bernoulli numbers come from one table of tangent numbers in Python ints,
 grown on demand, and each L-value L(-n, chi) is memoized per (n, chi).
@@ -82,6 +82,19 @@ def sqrt_mod(n, p, e):
         b = pow(c, 1 << (s - i - 1), q)
         s, c, t, r = i, b * b % q, t * b * b % q, r * b % q
     return r
+
+
+def ramanujan_sum(p, f, m, twisted):
+    """sum_{d in (Z/p^f)*} chi(d) e(d m/p^f), f >= 1, as an exact int: at chi = 1 the
+    Ramanujan sum c_{p^f}(m), phi(p^f) if p^f | m, -p^(f-1) if p^(f-1) || m, else 0;
+    twisted, chi = (d/p) at odd p, divided by eps_p sqrt(p) (eps_p = 1 or i as p = 1
+    or 3 mod 4): p^(f-1) ((m/p^(f-1))/p) if p^(f-1) | m (0 if p^f | m), else 0."""
+    low = p ** (f - 1)
+    if m % low:
+        return 0
+    if twisted:
+        return low * kronecker(m // low, p)
+    return p * low - low if m % (p * low) == 0 else -low
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -33,7 +34,7 @@ from jacobiforms.errors import (
 )
 from jacobiforms import expsums, repcounts
 from jacobiforms.expsums import h_series_terms
-from jacobiforms.lattice import enumerate_supp, load_lattice_json
+from jacobiforms.lattice import enumerate_supp, load_lattice_json, support_data
 from jacobiforms.modp import jordan_splitting, mod_p_node
 from jacobiforms.numbertheory import factorize, kronecker, zeta_float
 from jacobiforms.oracles import H_POINT_LIMIT, good_prime_factor, lattice_sum_fft
@@ -89,8 +90,14 @@ def _hensel_square_walk(gram, p, g, n):
 
 
 def _counts(gram, p, g, n, e):
-    """[R_{p^0}, ..., R_{p^e}] of Q(lambda) = beta(lambda) + g.lambda + n, from the unit sums."""
-    return repcounts._extend_counts(gram, p, g, n, [1], e)
+    """[R_{p^0}, ..., R_{p^e}] of Q(lambda) = beta(lambda) + g.lambda + n, from the unit sums
+    of `modp` by R_{p^f} = p^(rank-1) R_{p^(f-1)} + T_f / p^f, as `repcounts` forms them."""
+    counts, unit_sum = [1], mod_p_node(gram, p).unit_sum
+    for f in range(1, e + 1):
+        t = unit_sum(f, g, n)
+        assert t % p**f == 0, (gram, p, g, n, f)
+        counts.append(p ** (len(gram) - 1) * counts[-1] + t // p**f)
+    return counts
 
 
 def _negative_supp(lattice, n_max=2):
@@ -420,6 +427,17 @@ class TestRepCount:
     def test_square2_example(self, square2):
         key = RepCountKey(lattice=square2, x=square2.disc_group.zero, D=Fraction(-1), b=3)
         assert rep_count(key) == 4
+
+    def test_modulus_must_be_integral(self, a1):
+        x0 = a1.disc_group.zero
+        for b in (5.5, Fraction(11, 2), 5.0, 0, Fraction(0)):
+            with pytest.raises(ValueError, match="modulus b must be a positive integer, got"):
+                RepCountKey(lattice=a1, x=x0, D=Fraction(-1), b=b)
+        assert rep_count(RepCountKey(lattice=a1, x=x0, D=Fraction(-1), b=Fraction(5))) == rep_count(
+            RepCountKey(lattice=a1, x=x0, D=Fraction(-1), b=5))
+        for B in (5.5, Fraction(11, 2), 0):
+            with pytest.raises(ValueError, match="B must be a positive integer, got"):
+                repcounts.representation_numbers(a1, x0, Fraction(-1), B)
 
     def test_multiplicativity(self, a1, square2):
         for lat in (a1, square2):
@@ -781,12 +799,44 @@ class TestLocalFactor:
                         lat, x0, D, p, s
                     )
 
+    def test_s_must_be_integral(self, a1):
+        x0 = a1.disc_group.zero
+        for s in (2.5, 3.0, Fraction(5, 2), 0):
+            with pytest.raises(ValueError, match=re.escape(f"s must be a positive integer, got {s!r}")):
+                local_factor(a1, x0, Fraction(-1), 2, s)
+        assert local_factor(a1, x0, Fraction(-1), 2, Fraction(3)) == local_factor(a1, x0, Fraction(-1), 2, 3)
+
+    def test_bad_primes_match_the_hensel_profile(self):
+        # the R-profile formula p^(-w s) R_w + (1 - p^(rank-1-s)) sum_{l<w} p^(-l s) R_l on the
+        # counts of the Hensel recursion, w raised from max(1, 1 + 2 ord_p(2 Dtilde)) while
+        # R_{w+1} != p^(rank-1) R_w, against `local_factor` at every bad prime
+        checks = 0
+        for gram in (((2,),), ((8,),), ((2, 1), (1, 2)), ((2, 0), (0, 2)), _A3, ((4, 1), (1, 4)), _D4):
+            lat = make_lattice(gram)
+            for idx in _negative_supp(lat):
+                _, n, g = support_data(lat, idx.D, idx.x)
+                for p in bad_primes(lat, idx.x, idx.D):
+                    def count(l):
+                        return hensel_count(lat.gram, p, tuple(v % p**l for v in g), n % p**l, l)
+
+                    w = max(1, 1 + 2 * dict(factorize(abs(int(2 * idx.D * idx.x.order**2)))).get(p, 0))
+                    while count(w + 1) != p ** (lat.rank - 1) * count(w):
+                        w += 1
+                        assert w < 20, (gram, idx, p)
+                    for s in (3, 5, 7):
+                        partial = sum(Fraction(p) ** (-l * s) * count(l) for l in range(w))
+                        want = Fraction(p) ** (-w * s) * count(w) + (1 - Fraction(p) ** (lat.rank - 1 - s)) * partial
+                        assert local_factor(lat, idx.x, idx.D, p, s) == want, (gram, idx, p, s)
+                        checks += 1
+        assert checks >= 500, checks
+
     def test_stabilization_failure_guard(self, a1, monkeypatch):
-        # counts that never stabilize: R_{p^l} = l + 2 is never geometric
+        # unit sums that never vanish: T_f = p^f, so R_{p^l} = l + 1 is never geometric
         x0 = a1.disc_group.zero
         D = Fraction(-7)
         p = 9973
-        monkeypatch.setattr(repcounts, "_prime_power_counts", lambda lattice, x, D: lambda q, l: l + 2)
+        monkeypatch.setattr(repcounts, "_prime_power_counts", lambda lattice, x, D: lambda q, l: (
+            [q**f for f in range(l + 1)], [f + 1 for f in range(l + 1)]))
         with pytest.raises(StabilizationFailureError):
             local_factor(a1, x0, D, p, 3)
 

@@ -102,9 +102,10 @@ def test_poincare_expansion_is_modular(gram, D, r, c_max):
 def test_numeric_nontrivial_series_is_modular():
     # the Eisenstein series of the isotropic class r = 4 of a1_scaled4 ([[8]],
     # beta(r) = 1): a non-trivial series, whose c-sums read the Gauss sums at
-    # G r != 0, each with its phases; the c-sum sets the floor near 1e-12
+    # G r != 0, each with its phases; the c-sum sets the floor near 1e-12, and
+    # a flipped 1x1 block phase in `modp` lifts it past 2e-11
     lattice = make_lattice([[8]])
     spec = EisensteinSpec(lattice=lattice, k=6, r=lattice.disc_group.element((4,)))
     expansion = eisenstein_expansion(spec, 8, "numeric", c_max=250)
     for tau in TAUS:
-        assert residual(expansion, tau) <= 1e-10, tau
+        assert residual(expansion, tau) <= 1e-11, tau

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import subprocess
@@ -70,6 +71,20 @@ def test_sqrt_mod_finds_a_root_of_every_square_unit(p, e):
             root = sqrt_mod(n, p, e)
             assert (root is not None) == (pow(n, (p - 1) // 2, p) == 1), n
             assert root is None or root * root % q == n, n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_ramanujan_sum_is_the_unit_sum(p, f):
+    # sum_d chi(d) e(d m/p^f) over the units, in floats, against the exact int: chi = 1,
+    # and at odd p chi = (d/p) divided by eps_p sqrt(p), eps_p = 1 or i as p = 1 or 3 mod 4
+    q = p**f
+    for twisted in (False, True) if p > 2 else (False,):
+        scale = math.sqrt(p) * (1j if p % 4 == 3 else 1) if twisted else 1
+        for m in range(-q, 2 * q + 1):
+            want = sum((kronecker(d, p) if twisted else 1) * cmath.exp(2j * math.pi * d * m / q)
+                       for d in range(1, q) if d % p) / scale
+            assert abs(numbertheory.ramanujan_sum(p, f, m, twisted) - want) < 1e-9, (p, f, m, twisted)
 
 
 class TestBernoulli:
